@@ -4,8 +4,9 @@ Exit codes: 0 success / predicate holds; 1 mathematical failure
 (non-invertible input, false predicate, failed verification); 2 usage
 error; 3 resource budget exceeded.
 
-Vectors are comma-separated integers ("3,-1,2"); permutations are
-comma-separated images ("2,3,1" sends 1 to 2, 2 to 3, 3 to 1).
+Vectors are comma-separated integers ("3,-1,2", or "-2,5" with a leading
+minus); permutations are comma-separated images ("2,3,1" sends 1 to 2,
+2 to 3, 3 to 1).
 Computation commands print bare values and carry no timing, so their
 output is byte-stable; verification commands print a report and include
 elapsed time.
@@ -15,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 import time
 from dataclasses import asdict, is_dataclass
@@ -316,8 +318,22 @@ def _cmd_product_tile(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reads an argument such as "-2,5" as a vector, not as an option.
+
+    By default argparse reads only plain negative numbers ("-2") as
+    values and any other argument that starts with "-" as an option.
+    The pattern it tests them with is the private attribute set here;
+    subcommand parsers inherit this class.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-\d+(,-?\d+)*$")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="latticetwist",
         description="Deformed addition on integer vectors: twisted products, "
                     "units, the semidirect-product picture, generator "

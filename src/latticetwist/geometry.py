@@ -15,9 +15,12 @@ and u a permutation of (1..n).
 Membership in a tile is decided exactly: the a-coordinate of a point
 must lie in the unit slab, and its cross-section (the projection back to
 the permutohedron layer) must satisfy every subset-sum inequality
-sum_{i in S} x_i >= |S|(|S|+1)/2.  All predicates run in scaled integer
-arithmetic; no floats are involved anywhere except mesh-face ordering
-for export.
+sum_{i in S} x_i >= |S|(|S|+1)/2.  The 2^n - 2 inequalities are decided
+by one sort: the smallest subset sum of size k is the sum of the k
+smallest entries, so the cross-section lies in the permutohedron exactly
+when every sorted prefix sum meets its bound (Rado 1952).  All predicates
+run in scaled integer arithmetic; no floats are involved anywhere except
+mesh-face ordering for export.
 """
 
 from __future__ import annotations
@@ -154,6 +157,16 @@ def _evaluate_scaled(P: Sequence[int], den: int, n: int) -> tuple[str, tuple[str
     The a-coordinate numerator is L = sum(P) - den*K with K = n(n+1)/2;
     the slab is 0 <= L <= den*n, and each subset inequality becomes
     n*sum_S(P) - |S|*L >= den*n*B_S after clearing denominators.
+
+    The subset inequalities are decided by sorted prefix sums (Rado 1952):
+    for each size m the smallest sum_S(P) is S_m, the sum of the m
+    smallest entries, so the point is inside exactly when
+    n*S_m - m*L >= den*n*m(m+1)/2 for every m.  When that holds with
+    equality, the m smallest entries are the only tight subset of size m:
+    inside the tile the m-th and (m+1)-th smallest values of n*P - L are
+    at most den*n*m and at least den*n*(m+1), so no tie crosses position
+    m.  Labels therefore come out as in a scan of the subsets by size,
+    one facet per tight size.
     """
     K = n * (n + 1) // 2
     total = sum(P)
@@ -165,12 +178,15 @@ def _evaluate_scaled(P: Sequence[int], den: int, n: int) -> tuple[str, tuple[str
         tight.append("layer_bottom")
     if L == den * n:
         tight.append("layer_top")
-    for subset, m, bound in _proper_subsets(n):
-        value = n * sum(P[i] for i in subset) - m * L - den * n * bound
+    order = sorted(range(n), key=P.__getitem__)
+    prefix = 0
+    for m in range(1, n):
+        prefix += P[order[m - 1]]
+        value = n * prefix - m * L - den * n * (m * (m + 1) // 2)
         if value < 0:
             return "outside", ()
         if value == 0:
-            tight.append("facet_" + "_".join(str(i + 1) for i in subset))
+            tight.append("facet_" + "_".join(str(i + 1) for i in sorted(order[:m])))
     if tight:
         return "boundary", tuple(tight)
     return "interior", ()
@@ -423,29 +439,39 @@ def _tiling_chunk(args) -> dict:
 
 
 def _box_vertex_sets(n: int, lo: int, hi: int):
-    """Tile-vertex set vs residue-distinct set inside the box, by enumeration."""
+    """Tile-vertex set vs residue-distinct set inside the box.
+
+    The two sides are computed independently.  Tile side: every tile
+    vertex is C t + w for a vertex w of the base tile and integer
+    coefficients t.  With s = t_a + sum_j t_j, coordinate n of C t + w is
+    w_n + s and coordinate i < n is w_i + s - n t_i, so for each w only
+    the s in [lo - w_n, hi - w_n] and, per i, the t_i in
+    [ceil((w_i + s - hi)/n), floor((w_i + s - lo)/n)] land in the box;
+    t_a = s - sum_j t_j is then fixed.  Residue side: every integer point
+    of the box, tested by `is_tile_vertex`.
+
+    `tile_count` is the size of the coefficient window that holds every
+    tile with a vertex in the box, reported and capped as the work bound.
+    """
     if (hi - lo + 1) ** n > limits.MAX_BOX_POINTS:
         raise limits.BudgetExceededError(
             f"box [{lo}, {hi}]^{n} exceeds {limits.MAX_BOX_POINTS} integer points")
-    d_lo, d_hi = lo - (n + 1), hi - 1
-    ranges = []
-    for _ in range(n - 1):
-        lo_i = _ceil_div(d_lo - d_hi, n)
-        hi_i = (d_hi - d_lo) // n
-        ranges.append(range(lo_i, hi_i + 1))
-    ranges.append(range(d_lo, d_hi + 1))
-    tile_count = 1
-    for r in ranges:
-        tile_count *= len(r)
+    # such a tile's offset C t lies in [lo - n - 1, hi - 1]^n, an interval
+    # of span + 1 integers: |t_i| <= span/n for i < n, and t_a, the mean
+    # of the offset, lies in the interval itself
+    span = hi - lo + n
+    tile_count = (2 * (span // n) + 1) ** (n - 1) * (span + 1)
     if tile_count > limits.MAX_BOX_POINTS:
         raise limits.BudgetExceededError(
             f"{tile_count} candidate tiles exceed {limits.MAX_BOX_POINTS}")
-    in_box = lambda v: all(lo <= x <= hi for x in v)
     from_tiles = set()
-    for coeffs in product(*ranges):
-        for v in PrismTile(n, coeffs).vertices:
-            if in_box(v):
-                from_tiles.add(v)
+    for w in PrismTile(n, (0,) * n).vertices:
+        *head, last = w
+        for s in range(lo - last, hi - last + 1):
+            # coordinate i takes w_i + s - n t_i over the t_i in range:
+            # the values in [lo, hi] congruent to w_i + s mod n
+            axes = [range(lo + (x + s - lo) % n, hi + 1, n) for x in head]
+            from_tiles.update(product(*axes, (last + s,)))
     from_residues = {
         v for v in product(range(lo, hi + 1), repeat=n) if is_tile_vertex(v)
     }
@@ -540,6 +566,17 @@ def _face_loops(tile: PrismTile) -> list[list[int]]:
     return [_order_loop([verts[i] for i in loop], loop, center) for loop in loops]
 
 
+@lru_cache(maxsize=None)
+def _base_face_loops(n: int) -> tuple[tuple[int, ...], ...]:
+    """`_face_loops` of the base tile, which serve every tile.
+
+    A tile lists its vertices as the base tile's shifted by its offset, in
+    the same order, and neither the facet labels nor the cyclic order of
+    a loop change under that shift.
+    """
+    return tuple(tuple(loop) for loop in _face_loops(PrismTile(n, (0,) * n)))
+
+
 def _order_loop(points, indices, center):
     import math as _math
 
@@ -607,7 +644,7 @@ def export_mesh(tiles: Sequence[PrismTile], format: str, path: str | None = None
             all_vertices.extend(tile.vertices)
             if n >= 2:
                 all_faces.extend(
-                    [base + i for i in loop] for loop in _face_loops(tile)
+                    [base + i for i in loop] for loop in _base_face_loops(n)
                 )
         lines = ["OFF", f"{len(all_vertices)} {len(all_faces)} 0"]
         for v in all_vertices:

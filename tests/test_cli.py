@@ -3,6 +3,9 @@
 import json
 
 from latticetwist.cli import run
+from latticetwist.geometry import decompose_point
+from latticetwist.twisted import star_multiply
+from latticetwist.units import cyclic_action
 
 
 def invoke(capsys, *args):
@@ -76,6 +79,15 @@ class TestComputeCommands:
         assert code == 1
         assert "residue" in err
 
+    def test_vectors_with_leading_minus(self, capsys):
+        code, out, err = invoke(capsys, "decompose", "-1,0,4")
+        t, u = decompose_point((-1, 0, 4))
+        assert (code, out, err) == (0, f"t={','.join(map(str, t))} "
+                                       f"u={','.join(map(str, u))}\n", "")
+        code, out, _ = invoke(capsys, "mul", "-1,2,0", "0,-1,3")
+        expect = star_multiply((-1, 2, 0), (0, -1, 3), cyclic_action(3))
+        assert (code, out) == (0, ",".join(map(str, expect)) + "\n")
+
     def test_enumerate(self, capsys):
         code, out, _ = invoke(capsys, "enumerate", "-n", "3")
         lines = out.strip().split("\n")
@@ -139,6 +151,17 @@ class TestReports:
         b.pop("elapsed_seconds")
         assert a == b
 
+    def test_check_tiling_box_with_leading_minus(self, capsys):
+        args = ("check-tiling", "-n", "3", "--samples", "60", "--json")
+        code, out, err = invoke(capsys, *args, "--box", "-2,5")
+        assert (code, err) == (0, "")
+        _, out_eq, _ = invoke(capsys, *args, "--box=-2,5")
+        a, b = json.loads(out), json.loads(out_eq)
+        a.pop("elapsed_seconds")
+        b.pop("elapsed_seconds")
+        assert a == b
+        assert a["box"] == [-2, 5]
+
     def test_product_tile(self, capsys):
         code, out, _ = invoke(capsys, "product-tile", "2,1,4,3", "--json")
         doc = json.loads(out)
@@ -172,6 +195,8 @@ class TestExitCodes:
                       "--preset", "wat")[0] == 2
         assert invoke(capsys, "closure", "-n", "3", "--gens", "q")[0] == 2
         assert invoke(capsys, "iso-back", "1,1", "1,2,3")[0] == 2
+        assert invoke(capsys, "decompose", "-x")[0] == 2
+        assert invoke(capsys, "check-tiling", "-n", "3", "--box", "-2")[0] == 2
 
     def test_budget_errors(self, capsys):
         assert invoke(capsys, "enumerate", "-n", "9")[0] == 3

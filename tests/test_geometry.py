@@ -2,8 +2,9 @@
 
 import json
 import math
+import random
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, strategies as st
@@ -12,6 +13,9 @@ from latticetwist.geometry import (
     Decomposition,
     NotAVertex,
     PrismTile,
+    _box_vertex_sets,
+    _evaluate_scaled,
+    _face_loops,
     check_tiling,
     coordinate_matrices,
     decompose_point,
@@ -23,9 +27,45 @@ from latticetwist.geometry import (
     product_tile_vertices,
     tile_halfspaces,
 )
-from latticetwist.limits import BudgetExceededError
+from latticetwist.limits import MAX_PATCH_RADIUS, BudgetExceededError
 from latticetwist.semidirect import cycle_decompose, split_to_factors
 from latticetwist.units import is_residue_distinct
+
+
+def subset_scan(P, den, n):
+    """Oracle for _evaluate_scaled: every proper subset's inequality in turn."""
+    K = n * (n + 1) // 2
+    L = sum(P) - den * K
+    if L < 0 or L > den * n:
+        return "outside", ()
+    tight = []
+    if L == 0:
+        tight.append("layer_bottom")
+    if L == den * n:
+        tight.append("layer_top")
+    for m in range(1, n):
+        for subset in combinations(range(n), m):
+            value = (n * sum(P[i] for i in subset) - m * L
+                     - den * n * (m * (m + 1) // 2))
+            if value < 0:
+                return "outside", ()
+            if value == 0:
+                tight.append("facet_" + "_".join(str(i + 1) for i in subset))
+    return ("boundary", tuple(tight)) if tight else ("interior", ())
+
+
+def materialized_box_vertices(n, lo, hi):
+    """Oracle for the tile side of _box_vertex_sets: build every candidate
+    tile's vertices and keep those in the box."""
+    d_lo, d_hi = lo - (n + 1), hi - 1
+    ranges = [range(-((d_hi - d_lo) // n), (d_hi - d_lo) // n + 1)] * (n - 1)
+    ranges.append(range(d_lo, d_hi + 1))
+    return {
+        v
+        for coeffs in product(*ranges)
+        for v in PrismTile(n, coeffs).vertices
+        if all(lo <= x <= hi for x in v)
+    }, math.prod(len(r) for r in ranges)
 
 
 class TestBasis:
@@ -133,6 +173,34 @@ class TestHalfspaces:
     def test_wrong_length(self):
         with pytest.raises(ValueError):
             tile_halfspaces(3).classify((1, 2))
+
+    def test_sorted_prefix_matches_subset_scan_on_scaled_points(self):
+        rng = random.Random(2024)
+        for n in range(1, 7):
+            for den in (2, 3, 7, 101):
+                for _ in range(400):
+                    # near a random vertex, so all three statuses occur
+                    u = rng.sample(range(1, n + 1), n)
+                    P = [den * x + rng.randint(-den // 2, den) for x in u]
+                    assert _evaluate_scaled(P, den, n) == subset_scan(P, den, n), (P, den)
+
+    def test_sorted_prefix_matches_subset_scan_on_lattice_points(self):
+        # integer points around the base tile: ties at every sorted position
+        for n in range(1, 7):
+            reach = range(0, n + 2) if n <= 4 else range(1, 6)
+            for P in product(reach, repeat=n):
+                assert _evaluate_scaled(P, 1, n) == subset_scan(P, 1, n), P
+                Q = [2 * x + 1 for x in P]
+                assert _evaluate_scaled(Q, 2, n) == subset_scan(Q, 2, n), Q
+
+    def test_sorted_prefix_matches_subset_scan_on_tile_vertices(self):
+        for n in range(1, 7):
+            for v in PrismTile(n, (0,) * n).vertices:
+                status, tight = _evaluate_scaled(v, 1, n)
+                assert (status, tight) == subset_scan(v, 1, n), v
+                assert status == "boundary"
+                # one layer label and one facet per size m = 1..n-1
+                assert len(tight) == n
 
     def test_dimension_cap(self):
         with pytest.raises(BudgetExceededError):
@@ -258,6 +326,25 @@ class TestCheckTiling:
         assert report.passed
         assert report.vertex_match
 
+    def test_workers_give_the_same_report(self):
+        # two worker processes, no more; this seed redraws samples that land
+        # on a facet, so the resample count shows how samples were drawn
+        a = check_tiling(3, (-2, 4), samples=200, seed=2, workers=1)
+        b = check_tiling(3, (-2, 4), samples=200, seed=2, workers=2)
+        assert a.resample_count > 0
+        assert a == b
+
+    def test_box_match_agrees_with_materialized_tiles(self):
+        for n in range(1, 5):
+            for lo, hi in [(-3, 2), (-1, 0), (-6, -2), (-4, 4), (-2, 5), (0, 3)]:
+                if n == 4 and hi - lo > 6:
+                    continue
+                from_tiles, from_residues, tile_count = _box_vertex_sets(n, lo, hi)
+                expect, expect_count = materialized_box_vertices(n, lo, hi)
+                assert from_tiles == expect, (n, lo, hi)
+                assert tile_count == expect_count
+                assert from_tiles == from_residues
+
     def test_guards(self):
         with pytest.raises(BudgetExceededError):
             check_tiling(5, (0, 4))
@@ -319,6 +406,21 @@ class TestExport:
             export_mesh([], "json")
         with pytest.raises(ValueError):
             export_mesh([PrismTile(2, (0, 0)), PrismTile(3, (0, 0, 0))], "json")
+
+    def test_off_loops_match_per_tile_computation(self):
+        for n in range(1, 4):
+            for radius in range(MAX_PATCH_RADIUS + 1):
+                tiles = generate_patch(n, radius)
+                vertices, faces = [], []
+                for tile in tiles:
+                    base = len(vertices)
+                    vertices.extend(tile.vertices)
+                    if n >= 2:
+                        faces.extend([base + i for i in loop] for loop in _face_loops(tile))
+                lines = ["OFF", f"{len(vertices)} {len(faces)} 0"]
+                lines += [" ".join(str(x) for x in (*v, 0, 0)[:3]) for v in vertices]
+                lines += [" ".join(str(x) for x in (len(f), *f)) for f in faces]
+                assert export_mesh(tiles, "off") == "\n".join(lines) + "\n", (n, radius)
 
     def test_writes_file(self, tmp_path):
         path = tmp_path / "mesh.off"
