@@ -2,7 +2,8 @@
 
 Exit codes: 0 success / predicate holds; 1 mathematical failure
 (non-invertible input, false predicate, failed verification); 2 usage
-error; 3 resource budget exceeded.
+error, including a file that cannot be written; 3 resource budget
+exceeded.
 
 Vectors are comma-separated integers ("3,-1,2", or "-2,5" with a leading
 minus); permutations are comma-separated images ("2,3,1" sends 1 to 2,
@@ -444,7 +445,7 @@ def run(argv=None) -> int:
     except limits.BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

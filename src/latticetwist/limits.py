@@ -14,6 +14,7 @@ MAX_PATCH_N = 4              # (2r+1)^n tiles
 MAX_PATCH_RADIUS = 4
 MAX_CLOSURE_BUDGET = 1_000_000   # visited elements in a closure search
 MAX_BOX_POINTS = 1_000_000       # integer points enumerated in a tiling box
+MAX_WORD_LETTERS = 1_000_000     # letters of a word after expanding powers
 
 
 class BudgetExceededError(RuntimeError):

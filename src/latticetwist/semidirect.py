@@ -48,11 +48,7 @@ def perm_compose(p2: Sequence[int], p1: Sequence[int]) -> Permutation:
 
 
 def perm_inverse(p: Sequence[int]) -> Permutation:
-    q = check_permutation(p)
-    out = [0] * len(q)
-    for i, v in enumerate(q, start=1):
-        out[v - 1] = i
-    return tuple(out)
+    return _perm_inverse(check_permutation(p))
 
 
 def semi_identity(n: int) -> SemiElement:
@@ -63,30 +59,67 @@ def semi_multiply(left: SemiElement, right: SemiElement) -> SemiElement:
     """Product left . right = (z + k o s, r o s) for left=(z,s), right=(k,r)."""
     z, s = left
     k, r = right
-    if len(z) != len(k):
-        raise ValueError(f"length mismatch: {len(z)} vs {len(k)}")
-    new_z = tuple(z[i] + k[s[i] - 1] for i in range(len(z)))
-    return SemiElement(new_z, perm_compose(r, s))
+    s = check_permutation(s)
+    r = check_permutation(r)
+    if not len(z) == len(s) == len(k) == len(r):
+        raise ValueError(f"length mismatch: {len(z)}, {len(s)} vs {len(k)}, {len(r)}")
+    return _mul((z, s), (k, r))
 
 
 def semi_inverse(g: SemiElement) -> SemiElement:
-    z, s = g
-    s_inv = perm_inverse(s)
-    new_z = tuple(-z[s_inv[i] - 1] for i in range(len(z)))
-    return SemiElement(new_z, s_inv)
+    return _inverse(_checked(g))
 
 
 def semi_power(g: SemiElement, k: int) -> SemiElement:
     """g^k by square-and-multiply; negative k goes through the inverse."""
+    if k == 0:
+        return semi_identity(len(g.z))
+    return _power(_checked(g), k)
+
+
+def _checked(g: SemiElement) -> tuple[Sequence[int], Permutation]:
+    """Unpack g, validating its permutation and the lengths of both parts."""
+    z, s = g
+    s = check_permutation(s)
+    if len(z) != len(s):
+        raise ValueError(f"length mismatch: {len(z)} vs {len(s)}")
+    return z, s
+
+
+# The kernels below take pairs that are already valid: s a permutation of
+# 1..n in one-line notation and z a vector of the same length n.  Public
+# functions validate once and then call them.
+
+def _mul(left, right) -> SemiElement:
+    z, s = left
+    k, r = right
+    return SemiElement(tuple([a + k[v - 1] for a, v in zip(z, s)]),
+                       tuple([r[v - 1] for v in s]))
+
+
+def _perm_inverse(s: Permutation) -> Permutation:
+    out = [0] * len(s)
+    for i, v in enumerate(s, start=1):
+        out[v - 1] = i
+    return tuple(out)
+
+
+def _inverse(g) -> SemiElement:
+    z, s = g
+    s_inv = _perm_inverse(s)
+    return SemiElement(tuple([-z[v - 1] for v in s_inv]), s_inv)
+
+
+def _power(g, k: int) -> SemiElement:
     if k < 0:
-        return semi_power(semi_inverse(g), -k)
-    acc = semi_identity(len(g.z))
-    base = g
+        g, k = _inverse(g), -k
+    acc = semi_identity(len(g[1]))
     while k:
         if k & 1:
-            acc = semi_multiply(acc, base)
-        base = semi_multiply(base, base)
+            acc = _mul(acc, g)
         k >>= 1
+        if k:
+            g = _mul(g, g)
     return acc
 
 

@@ -45,7 +45,7 @@ class NotInvertibleError(ValueError):
 
 def check_permutation(images: Sequence[int]) -> tuple[int, ...]:
     """Validate one-line notation (1-based images) and return it as a tuple."""
-    tau = tuple(int(x) for x in images)
+    tau = tuple(map(int, images))
     if sorted(tau) != list(range(1, len(tau) + 1)):
         raise ValueError(f"not a permutation of 1..{len(tau)}: {tau!r}")
     return tau

@@ -27,16 +27,19 @@ import random
 import re
 from collections import deque
 from dataclasses import dataclass
+from functools import lru_cache
+from operator import add
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from . import limits
 from .semidirect import (
     SemiElement,
+    _inverse,
+    _mul,
+    _power,
     identity_perm,
     semi_identity,
     semi_inverse,
-    semi_multiply,
-    semi_power,
 )
 
 Letter = tuple[str, int]
@@ -85,11 +88,19 @@ def word_inverse(word: Word) -> Word:
 
 
 def word_power(word: Word, k: int) -> Word:
-    if k == 0:
+    if k == 0 or not word:
         return ()
     if k < 0:
         return word_power(word_inverse(word), -k)
+    _check_letters(len(word) * k)
     return normalize_word(l for _ in range(k) for l in word)
+
+
+def _check_letters(count: int) -> None:
+    if count > limits.MAX_WORD_LETTERS:
+        raise limits.BudgetExceededError(
+            f"word expands to {count} letters, over the cap "
+            f"{limits.MAX_WORD_LETTERS}")
 
 
 def render_word(word: Word) -> str:
@@ -145,6 +156,7 @@ def _parse_sequence(tokens, i: int, text_len: int, depth: int):
             if not inner:
                 raise WordSyntaxError("empty parentheses", pos)
             exp, i = _parse_exponent(tokens, j + 1, text_len)
+            _check_letters(len(letters) + len(inner) * abs(exp))
             if exp >= 0:
                 letters.extend(l for _ in range(exp) for l in inner)
             else:
@@ -171,22 +183,28 @@ def _parse_exponent(tokens, i: int, text_len: int) -> tuple[int, int]:
 
 def standard_generators(n: int) -> dict[str, SemiElement]:
     """The five named generators as concrete elements of Z^n x| S_n."""
+    return dict(_generators(n))
+
+
+@lru_cache(maxsize=16, typed=True)
+def _generators(n: int) -> dict[str, SemiElement]:
+    # Shared by every caller for this n: read it, never mutate it.
     if n < 2:
         raise ValueError(f"generators need n >= 2, got {n}")
     zero = (0,) * n
     sigma = SemiElement(zero, (2, 1, *range(3, n + 1)))
     tau = SemiElement(zero, (n, *range(1, n)))
     gamma = SemiElement((*((0,) * (n - 1)), 1), identity_perm(n))
-    a = semi_multiply(gamma, tau)
+    a = _mul(gamma, tau)
     return {"s": sigma, "t": tau, "g": gamma, "a": a, "b": sigma}
 
 
 def eval_word(word: Word, n: int) -> SemiElement:
     """Left-to-right product of generator powers in Z^n x| S_n."""
-    gens = standard_generators(n)
+    gens = _generators(n)
     acc = semi_identity(n)
     for sym, exp in word:
-        acc = semi_multiply(acc, semi_power(gens[sym], exp))
+        acc = _mul(acc, _power(gens[sym], exp))
     return acc
 
 
@@ -324,12 +342,11 @@ class RelationReport:
 
 def verify_relations(preset: RelationPreset) -> RelationReport:
     ident = semi_identity(preset.n)
-    checks = tuple(
-        RelationCheck(rel.label, eval_word(rel.word, preset.n) == ident,
-                      eval_word(rel.word, preset.n))
-        for rel in preset.relations
-    )
-    return RelationReport(preset.name, preset.n, _RELATION_NOTE, checks)
+    checks = []
+    for rel in preset.relations:
+        value = eval_word(rel.word, preset.n)
+        checks.append(RelationCheck(rel.label, value == ident, value))
+    return RelationReport(preset.name, preset.n, _RELATION_NOTE, tuple(checks))
 
 
 @dataclass(frozen=True)
@@ -533,17 +550,38 @@ def generated_closure(
                 gens.append(candidate)
 
     ident = semi_identity(n)
-    identity_perm_n = ident.s
     target_items = dict(targets or {})
     reached = {name: el == ident for name, el in target_items.items()}
+    # Unreached targets wait here by permutation until the walk interns it,
+    # then move to target_keys under the (z, permutation id) key of visited.
+    pending_targets: dict[tuple, list[tuple[tuple, str]]] = {}
+    for name, (z, s) in target_items.items():
+        if not reached[name]:
+            pending_targets.setdefault(tuple(s), []).append((tuple(z), name))
+    target_keys: dict[tuple, list[str]] = {}
     lattice = _IntLattice(n)
-    translations: set = set()
 
-    visited = {ident}
-    queue = deque([ident])
-    perms = {ident.s}
-    budget_exhausted = False
-    stopped_early = False
+    # Each permutation reached is interned to a small id.  steps[id][j] is
+    # built on first use from the product (0, s) . gens[j] = (k o s, r o s):
+    # the translation k o s (None when zero) and the id of r o s.  An element
+    # (z, s) then steps to (z + k o s, r o s).
+    perms: list[tuple] = []
+    perm_ids: dict[tuple, int] = {}
+    steps: list[list] = []
+
+    def intern(perm: tuple) -> int:
+        pid = perm_ids.get(perm)
+        if pid is None:
+            pid = perm_ids[perm] = len(perms)
+            perms.append(perm)
+            steps.append([None] * len(gens))
+            for z, name in pending_targets.pop(perm, ()):
+                target_keys.setdefault((z, pid), []).append(name)
+        return pid
+
+    def step(pid: int, j: int):
+        kg, perm = _mul((ident.z, perms[pid]), gens[j])
+        return (kg if any(kg) else None), intern(perm)
 
     def goal_met() -> bool:
         return (
@@ -553,12 +591,21 @@ def generated_closure(
             and lattice.rank == n
         )
 
+    start = (ident.z, intern(ident.s))
+    visited = {start}
+    queue = deque([start])
+    translation_count = 0
+    budget_exhausted = False
+    stopped_early = False
+
     while queue and not budget_exhausted and not stopped_early:
-        z, s = queue.popleft()
-        for k, r in gens:
-            nz = tuple(z[i] + k[s[i] - 1] for i in range(n))
-            ns = tuple(r[s[i] - 1] for i in range(n))
-            h = SemiElement(nz, ns)
+        z, pid = queue.popleft()
+        row = steps[pid]
+        for j, entry in enumerate(row):
+            if entry is None:
+                entry = row[j] = step(pid, j)
+            kg, nid = entry
+            h = (z if kg is None else tuple(map(add, z, kg)), nid)
             if h in visited:
                 continue
             if len(visited) >= budget:
@@ -566,16 +613,27 @@ def generated_closure(
                 break
             visited.add(h)
             queue.append(h)
-            perms.add(ns)
-            if ns == identity_perm_n and any(nz):
-                translations.add(nz)
-                lattice.add(nz)
-            for name, el in target_items.items():
-                if not reached[name] and h == el:
+            event = False
+            if nid == 0:
+                # A new element over the identity permutation is never the
+                # identity itself, so it is a nonzero pure translation.
+                translation_count += 1
+                rank = lattice.rank
+                lattice.add(h[0])
+                event = lattice.rank > rank
+            if target_keys and h in target_keys:
+                for name in target_keys.pop(h):
                     reached[name] = True
-            if goal_met():
+                event = True
+            if event and goal_met():
                 stopped_early = True
                 break
+
+    permutation_count = len(perms)
+    if budget_exhausted and all(p != nid for _, p in visited):
+        # The step that hit the budget may have interned a permutation that
+        # no visited element has.
+        permutation_count -= 1
 
     return ClosureReport(
         n=n,
@@ -585,9 +643,9 @@ def generated_closure(
         budget=budget,
         budget_exhausted=budget_exhausted,
         stopped_early=stopped_early,
-        permutation_count=len(perms),
-        permutations_complete=len(perms) == math.factorial(n),
-        translation_count=len(translations),
+        permutation_count=permutation_count,
+        permutations_complete=permutation_count == math.factorial(n),
+        translation_count=translation_count,
         translation_rank=lattice.rank,
         translations_span_lattice=lattice.spans_all(),
         targets_reached=reached,

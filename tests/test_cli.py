@@ -185,6 +185,15 @@ class TestTessellate:
         assert "wrote 1 tiles" in out
         assert path.read_text().startswith("OFF\n12 8 0\n")
 
+    def test_unwritable_out_path_is_usage_error(self, capsys, tmp_path):
+        path = tmp_path / "missing" / "patch.off"
+        code, out, err = invoke(capsys, "tessellate", "-n", "2",
+                                "--out", str(path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not path.exists()
+
 
 class TestExitCodes:
     def test_usage_errors(self, capsys):

@@ -108,6 +108,94 @@ class TestSemidirectGroup:
         with pytest.raises(ValueError):
             semi_multiply(semi_identity(2), semi_identity(3))
 
+    def test_power_zero_skips_validation(self):
+        assert semi_power(SemiElement((5, 5), (1, 1)), 0) == semi_identity(2)
+
+
+def _old_multiply(left, right):
+    # The product before validation moved ahead of a trusted kernel.
+    z, s = left
+    k, r = right
+    if len(z) != len(k):
+        raise ValueError(f"length mismatch: {len(z)} vs {len(k)}")
+    new_z = tuple(z[i] + k[s[i] - 1] for i in range(len(z)))
+    return SemiElement(new_z, perm_compose(r, s))
+
+
+def _old_inverse(g):
+    z, s = g
+    s_inv = perm_inverse(s)
+    return SemiElement(tuple(-z[s_inv[i] - 1] for i in range(len(z))), s_inv)
+
+
+def _old_power(g, k):
+    if k < 0:
+        return _old_power(_old_inverse(g), -k)
+    acc = semi_identity(len(g.z))
+    base = g
+    while k:
+        if k & 1:
+            acc = _old_multiply(acc, base)
+        base = _old_multiply(base, base)
+        k >>= 1
+    return acc
+
+
+def _raised(func, *args):
+    try:
+        func(*args)
+    except Exception as exc:  # the type is what is compared
+        return type(exc)
+    return None
+
+
+def bad_permutations(n):
+    """Length-n sequences over 1..n that are not permutations."""
+    return st.lists(st.integers(1, n), min_size=n, max_size=n).filter(
+        lambda p: sorted(p) != list(range(1, n + 1))).map(tuple)
+
+
+class TestValidation:
+    @given(st.data())
+    def test_invalid_permutations_raise_as_before(self, data):
+        n = data.draw(st.integers(2, 6))
+        good = data.draw(semi_elements(n))
+        bad = SemiElement(data.draw(semi_elements(n)).z,
+                          data.draw(bad_permutations(n)))
+        k = data.draw(st.integers(-5, 5).filter(lambda x: x != 0))
+        for new, old, args in [
+            (semi_multiply, _old_multiply, (bad, good)),
+            (semi_multiply, _old_multiply, (good, bad)),
+            (semi_multiply, _old_multiply, (bad, bad)),
+            (semi_inverse, _old_inverse, (bad,)),
+            (semi_power, _old_power, (bad, k)),
+        ]:
+            assert _raised(new, *args) is _raised(old, *args) is ValueError
+
+    def test_out_of_range_images_are_value_errors(self):
+        # The old product read k[3] here and raised IndexError.
+        bad = SemiElement((0, 0), (1, 4))
+        assert _raised(_old_multiply, bad, semi_identity(2)) is IndexError
+        assert _raised(semi_multiply, bad, semi_identity(2)) is ValueError
+
+    @given(st.data())
+    def test_length_mismatches_raise_as_before(self, data):
+        n = data.draw(st.integers(1, 5))
+        m = data.draw(st.integers(1, 5).filter(lambda x: x != n))
+        x = data.draw(semi_elements(n))
+        y = data.draw(semi_elements(m))
+        # a translation of the right length over a permutation of another
+        mixed = SemiElement(x.z, y.s)
+        for args in [(x, y), (y, x), (x, mixed)]:
+            assert (_raised(semi_multiply, *args)
+                    is _raised(_old_multiply, *args) is ValueError)
+        # The old code read out of range here (IndexError) or returned an
+        # element whose parts disagree in length; every length mismatch is
+        # now the ValueError above.
+        assert _raised(semi_multiply, mixed, mixed) is ValueError
+        assert _raised(semi_inverse, mixed) is ValueError
+        assert _raised(semi_power, mixed, 3) is ValueError
+
 
 class TestIsomorphism:
     def test_forward_example(self):

@@ -1,13 +1,22 @@
 """Word parsing, relation presets, derived identities, closure search."""
 
 import math
+import time
+from collections import deque
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from latticetwist import limits
 from latticetwist.limits import BudgetExceededError
-from latticetwist.semidirect import SemiElement, semi_identity
+from latticetwist.semidirect import (
+    SemiElement,
+    semi_identity,
+    semi_inverse,
+    semi_multiply,
+)
 from latticetwist.words import (
+    ClosureReport,
     Relation,
     RelationPreset,
     WordSyntaxError,
@@ -24,7 +33,92 @@ from latticetwist.words import (
     word_concat,
     word_inverse,
     word_power,
+    _IntLattice,
 )
+
+
+def closure_oracle(images, budget=limits.MAX_CLOSURE_BUDGET, targets=None,
+                   stop_early=False):
+    """Reference breadth-first closure on whole elements, one product each.
+
+    Every element is stored as a (z, s) pair, every step is the product
+    (z, s) . (k, r) = (z + k o s, r o s) written out, and the stop-early
+    goal is tested after every new element.
+    """
+    n = len(images[0].z)
+    gens = []
+    for img in images:
+        for candidate in (img, semi_inverse(img)):
+            if candidate not in gens:
+                gens.append(candidate)
+    ident = semi_identity(n)
+    target_items = dict(targets or {})
+    reached = {name: el == ident for name, el in target_items.items()}
+    lattice = _IntLattice(n)
+    translations = set()
+    visited = {ident}
+    queue = deque([ident])
+    perms = {ident.s}
+    budget_exhausted = False
+    stopped_early = False
+
+    def goal_met():
+        return (stop_early and bool(target_items) and all(reached.values())
+                and lattice.rank == n)
+
+    while queue and not budget_exhausted and not stopped_early:
+        z, s = queue.popleft()
+        for k, r in gens:
+            nz = tuple(z[i] + k[s[i] - 1] for i in range(n))
+            ns = tuple(r[s[i] - 1] for i in range(n))
+            h = SemiElement(nz, ns)
+            if h in visited:
+                continue
+            if len(visited) >= budget:
+                budget_exhausted = True
+                break
+            visited.add(h)
+            queue.append(h)
+            perms.add(ns)
+            if ns == ident.s and any(nz):
+                translations.add(nz)
+                lattice.add(nz)
+            for name, el in target_items.items():
+                if not reached[name] and h == el:
+                    reached[name] = True
+            if goal_met():
+                stopped_early = True
+                break
+
+    return ClosureReport(
+        n=n,
+        generator_count=len(images),
+        element_count=len(visited),
+        closed=not queue and not budget_exhausted and not stopped_early,
+        budget=budget,
+        budget_exhausted=budget_exhausted,
+        stopped_early=stopped_early,
+        permutation_count=len(perms),
+        permutations_complete=len(perms) == math.factorial(n),
+        translation_count=len(translations),
+        translation_rank=lattice.rank,
+        translations_span_lattice=lattice.spans_all(),
+        targets_reached=reached,
+    )
+
+
+def semi_elements(n, lo=-2, hi=2):
+    return st.tuples(
+        st.tuples(*[st.integers(lo, hi)] * n),
+        st.permutations(range(1, n + 1)),
+    ).map(lambda pair: SemiElement(pair[0], tuple(pair[1])))
+
+
+def words_in(symbols="stgab", max_exp=4, max_size=8):
+    return st.lists(
+        st.tuples(st.sampled_from(symbols),
+                  st.integers(-max_exp, max_exp).filter(lambda x: x != 0)),
+        max_size=max_size).map(tuple)
 
 
 class TestWordAlgebra:
@@ -135,6 +229,51 @@ class TestGenerators:
     def test_cycle_recovered_from_two_generators(self):
         word = parse_word("a^-1 (b a)^2 b a^-1")
         assert eval_word(word, 4) == standard_generators(4)["t"]
+
+    @given(st.integers(2, 6), words_in())
+    def test_eval_word_is_left_to_right_product(self, n, word):
+        gens = standard_generators(n)
+        expect = semi_identity(n)
+        for sym, exp in word:
+            factor = gens[sym] if exp > 0 else semi_inverse(gens[sym])
+            for _ in range(abs(exp)):
+                expect = semi_multiply(expect, factor)
+        assert eval_word(word, n) == expect
+
+    def test_standard_generators_returns_a_fresh_dict(self):
+        gens = standard_generators(4)
+        gens["s"] = gens["t"]
+        assert standard_generators(4)["s"] == SemiElement(
+            (0, 0, 0, 0), (2, 1, 3, 4))
+        assert eval_word(parse_word("s"), 4) == standard_generators(4)["s"]
+
+
+class TestWordLengthCap:
+    def test_nested_powers_refused_before_expansion(self):
+        start = time.perf_counter()
+        with pytest.raises(BudgetExceededError):
+            parse_word("(((s t)^1000)^1000)^1000")
+        assert time.perf_counter() - start < 0.5
+
+    def test_cap_counts_letters_before_normalization(self, monkeypatch):
+        monkeypatch.setattr(limits, "MAX_WORD_LETTERS", 10)
+        assert len(parse_word("(s t)^5")) == 10
+        assert parse_word("(s s^-1)^5") == ()
+        with pytest.raises(BudgetExceededError):
+            parse_word("(s s^-1)^6")
+        with pytest.raises(BudgetExceededError):
+            parse_word("(s t)^-3 (s t)^3")
+        assert len(parse_word("s t (s t)^4")) == 10
+
+    def test_word_power_cap(self, monkeypatch):
+        monkeypatch.setattr(limits, "MAX_WORD_LETTERS", 10)
+        st_word = (("s", 1), ("t", 1))
+        assert len(word_power(st_word, -5)) == 10
+        with pytest.raises(BudgetExceededError):
+            word_power(st_word, 6)
+        with pytest.raises(BudgetExceededError):
+            word_power(st_word, -6)
+        assert word_power((), 10**12) == ()
 
 
 class TestRelationPresets:
@@ -264,11 +403,51 @@ class TestClosure:
         with pytest.raises(ValueError):
             generated_closure([])
 
+    def test_invalid_images_rejected(self):
+        with pytest.raises(ValueError):
+            generated_closure([SemiElement((0, 0), (1, 1))])
+        with pytest.raises(ValueError):
+            generated_closure([semi_identity(2), semi_identity(3)])
+
+    def test_matches_oracle_on_benchmark_shapes(self):
+        cases = [(5, "s t", None, False, 10**6), (4, "a b", "s t g", True, 10**6),
+                 (3, "a b", None, False, 1000), (4, "s t g", None, False, 3000),
+                 (5, "a b", "s t g", True, 10**6), (5, "s t g", "t", True, 500)]
+        for n, names, target_names, stop_early, budget in cases:
+            gens = standard_generators(n)
+            images = [gens[x] for x in names.split()]
+            targets = ({x: gens[x] for x in target_names.split()}
+                       if target_names else None)
+            args = (images, budget, targets, stop_early)
+            assert generated_closure(*args) == closure_oracle(*args), names
+
+    @settings(max_examples=150)
+    @given(st.data())
+    def test_matches_oracle(self, data):
+        n = data.draw(st.integers(1, 5))
+        images = data.draw(st.lists(semi_elements(n), min_size=1, max_size=3))
+        budget = data.draw(st.integers(1, 3000))
+        stop_early = data.draw(st.booleans())
+        # Targets are random elements or short products of the images,
+        # so that some are reached and the walk can stop early.
+        products = st.lists(st.sampled_from(images), min_size=1, max_size=4).map(
+            lambda factors: _product(factors, n))
+        targets = data.draw(st.dictionaries(
+            st.sampled_from("pqrs"), st.one_of(products, semi_elements(n)),
+            max_size=3))
+        args = (images, budget, targets or None, stop_early)
+        assert generated_closure(*args) == closure_oracle(*args)
+
+
+def _product(factors, n):
+    acc = semi_identity(n)
+    for f in factors:
+        acc = semi_multiply(acc, f)
+    return acc
+
 
 class TestIntLattice:
     def test_rank_and_index(self):
-        from latticetwist.words import _IntLattice
-
         lat = _IntLattice(2)
         lat.add((2, 0))
         lat.add((0, 2))
@@ -280,8 +459,6 @@ class TestIntLattice:
         assert lat.spans_all()
 
     def test_dependent_rows_do_not_raise_rank(self):
-        from latticetwist.words import _IntLattice
-
         lat = _IntLattice(3)
         lat.add((1, 2, 3))
         lat.add((2, 4, 6))
