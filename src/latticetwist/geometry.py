@@ -25,13 +25,13 @@ mesh-face ordering for export.
 
 from __future__ import annotations
 
-import json
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, cached_property
 from itertools import combinations, permutations, product
 from math import lcm
+from operator import add
 from typing import NamedTuple, Sequence
 
 from . import limits
@@ -41,6 +41,7 @@ from .twisted import Vec, as_vector
 Point = tuple[Fraction, ...]
 
 SAMPLE_DENOMINATOR = 101
+FACET_REDRAWS = 64       # draws per sample before check_tiling gives up
 
 
 def _check_n(n: int, cap: int, what: str) -> None:
@@ -94,10 +95,15 @@ def coordinate_matrices(n: int) -> tuple[tuple[Vec, ...], tuple[Point, ...]]:
 
 
 def _lattice_offset(coeffs: Vec) -> Vec:
-    """C . coeffs, in integer arithmetic."""
+    """C . coeffs in closed form, in O(n).
+
+    Row i < n-1 of C holds -(n-1) at i and 1 elsewhere, and row n-1 is all
+    ones, so with s = sum(coeffs) entry i is s - n*coeffs[i] and the last
+    entry is s.
+    """
     n = len(coeffs)
-    C, _ = coordinate_matrices(n)
-    return tuple(sum(C[i][j] * coeffs[j] for j in range(n)) for i in range(n))
+    s = sum(coeffs)
+    return (*[s - n * c for c in coeffs[:-1]], s)
 
 
 @dataclass(frozen=True)
@@ -178,14 +184,18 @@ def _evaluate_scaled(P: Sequence[int], den: int, n: int) -> tuple[str, tuple[str
         tight.append("layer_bottom")
     if L == den * n:
         tight.append("layer_top")
-    order = sorted(range(n), key=P.__getitem__)
+    values = sorted(P)
+    order = None
     prefix = 0
     for m in range(1, n):
-        prefix += P[order[m - 1]]
+        prefix += values[m - 1]
         value = n * prefix - m * L - den * n * (m * (m + 1) // 2)
         if value < 0:
             return "outside", ()
         if value == 0:
+            # only a label needs to know which entries are the m smallest
+            if order is None:
+                order = sorted(range(n), key=P.__getitem__)
             tight.append("facet_" + "_".join(str(i + 1) for i in sorted(order[:m])))
     if tight:
         return "boundary", tuple(tight)
@@ -257,11 +267,11 @@ class PrismTile:
     @cached_property
     def vertices(self) -> tuple[Vec, ...]:
         """Both layers: permutations of (1..n), then their a-shifts."""
-        off = self.offset
         base = permutohedron_vertices(self.n)
-        bottom = [tuple(o + v for o, v in zip(off, u)) for u in base]
-        top = [tuple(x + 1 for x in v) for v in bottom]
-        return tuple(bottom + top)
+        bottom = self.offset
+        top = tuple(o + 1 for o in bottom)
+        return tuple([tuple(map(add, bottom, u)) for u in base]
+                     + [tuple(map(add, top, u)) for u in base])
 
     def classify(self, point: Sequence) -> str:
         pt = _as_point(point)
@@ -391,9 +401,12 @@ def _count_containing(P: Sequence[int], den: int, n: int):
     closed = 0
     interior = []
     any_tight = False
+    dn = den * n
     for coeffs in _candidate_coeffs(P, den, n):
-        off = _lattice_offset(coeffs)
-        P0 = [p - den * o for p, o in zip(P, off)]
+        # P - den * _lattice_offset(coeffs), without building the offset
+        shift = den * sum(coeffs)
+        P0 = [p - shift + dn * c for p, c in zip(P, coeffs[:-1])]
+        P0.append(P[-1] - shift)
         status, tight = _evaluate_scaled(P0, den, n)
         if status == "outside":
             continue
@@ -409,20 +422,27 @@ def _tiling_chunk(args) -> dict:
     """Sample a contiguous index range; deterministic per-sample seeding."""
     n, lo, hi, seed, start, count = args
     den = SAMPLE_DENOMINATOR
+    lo_den, hi_den = lo * den, hi * den
     covered = 0
     interior_one = 0
     resamples = 0
     overlaps = []
+    rng = random.Random()
+    randint = rng.randint
     for index in range(start, start + count):
-        rng = random.Random(seed * 1_000_003 + index)
-        for _ in range(64):
-            P = [rng.randint(lo * den, hi * den) for _ in range(n)]
+        # sample `index` draws from its own stream, so the report does not
+        # depend on how the samples are split into chunks
+        rng.seed(seed * 1_000_003 + index)
+        for _ in range(FACET_REDRAWS):
+            P = [randint(lo_den, hi_den) for _ in range(n)]
             closed, interior, any_tight = _count_containing(P, den, n)
             if not any_tight:
                 break
             resamples += 1
         else:
-            raise RuntimeError(f"sample {index}: could not avoid facets")
+            raise limits.BudgetExceededError(
+                f"sample {index}: every one of {FACET_REDRAWS} draws "
+                f"landed on a facet")
         if closed >= 1:
             covered += 1
         if len(interior) == 1:
@@ -500,6 +520,9 @@ def check_tiling(
         raise ValueError(f"samples must be >= 0, got {samples}")
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
+    if workers > limits.MAX_WORKERS:
+        raise limits.BudgetExceededError(
+            f"{workers} workers exceed the cap {limits.MAX_WORKERS}")
 
     from_tiles, from_residues, tile_count = _box_vertex_sets(n, lo, hi)
     mismatches = tuple(sorted(from_tiles ^ from_residues))[:8]
@@ -515,7 +538,7 @@ def check_tiling(
     if workers > 1 and len(chunks) > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=min(workers, len(chunks))) as pool:
             results = list(pool.map(_tiling_chunk, chunks))
     else:
         results = [_tiling_chunk(c) for c in chunks]
@@ -615,6 +638,28 @@ def _cross3(u, v):
     ]
 
 
+def _json_mesh(tiles: Sequence[PrismTile], n: int) -> str:
+    """The bytes of json.dumps(doc, indent=2) and a newline, where doc is
+    {"n": n, "tiles": [{"t": coeffs, "vertices": [[...], ...]}, ...]}.
+
+    With `indent`, json.dumps runs its pure-Python encoder over one small
+    list per vertex.  The layout here is fixed, so one %-template per
+    vertex and one per tile header give the same bytes for integer entries.
+    """
+    def entries(indent: str) -> str:
+        return ",\n".join([indent + "%d"] * n)
+
+    head = ('    {\n      "t": [\n' + entries(" " * 8)
+            + '\n      ],\n      "vertices": [\n')
+    vertex = "        [\n" + entries(" " * 10) + "\n        ]"
+    tail = "\n      ]\n    }"
+    body = ",\n".join(
+        head % tuple(t.coeffs) + ",\n".join([vertex % v for v in t.vertices]) + tail
+        for t in tiles
+    )
+    return '{\n  "n": %d,\n  "tiles": [\n%s\n  ]\n}\n' % (n, body)
+
+
 def export_mesh(tiles: Sequence[PrismTile], format: str, path: str | None = None):
     """Serialize tiles as 'json' (any n) or 'off' (ambient dimension <= 3).
 
@@ -626,14 +671,7 @@ def export_mesh(tiles: Sequence[PrismTile], format: str, path: str | None = None
     if any(t.n != n for t in tiles):
         raise ValueError("tiles have mixed dimensions")
     if format == "json":
-        doc = {
-            "n": n,
-            "tiles": [
-                {"t": list(t.coeffs), "vertices": [list(v) for v in t.vertices]}
-                for t in tiles
-            ],
-        }
-        text = json.dumps(doc, indent=2) + "\n"
+        text = _json_mesh(tiles, n)
     elif format == "off":
         if n > 3:
             raise ValueError(f"off export needs ambient dimension <= 3, got {n}")

@@ -15,6 +15,9 @@ MAX_PATCH_RADIUS = 4
 MAX_CLOSURE_BUDGET = 1_000_000   # visited elements in a closure search
 MAX_BOX_POINTS = 1_000_000       # integer points enumerated in a tiling box
 MAX_WORD_LETTERS = 1_000_000     # letters of a word after expanding powers
+MAX_VERIFY_N = 80                # relation/identity checks cost about n^3
+MAX_IDENTITY_DRAWS = 16          # exponent draws, about n^2 evaluations each
+MAX_WORKERS = 32                 # sampling processes in one tiling check
 
 
 class BudgetExceededError(RuntimeError):

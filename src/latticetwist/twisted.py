@@ -123,7 +123,7 @@ class Action:
 
 
 def as_vector(values: Sequence[int], n: int | None = None) -> Vec:
-    vec = tuple(int(x) for x in values)
+    vec = tuple(map(int, values))
     if not vec:
         raise ValueError("empty vector")
     if n is not None and len(vec) != n:

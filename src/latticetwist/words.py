@@ -200,11 +200,17 @@ def _generators(n: int) -> dict[str, SemiElement]:
 
 
 def eval_word(word: Word, n: int) -> SemiElement:
-    """Left-to-right product of generator powers in Z^n x| S_n."""
+    """Left-to-right product of generator powers in Z^n x| S_n.
+
+    A symbol outside the alphabet raises ValueError, as in normalize_word.
+    """
     gens = _generators(n)
     acc = semi_identity(n)
-    for sym, exp in word:
-        acc = _mul(acc, _power(gens[sym], exp))
+    try:
+        for sym, exp in word:
+            acc = _mul(acc, _power(gens[sym], exp))
+    except KeyError as exc:
+        raise ValueError(f"unknown symbol {exc.args[0]!r}") from None
     return acc
 
 
@@ -228,8 +234,15 @@ def _conjugate(by: Word, x: Word) -> Word:
     return word_concat(by, x, word_inverse(by))
 
 
+def _check_verify_n(n: int) -> None:
+    if n > limits.MAX_VERIFY_N:
+        raise limits.BudgetExceededError(
+            f"n={n} exceeds the verification cap {limits.MAX_VERIFY_N}")
+
+
 def relation_preset(n: int, name: str) -> RelationPreset:
     """Relation families 'sn', 'three_gen', 'two_gen', stored as L R^-1 words."""
+    _check_verify_n(n)
     key = name.replace("-", "_").lower()
     if key == "sn":
         return RelationPreset("sn", n, _sn_relations(n))
@@ -377,6 +390,12 @@ def verify_derived_identities(n: int, seed: int = 0, draws: int = 4) -> Identity
     """
     if n < 2:
         raise ValueError(f"identities need n >= 2, got {n}")
+    _check_verify_n(n)
+    if draws < 0:
+        raise ValueError(f"draws must be >= 0, got {draws}")
+    if draws > limits.MAX_IDENTITY_DRAWS:
+        raise limits.BudgetExceededError(
+            f"{draws} draws exceed the cap {limits.MAX_IDENTITY_DRAWS}")
     checks: list[IdentityCheck] = []
 
     def compare(name: str, instance: str, lhs: Word, rhs: Word) -> None:

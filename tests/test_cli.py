@@ -2,6 +2,7 @@
 
 import json
 
+from latticetwist import geometry, limits
 from latticetwist.cli import run
 from latticetwist.geometry import decompose_point
 from latticetwist.twisted import star_multiply
@@ -210,6 +211,23 @@ class TestExitCodes:
     def test_budget_errors(self, capsys):
         assert invoke(capsys, "enumerate", "-n", "9")[0] == 3
         assert invoke(capsys, "check-tiling", "-n", "5", "--box", "0,4")[0] == 3
+        too_many = str(limits.MAX_WORKERS + 1)
+        assert invoke(capsys, "check-tiling", "-n", "2", "--box", "0,4",
+                      "--workers", too_many)[0] == 3
+        too_big = str(limits.MAX_VERIFY_N + 1)
+        assert invoke(capsys, "verify-identities", "-n", too_big)[0] == 3
+        assert invoke(capsys, "verify-identities", "-n", "4", "--draws",
+                      str(limits.MAX_IDENTITY_DRAWS + 1))[0] == 3
+        assert invoke(capsys, "verify-relations", "-n", too_big,
+                      "--preset", "sn")[0] == 3
+
+    def test_sampler_that_cannot_avoid_facets_exits_3(self, capsys, monkeypatch):
+        monkeypatch.setattr(geometry, "_count_containing",
+                            lambda P, den, n: (1, [], True))
+        code, out, err = invoke(capsys, "check-tiling", "-n", "2", "--box",
+                                "0,4", "--samples", "2")
+        assert (code, out) == (3, "")
+        assert err.startswith("error: sample 0:") and err.count("\n") == 1
 
     def test_mathematical_failures(self, capsys):
         assert invoke(capsys, "inv", "1,1,0")[0] == 1

@@ -7,15 +7,19 @@ from fractions import Fraction
 from itertools import combinations, product
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from latticetwist import geometry, limits
 from latticetwist.geometry import (
+    SAMPLE_DENOMINATOR,
     Decomposition,
     NotAVertex,
     PrismTile,
     _box_vertex_sets,
     _evaluate_scaled,
     _face_loops,
+    _lattice_offset,
+    _tiling_chunk,
     check_tiling,
     coordinate_matrices,
     decompose_point,
@@ -66,6 +70,72 @@ def materialized_box_vertices(n, lo, hi):
         for v in PrismTile(n, coeffs).vertices
         if all(lo <= x <= hi for x in v)
     }, math.prod(len(r) for r in ranges)
+
+
+def offset_oracle(coeffs):
+    """Oracle for _lattice_offset: the product with the matrix C."""
+    n = len(coeffs)
+    C, _ = coordinate_matrices(n)
+    return tuple(sum(C[i][j] * coeffs[j] for j in range(n)) for i in range(n))
+
+
+def tiling_chunk_oracle(args, drawn=None):
+    """Oracle for _tiling_chunk: a fresh generator per sample, the offset
+    by matrix product and statuses from the subset scan.  Every point
+    drawn is appended to `drawn` when given."""
+    n, lo, hi, seed, start, count = args
+    den = SAMPLE_DENOMINATOR
+    dn = den * n
+    covered = interior_one = resamples = 0
+    overlaps = []
+    for index in range(start, start + count):
+        rng = random.Random(seed * 1_000_003 + index)
+        for _ in range(64):
+            P = [rng.randint(lo * den, hi * den) for _ in range(n)]
+            if drawn is not None:
+                drawn.append(tuple(P))
+            ranges = []
+            for i in range(n - 1):
+                num = P[n - 1] - P[i]
+                ranges.append(range(math.ceil(Fraction(num - den * (n - 1), dn)),
+                                    (num + den * (n - 1)) // dn + 1))
+            total2 = 2 * sum(P)
+            ranges.append(range(math.ceil(Fraction(total2 - dn * (n + 3), 2 * dn)),
+                                (total2 - dn * (n + 1)) // (2 * dn) + 1))
+            closed, interior, any_tight = 0, [], False
+            for coeffs in product(*ranges):
+                off = offset_oracle(coeffs)
+                status, _ = subset_scan([p - den * o for p, o in zip(P, off)], den, n)
+                if status == "outside":
+                    continue
+                closed += 1
+                if status == "boundary":
+                    any_tight = True
+                else:
+                    interior.append(coeffs)
+            if not any_tight:
+                break
+            resamples += 1
+        else:
+            raise BudgetExceededError(f"sample {index}")
+        covered += closed >= 1
+        interior_one += len(interior) == 1
+        if len(interior) >= 2:
+            overlaps.append((tuple(Fraction(p, den) for p in P), tuple(interior)))
+    return {"covered": covered, "interior_one": interior_one,
+            "resamples": resamples, "overlaps": overlaps}
+
+
+def json_mesh_oracle(tiles):
+    """Oracle for the json text of export_mesh: the json module itself."""
+    doc = {
+        "n": tiles[0].n,
+        "tiles": [
+            {"t": list(t.coeffs), "vertices": [list(v) for v in t.vertices]}
+            for t in tiles
+        ],
+    }
+    return json.dumps(doc, indent=2) + "\n"
 
 
 class TestBasis:
@@ -202,6 +272,17 @@ class TestHalfspaces:
                 # one layer label and one facet per size m = 1..n-1
                 assert len(tight) == n
 
+    @given(st.data())
+    def test_sorted_prefix_matches_subset_scan_near_vertices(self, data):
+        # points a few sample steps from a tile vertex, where facets tie
+        n = data.draw(st.integers(1, 6))
+        den = data.draw(st.sampled_from([1, 2, 3, SAMPLE_DENOMINATOR]))
+        u = data.draw(st.permutations(range(1, n + 1)))
+        layer = data.draw(st.integers(0, 1))
+        moves = data.draw(st.lists(st.integers(-2, 2), min_size=n, max_size=n))
+        P = [den * (x + layer) + d for x, d in zip(u, moves)]
+        assert _evaluate_scaled(P, den, n) == subset_scan(P, den, n), (P, den)
+
     def test_dimension_cap(self):
         with pytest.raises(BudgetExceededError):
             tile_halfspaces(7)
@@ -235,6 +316,10 @@ class TestTilesAndPatches:
             generate_patch(2, 5)
         with pytest.raises(ValueError):
             generate_patch(2, -1)
+
+    @given(st.lists(st.integers(-10**6, 10**6), min_size=1, max_size=8))
+    def test_offset_matches_matrix_product(self, coeffs):
+        assert _lattice_offset(tuple(coeffs)) == offset_oracle(coeffs)
 
     def test_offset_is_integer_combination(self):
         tile = PrismTile(3, (2, -1, 1))
@@ -345,6 +430,70 @@ class TestCheckTiling:
                 assert tile_count == expect_count
                 assert from_tiles == from_residues
 
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(1, 4), lo=st.integers(-8, 3), width=st.integers(1, 6),
+           seed=st.integers(0, 10**6), start=st.integers(0, 10**4),
+           count=st.integers(1, 200))
+    @example(n=3, lo=-2, width=6, seed=2, start=0, count=200)  # redraws samples
+    def test_chunk_matches_oracle(self, n, lo, width, seed, start, count):
+        args = (n, lo, lo + width, seed, start, count)
+        assert _tiling_chunk(args) == tiling_chunk_oracle(args)
+
+    def test_chunk_draws_the_oracle_points(self, monkeypatch):
+        # the report hardly depends on which points are drawn, so compare
+        # the points: each sample keeps its own generator stream
+        drawn = []
+        count_containing = geometry._count_containing
+
+        def recording(P, den, n):
+            drawn.append(tuple(P))
+            return count_containing(P, den, n)
+
+        monkeypatch.setattr(geometry, "_count_containing", recording)
+        for args in [(3, -2, 4, 2, 0, 200), (4, -5, 1, 77, 1234, 40), (1, 0, 2, 5, 3, 10)]:
+            drawn.clear()
+            expect = []
+            assert _tiling_chunk(args) == tiling_chunk_oracle(args, expect)
+            assert drawn == expect, args
+        assert len(expect) == 10
+
+    def test_sampler_that_cannot_avoid_facets_is_a_budget_error(self, monkeypatch):
+        monkeypatch.setattr(geometry, "_count_containing",
+                            lambda P, den, n: (1, [], True))
+        with pytest.raises(BudgetExceededError, match="facet"):
+            check_tiling(2, (0, 4), samples=3, seed=1)
+
+    def test_workers_cap_starts_no_process(self, monkeypatch):
+        import concurrent.futures
+
+        pools = []
+
+        class InlinePool:
+            """Stands in for ProcessPoolExecutor: maps in this process."""
+
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+        cap = limits.MAX_WORKERS
+        with pytest.raises(BudgetExceededError):
+            check_tiling(2, (0, 4), samples=200, seed=3, workers=cap + 1)
+        assert pools == []
+        serial = check_tiling(2, (0, 4), samples=200, seed=3)
+        assert check_tiling(2, (0, 4), samples=200, seed=3, workers=cap) == serial
+        # no more processes than chunks: five samples make five chunks
+        check_tiling(2, (0, 4), samples=5, seed=3, workers=8)
+        assert pools == [cap, 5]
+
     def test_guards(self):
         with pytest.raises(BudgetExceededError):
             check_tiling(5, (0, 4))
@@ -368,6 +517,14 @@ class TestExport:
         for tile in doc["tiles"]:
             for v in tile["vertices"]:
                 assert all(isinstance(c, int) for c in v)
+
+    def test_json_matches_json_module(self):
+        for n in range(1, 5):
+            for radius in range(3):
+                tiles = generate_patch(n, radius)
+                assert export_mesh(tiles, "json") == json_mesh_oracle(tiles), (n, radius)
+        tiles = [PrismTile(3, (-7, 0, 12)), PrismTile(3, (5, -3, -1000))]
+        assert export_mesh(tiles, "json") == json_mesh_oracle(tiles)
 
     def test_off_single_prism(self):
         text = export_mesh([PrismTile(3, (0, 0, 0))], "off")

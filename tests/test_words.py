@@ -240,6 +240,12 @@ class TestGenerators:
                 expect = semi_multiply(expect, factor)
         assert eval_word(word, n) == expect
 
+    def test_unknown_symbol_is_a_value_error(self):
+        with pytest.raises(ValueError, match="'q'"):
+            eval_word((("q", 1),), 4)
+        with pytest.raises(ValueError):
+            eval_word((("s", 1), ("x", -2)), 4)
+
     def test_standard_generators_returns_a_fresh_dict(self):
         gens = standard_generators(4)
         gens["s"] = gens["t"]
@@ -325,6 +331,37 @@ class TestRelationPresets:
         assert not report.passed
         failing = [c.label for c in report.checks if not c.holds]
         assert failing == ["(b a^2 b a^-2)^3"]
+
+
+class TestVerificationCaps:
+    def test_caps_refuse_before_any_work(self):
+        cap = limits.MAX_VERIFY_N
+        start = time.perf_counter()
+        for name in ("sn", "three_gen", "two_gen"):
+            with pytest.raises(BudgetExceededError):
+                relation_preset(cap + 1, name)
+        with pytest.raises(BudgetExceededError):
+            verify_derived_identities(cap + 1)
+        with pytest.raises(BudgetExceededError):
+            verify_derived_identities(4, draws=limits.MAX_IDENTITY_DRAWS + 1)
+        assert time.perf_counter() - start < 0.5
+
+    def test_caps_admit_their_own_value(self, monkeypatch):
+        monkeypatch.setattr(limits, "MAX_VERIFY_N", 6)
+        monkeypatch.setattr(limits, "MAX_IDENTITY_DRAWS", 2)
+        assert verify_relations(relation_preset(6, "three_gen")).passed
+        assert verify_derived_identities(6, draws=2).passed
+        with pytest.raises(BudgetExceededError):
+            relation_preset(7, "two_gen")
+        with pytest.raises(BudgetExceededError):
+            verify_derived_identities(7)
+        with pytest.raises(BudgetExceededError):
+            verify_derived_identities(6, draws=3)
+
+    def test_negative_draws(self):
+        with pytest.raises(ValueError):
+            verify_derived_identities(4, draws=-1)
+        assert len(verify_derived_identities(4, draws=0).checks) == 8
 
 
 class TestDerivedIdentities:
