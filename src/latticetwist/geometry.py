@@ -7,10 +7,11 @@ permutohedron.  Its translates under the rank-n lattice spanned by
     e_i = (1, .., 1, -(n-1), 1, .., 1)   (i = 1..n-1),   a = (1, .., 1)
 
 tile R^n, and the set of all tile vertices is exactly the set of integer
-vectors with pairwise distinct residues mod n.  The change of basis is
-the integer matrix C (columns e_1..e_{n-1}, a) with exact rational
-inverse; a residue-distinct point p splits as p = C t + u with t integer
-and u a permutation of (1..n).
+vectors with pairwise distinct residues mod n (`units.is_residue_distinct`).
+`coordinate_matrices(n)` gives the change of basis C, whose columns are
+e_1..e_{n-1}, a, with its exact rational inverse; a residue-distinct
+point p splits as p = C t + u with t integer and u a permutation of
+(1..n).
 
 Membership in a tile is decided exactly: the a-coordinate of a point
 must lie in the unit slab, and its cross-section (the projection back to
@@ -29,14 +30,15 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, cached_property
-from itertools import combinations, permutations, product
+from itertools import permutations, product
 from math import lcm
 from operator import add
 from typing import NamedTuple, Sequence
 
 from . import limits
-from .semidirect import CycleStructure, cycle_decompose
-from .twisted import Vec, as_vector
+from .semidirect import CycleStructure
+from .twisted import Vec, as_vector, check_permutation, ordered_cycles
+from .units import _residue_distinct
 
 Point = tuple[Fraction, ...]
 
@@ -55,21 +57,6 @@ def permutohedron_vertices(n: int) -> list[Vec]:
     """All permutations of (1..n); they share coordinate sum n(n+1)/2."""
     _check_n(n, limits.MAX_PERMUTOHEDRON_N, "permutohedron")
     return [tuple(p) for p in permutations(range(1, n + 1))]
-
-
-@dataclass(frozen=True)
-class LatticeBasis:
-    e: tuple[Vec, ...]
-    a: Vec
-
-
-def lattice_basis(n: int) -> LatticeBasis:
-    if n < 2:
-        raise ValueError(f"lattice basis needs n >= 2, got {n}")
-    e = tuple(
-        tuple(-(n - 1) if j == i else 1 for j in range(n)) for i in range(n - 1)
-    )
-    return LatticeBasis(e=e, a=(1,) * n)
 
 
 @lru_cache(maxsize=None)
@@ -120,12 +107,6 @@ class Decomposition(NamedTuple):
     u: Vec
 
 
-def is_tile_vertex(p: Sequence[int]) -> bool:
-    pv = as_vector(p)
-    n = len(pv)
-    return len({e % n for e in pv}) == n
-
-
 def decompose_point(p: Sequence[int]) -> Decomposition | NotAVertex:
     """Split p = C t + u with t integer, u a permutation of (1..n).
 
@@ -145,16 +126,6 @@ def decompose_point(p: Sequence[int]) -> Decomposition | NotAVertex:
     t = [(d[n - 1] - d[i]) // n for i in range(n - 1)]
     t.append(sum(d) // n)
     return Decomposition(tuple(t), u)
-
-
-@lru_cache(maxsize=None)
-def _proper_subsets(n: int) -> tuple[tuple[tuple[int, ...], int, int], ...]:
-    """(0-based index tuple, |S|, |S|(|S|+1)/2) for proper nonempty S."""
-    out = []
-    for m in range(1, n):
-        for subset in combinations(range(n), m):
-            out.append((subset, m, m * (m + 1) // 2))
-    return tuple(out)
 
 
 def _evaluate_scaled(P: Sequence[int], den: int, n: int) -> tuple[str, tuple[str, ...]]:
@@ -208,10 +179,14 @@ def _as_point(point: Sequence) -> Point:
 
 @dataclass(frozen=True)
 class HalfspaceSystem:
-    """The base tile as 'coeffs . x >= rhs' inequalities over rationals."""
+    """Classifier of rational points against the base tile of dimension n.
+
+    The tile is the unit a-slab over the permutohedron cross-section, cut
+    out by the 2^n - 2 subset-sum inequalities; `_evaluate_scaled` decides
+    them by one sort in scaled integer arithmetic.
+    """
 
     n: int
-    inequalities: tuple[tuple[str, tuple[Fraction, ...], Fraction], ...]
 
     def classify(self, point: Sequence) -> str:
         """'interior', 'boundary' (some inequality tight), or 'outside'."""
@@ -232,22 +207,9 @@ class HalfspaceSystem:
 
 @lru_cache(maxsize=None)
 def tile_halfspaces(n: int) -> HalfspaceSystem:
-    """Subset-sum inequalities on the cross-section plus the unit a-slab."""
+    """The base tile's classifier: subset-sum inequalities plus the a-slab."""
     _check_n(n, limits.MAX_HALFSPACE_N, "halfspace")
-    K = Fraction(n * (n + 1), 2)
-    ineqs: list[tuple[str, tuple[Fraction, ...], Fraction]] = [
-        ("layer_bottom", tuple(Fraction(1) for _ in range(n)), K),
-        ("layer_top", tuple(Fraction(-1) for _ in range(n)), -(K + n)),
-    ]
-    for subset, m, bound in _proper_subsets(n):
-        coeffs = tuple(
-            (Fraction(1) if i in subset else Fraction(0)) - Fraction(m, n)
-            for i in range(n)
-        )
-        rhs = Fraction(bound) - Fraction(m, n) * K
-        label = "facet_" + "_".join(str(i + 1) for i in subset)
-        ineqs.append((label, coeffs, rhs))
-    return HalfspaceSystem(n=n, inequalities=tuple(ineqs))
+    return HalfspaceSystem(n)
 
 
 @dataclass(frozen=True)
@@ -314,8 +276,9 @@ class ProductTile:
 
 
 def product_tile_vertices(tau: Sequence[int]) -> ProductTile:
-    cycles = cycle_decompose(tau)
-    n = sum(len(c) for c in cycles)
+    tau = check_permutation(tau)
+    cycles = ordered_cycles(tau)
+    n = len(tau)
     _check_n(n, limits.MAX_PRODUCT_TILE_N, "product tile")
     factor_vertices = []
     for cycle in cycles:
@@ -330,7 +293,7 @@ def product_tile_vertices(tau: Sequence[int]) -> ProductTile:
                 out[w - 1] = value
         assembled.append(tuple(out))
     return ProductTile(
-        tau=tuple(int(x) for x in tau),
+        tau=tau,
         cycles=cycles,
         vertices=tuple(assembled),
         permutohedron_dims=tuple(len(c) - 1 for c in cycles),
@@ -468,7 +431,7 @@ def _box_vertex_sets(n: int, lo: int, hi: int):
     the s in [lo - w_n, hi - w_n] and, per i, the t_i in
     [ceil((w_i + s - hi)/n), floor((w_i + s - lo)/n)] land in the box;
     t_a = s - sum_j t_j is then fixed.  Residue side: every integer point
-    of the box, tested by `is_tile_vertex`.
+    of the box whose entries are pairwise distinct mod n.
 
     `tile_count` is the size of the coefficient window that holds every
     tile with a vertex in the box, reported and capped as the work bound.
@@ -493,7 +456,7 @@ def _box_vertex_sets(n: int, lo: int, hi: int):
             axes = [range(lo + (x + s - lo) % n, hi + 1, n) for x in head]
             from_tiles.update(product(*axes, (last + s,)))
     from_residues = {
-        v for v in product(range(lo, hi + 1), repeat=n) if is_tile_vertex(v)
+        v for v in product(range(lo, hi + 1), repeat=n) if _residue_distinct(v)
     }
     return from_tiles, from_residues, tile_count
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 from typing import NamedTuple, Sequence
 
 from .twisted import Vec, as_vector, check_permutation, ordered_cycles
-from .units import is_residue_distinct
+from .units import _require_residue_distinct
 
 Permutation = tuple[int, ...]
 CycleStructure = tuple[tuple[int, ...], ...]
@@ -125,10 +125,8 @@ def _power(g, k: int) -> SemiElement:
 
 def phi_forward(x: Sequence[int]) -> SemiElement:
     """Isomorphism from residue-distinct vectors to (Z^n, S_n) pairs."""
-    xv = as_vector(x)
+    xv = _require_residue_distinct(x)
     n = len(xv)
-    if not is_residue_distinct(xv):
-        raise ValueError(f"entries not pairwise distinct mod {n}: {xv!r}")
     z = []
     s = []
     for e in xv:
@@ -142,15 +140,10 @@ def phi_backward(g: SemiElement) -> Vec:
     """Inverse of phi_forward: x_i = n*z_i + ((1 - s(i)) mod n)."""
     z, s = g
     n = len(z)
-    check_permutation(s)
+    s = check_permutation(s)
     if len(s) != n:
         raise ValueError(f"length mismatch: {n} vs {len(s)}")
-    return tuple(n * z[i] + ((1 - s[i]) % n) for i in range(n))
-
-
-def cycle_decompose(tau: Sequence[int]) -> CycleStructure:
-    """Cycles (w_1..w_m) with tau(w_j) = w_{j-1 mod m}, smallest member first."""
-    return ordered_cycles(check_permutation(tau))
+    return tuple(n * m + ((1 - v) % n) for m, v in zip(as_vector(z), s))
 
 
 def general_is_unit(x: Sequence[int], tau: Sequence[int]) -> bool:

@@ -159,17 +159,7 @@ def transport_permutation(
     A collision is a normal outcome, not an error: it is exactly the
     certificate that `a` has no twisted inverse.
     """
-    av = as_vector(a, action.n)
-    act = action.act
-    first_preimage: dict[int, int] = {}
-    images = []
-    for v in range(1, action.n + 1):
-        image = act(v, av[v - 1])
-        if image in first_preimage:
-            return NotBijective(first_preimage[image], v, image)
-        first_preimage[image] = v
-        images.append(image)
-    return tuple(images)
+    return _transport(as_vector(a, action.n), action)
 
 
 def invert(a: Sequence[int], action: Action) -> Vec:
@@ -178,11 +168,30 @@ def invert(a: Sequence[int], action: Action) -> Vec:
     Raises NotInvertibleError (carrying the collision witness) when the
     transport map is not a bijection.
     """
-    av = as_vector(a, action.n)
-    pi = transport_permutation(av, action)
+    return _invert(as_vector(a, action.n), action)
+
+
+# The kernels below take a vector already checked by as_vector to have
+# length action.n.
+
+def _transport(av: Vec, action: Action) -> tuple[int, ...] | NotBijective:
+    act = action.act
+    first_preimage: dict[int, int] = {}
+    images = []
+    for v, g in enumerate(av, start=1):
+        image = act(v, g)
+        if image in first_preimage:
+            return NotBijective(first_preimage[image], v, image)
+        first_preimage[image] = v
+        images.append(image)
+    return tuple(images)
+
+
+def _invert(av: Vec, action: Action) -> Vec:
+    pi = _transport(av, action)
     if isinstance(pi, NotBijective):
         raise NotInvertibleError(pi)
     out = [0] * action.n
-    for v in range(1, action.n + 1):
-        out[pi[v - 1] - 1] = -av[v - 1]
+    for image, g in zip(pi, av):
+        out[image - 1] = -g
     return tuple(out)

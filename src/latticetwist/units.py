@@ -14,10 +14,11 @@ Residue-distinct vectors fall into exactly n! classes inside [0, n-1]^n.
 from __future__ import annotations
 
 from itertools import permutations
+from operator import add, sub
 from typing import Sequence
 
 from . import limits
-from .twisted import Action, Vec, as_vector, invert
+from .twisted import Action, Vec, _invert, as_vector
 
 _CYCLIC: dict[int, Action] = {}
 
@@ -44,20 +45,20 @@ def is_unit_member(x: Sequence[int]) -> bool:
 
 def is_residue_distinct(x: Sequence[int]) -> bool:
     """Entries pairwise distinct mod n; membership in the deformed group."""
-    xv = as_vector(x)
+    return _residue_distinct(as_vector(x))
+
+
+def _residue_distinct(xv: Sequence[int]) -> bool:
+    # xv is a nonempty sequence of ints, already checked
     n = len(xv)
     return len({e % n for e in xv}) == n
 
 
 def _require_residue_distinct(x: Sequence[int]) -> Vec:
     xv = as_vector(x)
-    if not is_residue_distinct(xv):
+    if not _residue_distinct(xv):
         raise ValueError(f"entries not pairwise distinct mod {len(xv)}: {xv!r}")
     return xv
-
-
-def deformed_identity(n: int) -> Vec:
-    return shift_vector(n)
 
 
 def deformed_multiply(x: Sequence[int], y: Sequence[int]) -> Vec:
@@ -75,8 +76,8 @@ def deformed_inverse(x: Sequence[int]) -> Vec:
     xv = _require_residue_distinct(x)
     n = len(xv)
     s = shift_vector(n)
-    inner = invert(tuple(a - b for a, b in zip(xv, s)), cyclic_action(n))
-    return tuple(a + b for a, b in zip(s, inner))
+    inner = _invert(tuple(map(sub, xv, s)), cyclic_action(n))
+    return tuple(map(add, s, inner))
 
 
 def enumerate_residue_classes(n: int) -> list[Vec]:

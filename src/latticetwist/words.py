@@ -191,6 +191,7 @@ def _generators(n: int) -> dict[str, SemiElement]:
     # Shared by every caller for this n: read it, never mutate it.
     if n < 2:
         raise ValueError(f"generators need n >= 2, got {n}")
+    _check_verify_n(n)
     zero = (0,) * n
     sigma = SemiElement(zero, (2, 1, *range(3, n + 1)))
     tau = SemiElement(zero, (n, *range(1, n)))
@@ -558,6 +559,7 @@ def generated_closure(
         raise limits.BudgetExceededError(
             f"budget {budget} exceeds cap {limits.MAX_CLOSURE_BUDGET}")
     n = len(images[0].z)
+    _check_verify_n(n)
     for img in images:
         if len(img.z) != n or len(img.s) != n:
             raise ValueError("generator images have mismatched sizes")

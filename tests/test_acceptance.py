@@ -22,7 +22,6 @@ from latticetwist.geometry import (
 )
 from latticetwist.semidirect import (
     SemiElement,
-    cycle_decompose,
     general_is_unit,
     perm_compose,
     perm_inverse,
@@ -37,12 +36,12 @@ from latticetwist.twisted import (
     embed_constant,
     identity_element,
     invert,
+    ordered_cycles,
     star_multiply,
     transport_permutation,
 )
 from latticetwist.units import (
     cyclic_action,
-    deformed_identity,
     deformed_inverse,
     deformed_multiply,
     enumerate_residue_classes,
@@ -151,7 +150,7 @@ def test_criterion_03_unit_inverses():
                 psi = invert(x, action)
                 assert star_multiply(x, psi, action) == e
                 assert star_multiply(psi, x, action) == e
-            ed = deformed_identity(n)
+            ed = shift_vector(n)
             for y in enumerate_residue_classes(n):
                 yi = deformed_inverse(y)
                 assert deformed_multiply(y, yi) == ed
@@ -308,7 +307,7 @@ def test_criterion_10_general_action_units():
         assert len(actions) == 100
         for tau in actions:
             n = len(tau)
-            cycles = cycle_decompose(tau)
+            cycles = ordered_cycles(tau)
             action = Action.from_permutation(tau)
             for i in range(1000):
                 x = random_vec(rng, n, -2 * n, 2 * n)
@@ -323,7 +322,7 @@ def test_criterion_10_general_action_units():
             tau = actions[rng.randrange(len(actions))]
             n = len(tau)
             action = Action.from_permutation(tau)
-            cycles = cycle_decompose(tau)
+            cycles = ordered_cycles(tau)
             x = random_unit_vector(rng, cycles)
             y = random_unit_vector(rng, cycles)
             assert general_is_unit(x, tau) and general_is_unit(y, tau)
@@ -339,7 +338,7 @@ def test_criterion_10_general_action_units():
             assert whole == parts
         tile = product_tile_vertices((2, 1, 4, 3))
         assert len(tile.vertices) == 16
-        cycles = cycle_decompose((2, 1, 4, 3))
+        cycles = ordered_cycles((2, 1, 4, 3))
         for v in tile.vertices:
             assert all(
                 is_residue_distinct(f) for f in split_to_factors(v, cycles))

@@ -1,6 +1,13 @@
 """In-process CLI checks: output formats, exit codes, stability."""
 
+import concurrent.futures
+import io
 import json
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+
+import pytest
+from hypothesis import given, settings, strategies as st
 
 from latticetwist import geometry, limits
 from latticetwist.cli import run
@@ -220,6 +227,8 @@ class TestExitCodes:
                       str(limits.MAX_IDENTITY_DRAWS + 1))[0] == 3
         assert invoke(capsys, "verify-relations", "-n", too_big,
                       "--preset", "sn")[0] == 3
+        assert invoke(capsys, "closure", "-n", too_big, "--gens", "s,t",
+                      "--budget", "50")[0] == 3
 
     def test_sampler_that_cannot_avoid_facets_exits_3(self, capsys, monkeypatch):
         monkeypatch.setattr(geometry, "_count_containing",
@@ -232,3 +241,82 @@ class TestExitCodes:
     def test_mathematical_failures(self, capsys):
         assert invoke(capsys, "inv", "1,1,0")[0] == 1
         assert invoke(capsys, "iso", "2,2,1")[0] == 1
+
+
+# Small argument pools per subcommand for the argv fuzz test: every value
+# keeps the work tiny or trips a cap.  "{tmp}" becomes a temporary directory.
+_N = ["-1", "0", "1", "2", "3", "4", "5", "9", "81", "x"]
+_VEC = ["1,0,2", "1,1,0", "3,5,4", "2,2,1", "-2,5", "0", "1,2,3,4", "", "a,b",
+        "1,,2", "-x"]
+_PERM = ["2,1,4,3", "3,1,2", "1", "1,1", "0,1", "2,3,4,5,6,7,1", "", "x"]
+_JUNK = ["--bogus", "-", "--", "x", "-1", "1,2", "--json", "-h", "^", "(", "-n"]
+_FLAG = None  # an option that takes no value
+
+# subcommand -> (positional pools, {option: pool or _FLAG}, options always
+# given: last, so that they win over anything drawn before them)
+_COMMANDS = {
+    "mul": ([_VEC, _VEC], {"--tau": _PERM}, []),
+    "inv": ([_VEC], {"--tau": _PERM}, []),
+    "is-unit": ([_VEC], {"--tau": _PERM}, []),
+    "deformed-mul": ([_VEC, _VEC], {}, []),
+    "iso": ([_VEC], {}, []),
+    "iso-back": ([_VEC, _PERM], {}, []),
+    "cycles": ([_PERM], {}, []),
+    "decompose": ([_VEC], {}, []),
+    "enumerate": ([], {}, [("-n", _N)]),
+    "verify-relations": ([], {"--json": _FLAG}, [
+        ("-n", _N), ("--preset", ["sn", "three_gen", "two_gen", "wat"])]),
+    "verify-identities": ([], {
+        "--seed": ["0", "7", "-1"], "--draws": ["0", "4", "17", "-1"],
+        "--json": _FLAG}, [("-n", _N)]),
+    "closure": ([], {
+        "--targets": ["g", "s", "", "q"], "--stop-early": _FLAG, "--json": _FLAG},
+        [("-n", _N), ("--gens", ["s,t", "a,b", "g", "s,t,g", "", "q"]),
+         ("--budget", ["1", "50", "0", "-3"])]),
+    "tessellate": ([], {
+        "--radius": ["-1", "0", "1", "5"], "--format": ["json", "off", "x"],
+        "--out": ["{tmp}/m.txt", "{tmp}/missing/m.txt", "{tmp}"]},
+        [("-n", _N)]),
+    "check-tiling": ([], {"--seed": ["0", "5"], "--json": _FLAG}, [
+        ("-n", _N),
+        ("--box", ["0,4", "-2,3", "1,9", "3,3", "0", "a,b", "-100,100"]),
+        ("--samples", ["0", "1", "7", "-1"]), ("--workers", ["1"])]),
+    "product-tile": ([_PERM], {"--json": _FLAG}, []),
+}
+
+
+@st.composite
+def _argv(draw):
+    name = draw(st.sampled_from(sorted(_COMMANDS)))
+    positional, options, given_last = _COMMANDS[name]
+    argv = [name] + [draw(st.sampled_from(pool)) for pool in positional]
+    chosen = draw(st.lists(st.sampled_from(sorted(options)), max_size=3)) if options else []
+    for option in chosen:
+        pool = options[option]
+        argv += [option] if pool is _FLAG else [option, draw(st.sampled_from(pool))]
+    for junk in draw(st.lists(st.sampled_from(_JUNK), max_size=1)):
+        argv.insert(draw(st.integers(0, len(argv))), junk)
+    for option, pool in given_last:
+        argv += [option, draw(st.sampled_from(pool))]
+    return argv
+
+
+class TestArgvFuzz:
+    @settings(max_examples=300)
+    @given(_argv())
+    def test_exit_code_is_always_defined(self, argv):
+        pools = []
+
+        class NoPool:
+            """Stands in for ProcessPoolExecutor: records, starts nothing."""
+
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+
+        with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+            mp.setattr(concurrent.futures, "ProcessPoolExecutor", NoPool)
+            argv = [token.replace("{tmp}", tmp) for token in argv]
+            with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+                code = run(argv)
+        assert code in (0, 1, 2, 3), argv
+        assert pools == [], argv

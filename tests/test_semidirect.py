@@ -8,7 +8,6 @@ from hypothesis import given, strategies as st
 from latticetwist.semidirect import (
     SemiElement,
     assemble_from_factors,
-    cycle_decompose,
     general_is_unit,
     identity_perm,
     perm_compose,
@@ -24,6 +23,7 @@ from latticetwist.semidirect import (
 from latticetwist.twisted import (
     Action,
     NotBijective,
+    ordered_cycles,
     star_multiply,
     transport_permutation,
 )
@@ -214,6 +214,17 @@ class TestIsomorphism:
         with pytest.raises(ValueError):
             phi_backward(SemiElement((0, 0, 0), (1, 2)))
 
+    def test_backward_computes_on_validated_parts(self):
+        # both parts are read as integer tuples, as in the other functions
+        out = phi_backward(SemiElement((0, 0), (2.0, 1.0)))
+        assert out == (1, 0) and all(type(x) is int for x in out)
+        with pytest.raises(ValueError):
+            phi_backward(SemiElement(("a", "b"), (2, 1)))
+        with pytest.raises(ValueError):
+            phi_backward(SemiElement((), ()))
+        with pytest.raises(ValueError, match="length mismatch: 2 vs 3"):
+            phi_backward(SemiElement((0, 0), (1, 2, 3)))
+
     @given(st.data())
     def test_roundtrips(self, data):
         n = data.draw(st.integers(1, 6))
@@ -248,8 +259,8 @@ class TestIsomorphism:
 
 class TestGeneralActions:
     def test_cycle_decompose(self):
-        assert cycle_decompose((2, 1, 4, 3)) == ((1, 2), (3, 4))
-        assert cycle_decompose((4, 1, 2, 3)) == ((1, 2, 3, 4),)
+        assert ordered_cycles((2, 1, 4, 3)) == ((1, 2), (3, 4))
+        assert ordered_cycles((4, 1, 2, 3)) == ((1, 2, 3, 4),)
 
     def test_general_is_unit_matches_transport(self):
         for tau in [(2, 1, 4, 3), (1, 2, 3), (3, 1, 2), (2, 3, 4, 5, 1)]:
@@ -268,7 +279,7 @@ class TestGeneralActions:
             assert general_is_unit(x, tau) == is_unit_member(x)
 
     def test_split_assemble_roundtrip(self):
-        cycles = cycle_decompose((2, 1, 4, 3))
+        cycles = ordered_cycles((2, 1, 4, 3))
         x = (7, -2, 0, 5)
         parts = split_to_factors(x, cycles)
         assert parts == [(7, -2), (0, 5)]
@@ -280,7 +291,7 @@ class TestGeneralActions:
         # that cycle's length
         for tau in [(2, 1, 4, 3), (3, 1, 2, 5, 4), (1, 3, 2)]:
             action = Action.from_permutation(tau)
-            cycles = cycle_decompose(tau)
+            cycles = ordered_cycles(tau)
             import random
             rng = random.Random(42)
             for _ in range(50):
@@ -303,7 +314,7 @@ class TestGeneralActions:
         from latticetwist.units import shift_vector
 
         tau = (2, 1, 4, 3)
-        cycles = cycle_decompose(tau)
+        cycles = ordered_cycles(tau)
         shift = assemble_from_factors(
             [shift_vector(len(c)) for c in cycles], cycles)
         for y in product(range(-1, 4), repeat=4):

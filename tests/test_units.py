@@ -10,7 +10,6 @@ from latticetwist.limits import BudgetExceededError
 from latticetwist.twisted import star_multiply
 from latticetwist.units import (
     cyclic_action,
-    deformed_identity,
     deformed_inverse,
     deformed_multiply,
     enumerate_residue_classes,
@@ -75,13 +74,13 @@ class TestPredicates:
 
 class TestDeformedGroup:
     def test_identity_is_the_shift(self):
-        assert deformed_identity(3) == (0, 2, 1)
+        assert shift_vector(3) == (0, 2, 1)
 
     def test_multiply_example(self):
         assert deformed_multiply((3, 5, 4), (1, 0, 2)) == (4, 3, 5)
 
     def test_identity_is_neutral(self):
-        e = deformed_identity(3)
+        e = shift_vector(3)
         for x in [(3, 5, 4), (0, 1, 2), (-2, 0, 2)]:
             assert deformed_multiply(x, e) == x
             assert deformed_multiply(e, x) == x
@@ -122,7 +121,7 @@ class TestDeformedGroup:
         assert is_residue_distinct(xy)  # closure
         assert deformed_multiply(xy, z) == deformed_multiply(
             x, deformed_multiply(y, z))
-        e = deformed_identity(n)
+        e = shift_vector(n)
         xi = deformed_inverse(x)
         assert is_residue_distinct(xi)
         assert deformed_multiply(x, xi) == e
@@ -130,5 +129,5 @@ class TestDeformedGroup:
 
     def test_inverse_of_identity(self):
         for n in (1, 2, 3, 4):
-            e = deformed_identity(n)
+            e = shift_vector(n)
             assert deformed_inverse(e) == e

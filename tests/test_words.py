@@ -363,6 +363,19 @@ class TestVerificationCaps:
             verify_derived_identities(4, draws=-1)
         assert len(verify_derived_identities(4, draws=0).checks) == 8
 
+    def test_closure_and_generators_cap_n(self):
+        cap = limits.MAX_VERIFY_N
+        with pytest.raises(BudgetExceededError):
+            standard_generators(cap + 1)
+        with pytest.raises(BudgetExceededError):
+            eval_word(parse_word("s t"), cap + 1)
+        big = SemiElement((0,) * (cap + 1), tuple(range(1, cap + 2)))
+        with pytest.raises(BudgetExceededError):
+            generated_closure([big], budget=10)
+        gens = standard_generators(cap)
+        report = generated_closure([gens["s"], gens["t"]], budget=50)
+        assert (report.n, report.element_count) == (cap, 50)
+
 
 class TestDerivedIdentities:
     def test_all_hold_small_range(self):
