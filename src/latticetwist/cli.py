@@ -16,6 +16,7 @@ elapsed time.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import re
 import sys
@@ -205,8 +206,9 @@ def _cmd_closure(args) -> int:
         if bad:
             raise ValueError(f"unknown target names {bad}; choose from {sorted(gens)}")
         targets = {name: gens[name] for name in tnames}
+    budget = limits.MAX_CLOSURE_BUDGET if args.budget is None else args.budget
     report = words.generated_closure(
-        images, budget=args.budget, targets=targets, stop_early=args.stop_early)
+        images, budget=budget, targets=targets, stop_early=args.stop_early)
     elapsed = time.perf_counter() - start
     if args.json:
         payload = {
@@ -400,7 +402,7 @@ def build_parser() -> argparse.ArgumentParser:
             "breadth-first closure of named generators (exit 3 on budget)")
     p.add_argument("-n", type=int, required=True)
     p.add_argument("--gens", required=True, help="comma list from s,t,g,a,b")
-    p.add_argument("--budget", type=int, default=limits.MAX_CLOSURE_BUDGET)
+    p.add_argument("--budget", type=int)
     p.add_argument("--targets", help="comma list of names that must be reached")
     p.add_argument("--stop-early", action="store_true")
     p.add_argument("--json", action="store_true")
@@ -429,10 +431,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _shared_parser() -> argparse.ArgumentParser:
+    # Parsing leaves no state in the parser, so one serves every run() call.
+    return build_parser()
+
+
 def run(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _shared_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -28,7 +28,6 @@ import re
 from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
-from operator import add
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from . import limits
@@ -209,7 +208,13 @@ def eval_word(word: Word, n: int) -> SemiElement:
     acc = semi_identity(n)
     try:
         for sym, exp in word:
-            acc = _mul(acc, _power(gens[sym], exp))
+            g = gens[sym]
+            if exp == 1:
+                acc = _mul(acc, g)
+            elif exp == -1:
+                acc = _mul(acc, _inverse(g))
+            else:
+                acc = _mul(acc, _power(g, exp))
     except KeyError as exc:
         raise ValueError(f"unknown symbol {exc.args[0]!r}") from None
     return acc
@@ -563,9 +568,13 @@ def generated_closure(
     for img in images:
         if len(img.z) != n or len(img.s) != n:
             raise ValueError("generator images have mismatched sizes")
+        if any(x != int(x) for x in img.z):
+            raise ValueError(f"generator translation is not integral: {img.z!r}")
 
     gens: list[SemiElement] = []
-    for img in images:
+    for z, s in images:
+        # The walk shifts translation entries, so 1.0 must become 1.
+        img = SemiElement(tuple(map(int, z)), s)
         for candidate in (img, semi_inverse(img)):
             if candidate not in gens:
                 gens.append(candidate)
@@ -574,35 +583,80 @@ def generated_closure(
     target_items = dict(targets or {})
     reached = {name: el == ident for name, el in target_items.items()}
     # Unreached targets wait here by permutation until the walk interns it,
-    # then move to target_keys under the (z, permutation id) key of visited.
-    pending_targets: dict[tuple, list[tuple[tuple, str]]] = {}
+    # then move to target_keys under their key (below).
+    pending_targets: dict[tuple, list[tuple[Sequence, str]]] = {}
     for name, (z, s) in target_items.items():
         if not reached[name]:
-            pending_targets.setdefault(tuple(s), []).append((tuple(z), name))
-    target_keys: dict[tuple, list[str]] = {}
+            pending_targets.setdefault(tuple(s), []).append((z, name))
+    target_keys: dict[int, list[str]] = {}
     lattice = _IntLattice(n)
 
-    # Each permutation reached is interned to a small id.  steps[id][j] is
-    # built on first use from the product (0, s) . gens[j] = (k o s, r o s):
-    # the translation k o s (None when zero) and the id of r o s.  An element
-    # (z, s) then steps to (z + k o s, r o s).
+    # Each element (z, s) of the walk is one int key.  The permutation s is
+    # interned to a small id; field i, w bits at shift w*i, holds z_i + bias,
+    # and the id sits above the n fields:
+    #
+    #     key = sum_i (z_i + bias) << (w*i)  +  id << (w*n)
+    #
+    # The product (z, s) . (k, r) = (z + k o s, r o s) changes the key by an
+    # amount that depends on s and the generator (k, r) only: the fields of
+    # k o s plus the change of id from s to r o s.  steps[id][j] caches that
+    # difference for gens[j], built on first use, so a step is one int
+    # addition.  A key below 1 << (w*n) has id 0: a pure translation.
+    #
+    # Field width: a step changes z_i by an entry of a generator translation,
+    # so by at most M = max |k_i|.  Every visited element, and every
+    # candidate step from one, is at most `budget` steps from the identity,
+    # so |z_i| <= ceil(budget) * M = bias.  A field then holds a value in
+    # [0, 2 * bias], which fits in w = (2 * bias).bit_length() bits; no field
+    # carries into the next and the addition is exact.
+    bias = math.ceil(budget) * max((abs(x) for k, _ in gens for x in k), default=0)
+    w = (2 * bias).bit_length()
+    shifts = tuple(w * i for i in range(n))
+    top = w * n
+    pure = 1 << top
+    mask = (1 << w) - 1
+    # Per generator: r as a lookup rr[v] = r(v), and k as kk[v] = k_v when
+    # the generator translates at all.
+    tables = [((0, *r), (0, *k) if any(k) else None) for k, r in gens]
+
+    def pack(z: Sequence) -> int | None:
+        """The fields of z, or None when no element of the walk has this z."""
+        if len(z) != n:
+            return None
+        key = 0
+        for x, sh in zip(z, shifts):
+            if not -bias <= x <= bias or x != int(x):
+                return None
+            key += (int(x) + bias) << sh
+        return key
+
     perms: list[tuple] = []
     perm_ids: dict[tuple, int] = {}
     steps: list[list] = []
+    visited: set[int] = set()
+    interned_at = 0  # len(visited) when the last permutation was interned
 
     def intern(perm: tuple) -> int:
+        nonlocal interned_at
         pid = perm_ids.get(perm)
         if pid is None:
             pid = perm_ids[perm] = len(perms)
             perms.append(perm)
             steps.append([None] * len(gens))
+            interned_at = len(visited)
             for z, name in pending_targets.pop(perm, ()):
-                target_keys.setdefault((z, pid), []).append(name)
+                fields = pack(z)
+                if fields is not None:
+                    target_keys.setdefault(fields + (pid << top), []).append(name)
         return pid
 
-    def step(pid: int, j: int):
-        kg, perm = _mul((ident.z, perms[pid]), gens[j])
-        return (kg if any(kg) else None), intern(perm)
+    def step(pid: int, j: int) -> int:
+        s = perms[pid]
+        rr, kk = tables[j]
+        delta = (intern(tuple([rr[v] for v in s])) - pid) << top
+        if kk is not None:
+            delta += sum([kk[v] << sh for v, sh in zip(s, shifts)])
+        return delta
 
     def goal_met() -> bool:
         return (
@@ -612,21 +666,22 @@ def generated_closure(
             and lattice.rank == n
         )
 
-    start = (ident.z, intern(ident.s))
-    visited = {start}
+    intern(ident.s)
+    start = pack(ident.z)
+    visited.add(start)
     queue = deque([start])
     translation_count = 0
     budget_exhausted = False
     stopped_early = False
 
     while queue and not budget_exhausted and not stopped_early:
-        z, pid = queue.popleft()
+        key = queue.popleft()
+        pid = key >> top
         row = steps[pid]
-        for j, entry in enumerate(row):
-            if entry is None:
-                entry = row[j] = step(pid, j)
-            kg, nid = entry
-            h = (z if kg is None else tuple(map(add, z, kg)), nid)
+        for j, delta in enumerate(row):
+            if delta is None:
+                delta = row[j] = step(pid, j)
+            h = key + delta
             if h in visited:
                 continue
             if len(visited) >= budget:
@@ -635,12 +690,12 @@ def generated_closure(
             visited.add(h)
             queue.append(h)
             event = False
-            if nid == 0:
+            if h < pure:
                 # A new element over the identity permutation is never the
                 # identity itself, so it is a nonzero pure translation.
                 translation_count += 1
                 rank = lattice.rank
-                lattice.add(h[0])
+                lattice.add([((h >> sh) & mask) - bias for sh in shifts])
                 event = lattice.rank > rank
             if target_keys and h in target_keys:
                 for name in target_keys.pop(h):
@@ -651,9 +706,9 @@ def generated_closure(
                 break
 
     permutation_count = len(perms)
-    if budget_exhausted and all(p != nid for _, p in visited):
-        # The step that hit the budget may have interned a permutation that
-        # no visited element has.
+    if budget_exhausted and interned_at == len(visited):
+        # Each intern is followed by adding the new element that has the
+        # permutation, except when that element hit the budget.
         permutation_count -= 1
 
     return ClosureReport(

@@ -3,13 +3,14 @@
 import concurrent.futures
 import io
 import json
+import re
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from latticetwist import geometry, limits
+from latticetwist import cli, geometry, limits
 from latticetwist.cli import run
 from latticetwist.geometry import decompose_point
 from latticetwist.twisted import star_multiply
@@ -242,6 +243,64 @@ class TestExitCodes:
         assert invoke(capsys, "inv", "1,1,0")[0] == 1
         assert invoke(capsys, "iso", "2,2,1")[0] == 1
 
+
+class TestParserReuse:
+    # Flags on and off by turns, with usage errors in between: a reused
+    # parser must not carry a value or an error from one call to the next.
+    ARGVS = [
+        ("closure", "-n", "3", "--gens", "a,b", "--targets", "s,t,g",
+         "--stop-early", "--budget", "5000"),
+        ("closure", "-n", "3", "--gens", "s,t"),
+        ("closure", "-n", "3", "--gens", "a,b", "--budget", "20", "--json"),
+        ("closure", "-n", "4", "--gens", "s,t", "--json"),
+        ("closure", "-n", "3", "--gens", "a,b", "--budget", "0"),
+        ("closure", "-n", "3", "--gens", "a,b", "--targets", "g",
+         "--budget", "300", "--json"),
+        ("mul", "1,2"),
+        ("closure", "-n", "3", "--gens", "s,t", "--stop-early", "--json"),
+        ("check-tiling", "-n", "2", "--box", "0,4", "--samples", "40",
+         "--json"),
+        ("closure", "-n", "3", "--gens", "a,b", "--bogus"),
+        ("check-tiling", "-n", "2", "--box", "0,4", "--samples", "40"),
+        ("check-tiling", "-n", "3", "--box=-1,2", "--samples", "30",
+         "--seed", "3", "--json"),
+        ("closure", "-n", "3", "--gens", "s", "--targets", "t"),
+        ("check-tiling", "-n", "2", "--samples", "40"),
+        ("check-tiling", "-n", "2", "--box", "0,4", "--samples", "40"),
+    ]
+
+    @staticmethod
+    def _calls(capsys):
+        out = []
+        for argv in TestParserReuse.ARGVS:
+            code = run(list(argv))
+            captured = capsys.readouterr()
+            out.append((code,) + tuple(
+                re.sub(r'elapsed: [0-9.]+s|"elapsed_seconds": [0-9.e-]+'
+                       r'|\([0-9.]+s\)', "<t>", text)
+                for text in (captured.out, captured.err)))
+        return out
+
+    def test_matches_a_fresh_parser_per_call(self, capsys, monkeypatch):
+        shared = self._calls(capsys)
+        monkeypatch.setattr(cli, "_shared_parser", cli.build_parser)
+        assert self._calls(capsys) == shared
+        assert [code for code, _, _ in shared] == [
+            0, 0, 3, 0, 2, 3, 2, 0, 0, 2, 0, 0, 1, 2, 0]
+
+    def test_default_budget_is_read_at_each_call(self, capsys, monkeypatch):
+        argv = ["closure", "-n", "3", "--gens", "s,t", "--json"]
+        assert run(argv) == 0
+        capsys.readouterr()
+        monkeypatch.setattr(limits, "MAX_CLOSURE_BUDGET", 5)
+        assert run(argv) == 3
+        assert json.loads(capsys.readouterr().out)["budget"] == 5
+        assert run(argv + ["--budget", "6"]) == 3
+        assert "exceeds cap 5" in capsys.readouterr().err
+
+    def test_build_parser_returns_a_fresh_parser(self):
+        assert cli.build_parser() is not cli.build_parser()
+        assert cli._shared_parser() is cli._shared_parser()
 
 # Small argument pools per subcommand for the argv fuzz test: every value
 # keeps the work tiny or trips a cap.  "{tmp}" becomes a temporary directory.

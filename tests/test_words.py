@@ -458,6 +458,20 @@ class TestClosure:
             generated_closure([SemiElement((0, 0), (1, 1))])
         with pytest.raises(ValueError):
             generated_closure([semi_identity(2), semi_identity(3)])
+        with pytest.raises(ValueError, match="not integral"):
+            generated_closure([SemiElement((0, 1.5), (2, 1))])
+
+    def test_float_translations_and_budget(self):
+        gens = standard_generators(3)
+        images = [gens["a"], gens["b"]]
+        floats = [SemiElement(tuple(map(float, z)), s) for z, s in images]
+        args = ({"g": gens["g"]}, True)
+        assert (generated_closure(floats, 500, *args)
+                == generated_closure(images, 500, *args)
+                == closure_oracle(floats, 500, *args))
+        for budget in (20.0, 20.5):
+            assert (generated_closure(images, budget)
+                    == closure_oracle(images, budget))
 
     def test_matches_oracle_on_benchmark_shapes(self):
         cases = [(5, "s t", None, False, 10**6), (4, "a b", "s t g", True, 10**6),
@@ -487,6 +501,77 @@ class TestClosure:
             max_size=3))
         args = (images, budget, targets or None, stop_early)
         assert generated_closure(*args) == closure_oracle(*args)
+
+    @settings(max_examples=80)
+    @given(st.data())
+    def test_matches_oracle_with_large_translations(self, data):
+        # Entries near 10^5 and budgets up to 3000 put the packed fields of
+        # the walk near the width that budget * max|k_i| sets for them.
+        n = data.draw(st.integers(1, 3))
+        images = data.draw(st.lists(semi_elements(n, -10**5, 10**5),
+                                    min_size=1, max_size=2))
+        budget = data.draw(st.integers(1, 3000))
+        products = st.lists(st.sampled_from(images), min_size=1, max_size=3).map(
+            lambda factors: _product(factors, n))
+        targets = data.draw(st.dictionaries(
+            st.sampled_from("pq"), products, max_size=2))
+        args = (images, budget, targets or None, data.draw(st.booleans()))
+        assert generated_closure(*args) == closure_oracle(*args)
+
+    def test_walk_reaches_the_edge_of_its_fields(self):
+        # budget * M is one below a power of two here, so the fields have no
+        # room to spare: one bit less would wrap z_i = 1.
+        for n, budget, k in [(1, 2047, 1), (2, 2047, 1), (1, 1905, 140911),
+                             (3, 1695, 158369)]:
+            g = SemiElement((0,) * (n - 1) + (k,), tuple(range(1, n + 1)))
+            for images in ([g], [g, semi_inverse(g)]):
+                args = (images, budget, {"far": _product([g] * 600, n)}, False)
+                report = generated_closure(*args)
+                assert report == closure_oracle(*args)
+                assert report.element_count == budget
+                assert report.targets_reached["far"] == (budget >= 1200)
+
+    def test_targets_the_walk_cannot_have(self):
+        gens = standard_generators(3)
+        images = [gens["a"], gens["b"]]
+        budget = 2000
+        bias = budget  # max |k_i| is 1 for a and b
+        ident = (1, 2, 3)
+        g2 = _product([gens["g"], gens["g"]], 3)
+        targets = {
+            "short": SemiElement((0, 1), ident),
+            "long": SemiElement((0, 0, 1, 0), ident),
+            "edge": SemiElement((0, 0, bias), ident),
+            "past": SemiElement((0, 0, bias + 1), ident),
+            "huge": SemiElement((0, 0, -10**40), gens["t"].s),
+            "float": SemiElement(tuple(float(x) for x in g2.z), g2.s),
+            "half": SemiElement((0.0, 0.0, 1.5), ident),
+            "nan": SemiElement((0.0, float("nan"), 2.0), ident),
+            "inf": SemiElement((float("inf"), 0, 0), ident),
+            "g": gens["g"],
+        }
+        for stop_early in (False, True):
+            args = (images, budget, targets, stop_early)
+            report = generated_closure(*args)
+            assert report == closure_oracle(*args)
+            assert [name for name, hit in report.targets_reached.items()
+                    if hit] == ["float", "g"]
+
+    def test_budget_hit_on_a_step_that_interns_a_permutation(self):
+        gens = standard_generators(4)
+        # Every element of <s, t> has its own permutation, so the step that
+        # hits the budget always interns one no visited element has.
+        for budget in range(1, 24):
+            report = generated_closure([gens["s"], gens["t"]], budget=budget)
+            assert report.budget_exhausted
+            assert report.permutation_count == report.element_count == budget
+        cases = [([gens["a"], gens["b"]], 1), ([gens["g"]], 1),
+                 ([gens["g"], gens["t"]], 30),
+                 ([SemiElement((3,), (1,)), SemiElement((-5,), (1,))], 40)]
+        for images, top in cases:
+            for budget in range(1, top + 1):
+                args = (images, budget, None, False)
+                assert generated_closure(*args) == closure_oracle(*args)
 
 
 def _product(factors, n):
