@@ -82,10 +82,7 @@ def _cmd_inv(args) -> int:
 
 def _cmd_is_unit(args) -> int:
     x = _parse_vec(args.x)
-    if getattr(args, "tau", None):
-        ok = semidirect.general_is_unit(x, _parse_perm(args.tau))
-    else:
-        ok = units.is_unit_member(x)
+    ok = semidirect.general_is_unit(x, _action_from_args(args).tau)
     print("true" if ok else "false")
     return 0 if ok else 1
 
@@ -206,9 +203,8 @@ def _cmd_closure(args) -> int:
         if bad:
             raise ValueError(f"unknown target names {bad}; choose from {sorted(gens)}")
         targets = {name: gens[name] for name in tnames}
-    budget = limits.MAX_CLOSURE_BUDGET if args.budget is None else args.budget
     report = words.generated_closure(
-        images, budget=budget, targets=targets, stop_early=args.stop_early)
+        images, budget=args.budget, targets=targets, stop_early=args.stop_early)
     elapsed = time.perf_counter() - start
     if args.json:
         payload = {

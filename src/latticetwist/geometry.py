@@ -9,9 +9,9 @@ permutohedron.  Its translates under the rank-n lattice spanned by
 tile R^n, and the set of all tile vertices is exactly the set of integer
 vectors with pairwise distinct residues mod n (`units.is_residue_distinct`).
 `coordinate_matrices(n)` gives the change of basis C, whose columns are
-e_1..e_{n-1}, a, with its exact rational inverse; a residue-distinct
-point p splits as p = C t + u with t integer and u a permutation of
-(1..n).
+e_1..e_{n-1}, a; a residue-distinct point p splits as p = C t + u with t
+integer and u a permutation of (1..n).  The inverse of C is never built:
+`decompose_point` and `_candidate_coeffs` apply it in closed form.
 
 Membership in a tile is decided exactly: the a-coordinate of a point
 must lie in the unit slab, and its cross-section (the projection back to
@@ -40,8 +40,6 @@ from .semidirect import CycleStructure
 from .twisted import Vec, as_vector, check_permutation, ordered_cycles
 from .units import _residue_distinct
 
-Point = tuple[Fraction, ...]
-
 SAMPLE_DENOMINATOR = 101
 FACET_REDRAWS = 64       # draws per sample before check_tiling gives up
 
@@ -60,25 +58,15 @@ def permutohedron_vertices(n: int) -> list[Vec]:
 
 
 @lru_cache(maxsize=None)
-def coordinate_matrices(n: int) -> tuple[tuple[Vec, ...], tuple[Point, ...]]:
-    """(C, C^-1): columns of C are e_1..e_{n-1}, a; the inverse is exact."""
+def coordinate_matrices(n: int) -> tuple[Vec, ...]:
+    """C, row by row: its columns are e_1..e_{n-1}, a."""
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
-    if n == 1:
-        return ((1,),), ((Fraction(1),),)
     rows = [
         tuple(-(n - 1) if j == i else 1 for j in range(n)) for i in range(n - 1)
     ]
     rows.append((1,) * n)
-    inv = []
-    for i in range(n - 1):
-        inv.append(tuple(
-            -Fraction(1, n) if j == i else
-            Fraction(1, n) if j == n - 1 else Fraction(0)
-            for j in range(n)
-        ))
-    inv.append(tuple(Fraction(1, n) for _ in range(n)))
-    return tuple(rows), tuple(inv)
+    return tuple(rows)
 
 
 def _lattice_offset(coeffs: Vec) -> Vec:
@@ -173,8 +161,14 @@ def _evaluate_scaled(P: Sequence[int], den: int, n: int) -> tuple[str, tuple[str
     return "interior", ()
 
 
-def _as_point(point: Sequence) -> Point:
-    return tuple(Fraction(x) for x in point)
+def _scaled(point: Sequence, n: int) -> tuple[list[int], int]:
+    """(P, den): the point of length n as numerators over their lcm; an
+    entry is anything `Fraction` reads (an int, a float, "5/2", ...)."""
+    pt = [Fraction(x) for x in point]
+    if len(pt) != n:
+        raise ValueError(f"expected length {n}, got {len(pt)}")
+    den = lcm(*[x.denominator for x in pt])
+    return [x.numerator * (den // x.denominator) for x in pt], den
 
 
 @dataclass(frozen=True)
@@ -194,11 +188,7 @@ class HalfspaceSystem:
         return status
 
     def classify_with_tight(self, point: Sequence) -> tuple[str, tuple[str, ...]]:
-        pt = _as_point(point)
-        if len(pt) != self.n:
-            raise ValueError(f"expected length {self.n}, got {len(pt)}")
-        den = lcm(*(x.denominator for x in pt)) if pt else 1
-        P = [int(x * den) for x in pt]
+        P, den = _scaled(point, self.n)
         return _evaluate_scaled(P, den, self.n)
 
     def contains(self, point: Sequence) -> bool:
@@ -236,9 +226,10 @@ class PrismTile:
                      + [tuple(map(add, top, u)) for u in base])
 
     def classify(self, point: Sequence) -> str:
-        pt = _as_point(point)
-        shifted = tuple(x - o for x, o in zip(pt, self.offset))
-        return tile_halfspaces(self.n).classify(shifted)
+        P, den = _scaled(point, self.n)
+        _check_n(self.n, limits.MAX_HALFSPACE_N, "halfspace")
+        P0 = [p - den * o for p, o in zip(P, self.offset)]
+        return _evaluate_scaled(P0, den, self.n)[0]
 
 
 def generate_patch(n: int, radius: int) -> list[PrismTile]:

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from typing import NamedTuple, Sequence
 
-from .twisted import Vec, as_vector, check_permutation, ordered_cycles
+from .twisted import Vec, _is_unit, as_vector, check_permutation, ordered_cycles
 from .units import _require_residue_distinct
 
 Permutation = tuple[int, ...]
@@ -149,16 +149,11 @@ def phi_backward(g: SemiElement) -> Vec:
 def general_is_unit(x: Sequence[int], tau: Sequence[int]) -> bool:
     """Invertibility under the action of an arbitrary permutation tau.
 
-    Checked cycle by cycle: within a cycle of length m the displacements
-    (j - x_{w_j}) mod m must be pairwise distinct.
+    Decided cycle by cycle by `twisted._is_unit`, the kernel that
+    `units.is_unit_member` runs too; `transport_permutation` gives a witness.
     """
     t = check_permutation(tau)
-    xv = as_vector(x, len(t))
-    for cycle in ordered_cycles(t):
-        m = len(cycle)
-        if len({(j - xv[w - 1]) % m for j, w in enumerate(cycle, start=1)}) != m:
-            return False
-    return True
+    return _is_unit(as_vector(x, len(t)), ordered_cycles(t))
 
 
 def split_to_factors(x: Sequence[int], cycles: CycleStructure) -> list[Vec]:

@@ -79,7 +79,7 @@ def ordered_cycles(tau: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
 
 @dataclass(frozen=True)
 class Action:
-    """Z-action on {1..n}: the generating permutation and its cycles."""
+    """Z-action on {1..n}: the permutation, its cycles, an O(n) position table."""
 
     n: int
     tau: tuple[int, ...]
@@ -107,19 +107,20 @@ class Action:
 
     @cached_property
     def _position(self) -> tuple:
-        # v -> (its cycle, its 0-based position in that cycle)
-        pos: list = [None] * (self.n + 1)
+        # entry v - 1: (the cycle of v, v's 0-based place j in it, its length m)
+        pos: list = [None] * self.n
         for cycle in self.cycles:
+            m = len(cycle)
             for j, v in enumerate(cycle):
-                pos[v] = (cycle, j)
+                pos[v - 1] = (cycle, j, m)
         return tuple(pos)
 
     def act(self, v: int, g: int) -> int:
-        """tau^g(v).  Cyclic case: 1 + ((v - 1 - g) mod n)."""
+        """tau^g(v) = w_{(j-g) mod m} for v = w_j; cyclic: 1 + ((v-1-g) mod n)."""
         if not 1 <= v <= self.n:
             raise ValueError(f"point {v} outside 1..{self.n}")
-        cycle, j = self._position[v]
-        return cycle[(j - g) % len(cycle)]
+        cycle, j, m = self._position[v - 1]
+        return cycle[(j - g) % m]
 
 
 def as_vector(values: Sequence[int], n: int | None = None) -> Vec:
@@ -145,10 +146,7 @@ def star_multiply(a: Sequence[int], b: Sequence[int], action: Action) -> Vec:
     """Twisted product a * b under the given action."""
     av = as_vector(a, action.n)
     bv = as_vector(b, action.n)
-    act = action.act
-    return tuple(
-        av[v - 1] + bv[act(v, av[v - 1]) - 1] for v in range(1, action.n + 1)
-    )
+    return tuple([x + bv[w - 1] for x, w in zip(av, _images(av, action))])
 
 
 def transport_permutation(
@@ -174,17 +172,29 @@ def invert(a: Sequence[int], action: Action) -> Vec:
 # The kernels below take a vector already checked by as_vector to have
 # length action.n.
 
+def _images(av: Vec, action: Action) -> list[int]:
+    """[tau^{a(v)}(v) for v = 1..n]: `Action.act` without its range check."""
+    return [c[(j - g) % m] for (c, j, m), g in zip(action._position, av)]
+
+
 def _transport(av: Vec, action: Action) -> tuple[int, ...] | NotBijective:
-    act = action.act
     first_preimage: dict[int, int] = {}
-    images = []
-    for v, g in enumerate(av, start=1):
-        image = act(v, g)
+    for v, image in enumerate(_images(av, action), start=1):
         if image in first_preimage:
             return NotBijective(first_preimage[image], v, image)
         first_preimage[image] = v
-        images.append(image)
-    return tuple(images)
+    # no collision: the keys are the n images, in the order of v
+    return tuple(first_preimage)
+
+
+def _is_unit(av: Vec, cycles: Sequence[Sequence[int]]) -> bool:
+    """Transport bijective: in each cycle (w_0 .. w_{m-1}) of the action the
+    places (j - a(w_j)) mod m that tau^{a(w_j)} sends w_j to are distinct."""
+    for cycle in cycles:
+        m = len(cycle)
+        if len({(j - av[w - 1]) % m for j, w in enumerate(cycle)}) != m:
+            return False
+    return True
 
 
 def _invert(av: Vec, action: Action) -> Vec:

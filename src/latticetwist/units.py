@@ -13,20 +13,18 @@ Residue-distinct vectors fall into exactly n! classes inside [0, n-1]^n.
 
 from __future__ import annotations
 
+from functools import cache
 from itertools import permutations
 from operator import add, sub
 from typing import Sequence
 
 from . import limits
-from .twisted import Action, Vec, _invert, as_vector
-
-_CYCLIC: dict[int, Action] = {}
+from .twisted import Action, Vec, _invert, _is_unit, as_vector
 
 
+@cache
 def cyclic_action(n: int) -> Action:
-    if n not in _CYCLIC:
-        _CYCLIC[n] = Action.cyclic(n)
-    return _CYCLIC[n]
+    return Action.cyclic(n)
 
 
 def shift_vector(n: int) -> Vec:
@@ -39,8 +37,7 @@ def shift_vector(n: int) -> Vec:
 def is_unit_member(x: Sequence[int]) -> bool:
     """Invertibility under the cyclic twisted product."""
     xv = as_vector(x)
-    n = len(xv)
-    return len({(v - xv[v - 1]) % n for v in range(1, n + 1)}) == n
+    return _is_unit(xv, cyclic_action(len(xv)).cycles)
 
 
 def is_residue_distinct(x: Sequence[int]) -> bool:

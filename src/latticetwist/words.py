@@ -544,7 +544,7 @@ class ClosureReport:
 
 def generated_closure(
     images: Sequence[SemiElement],
-    budget: int = limits.MAX_CLOSURE_BUDGET,
+    budget: int | None = None,
     targets: Mapping[str, SemiElement] | None = None,
     stop_early: bool = False,
 ) -> ClosureReport:
@@ -554,10 +554,13 @@ def generated_closure(
     lattice spanned by the pure translations reached.  With stop_early the
     walk halts as soon as every target element has been seen and the pure
     translations already have full rank; exhausting the element budget is
-    reported, not raised.
+    reported, not raised.  The budget defaults to `limits.MAX_CLOSURE_BUDGET`
+    as it is at the time of the call.
     """
     if not images:
         raise ValueError("need at least one generator image")
+    if budget is None:
+        budget = limits.MAX_CLOSURE_BUDGET
     if budget < 1:
         raise ValueError(f"budget must be positive, got {budget}")
     if budget > limits.MAX_CLOSURE_BUDGET:
@@ -671,6 +674,7 @@ def generated_closure(
     visited.add(start)
     queue = deque([start])
     translation_count = 0
+    spanned = False
     budget_exhausted = False
     stopped_early = False
 
@@ -694,9 +698,12 @@ def generated_closure(
                 # A new element over the identity permutation is never the
                 # identity itself, so it is a nonzero pure translation.
                 translation_count += 1
-                rank = lattice.rank
-                lattice.add([((h >> sh) & mask) - bias for sh in shifts])
-                event = lattice.rank > rank
+                # once the translations span Z^n, an add changes nothing
+                if not spanned:
+                    rank = lattice.rank
+                    lattice.add([((h >> sh) & mask) - bias for sh in shifts])
+                    event = lattice.rank > rank
+                    spanned = lattice.spans_all()
             if target_keys and h in target_keys:
                 for name in target_keys.pop(h):
                     reached[name] = True

@@ -297,6 +297,7 @@ class TestParserReuse:
         assert json.loads(capsys.readouterr().out)["budget"] == 5
         assert run(argv + ["--budget", "6"]) == 3
         assert "exceeds cap 5" in capsys.readouterr().err
+        assert run(argv + ["--budget", "0"]) == 2
 
     def test_build_parser_returns_a_fresh_parser(self):
         assert cli.build_parser() is not cli.build_parser()

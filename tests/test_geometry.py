@@ -5,6 +5,7 @@ import math
 import random
 from fractions import Fraction
 from itertools import combinations, product
+from math import lcm
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -71,10 +72,66 @@ def materialized_box_vertices(n, lo, hi):
     }, math.prod(len(r) for r in ranges)
 
 
+def inverse_oracle(n):
+    """The exact rational inverse of C, row by row.
+
+    Rows i < n-1 hold -1/n at column i and 1/n at column n-1; the last row
+    is all 1/n.  `decompose_point` and `_candidate_coeffs` apply it in
+    closed form.
+    """
+    inv = [
+        tuple(-Fraction(1, n) if j == i else
+              Fraction(1, n) if j == n - 1 else Fraction(0) for j in range(n))
+        for i in range(n - 1)
+    ]
+    inv.append((Fraction(1, n),) * n)
+    return tuple(inv)
+
+
+def classify_oracle(point, offset):
+    """Oracle for the scaled classification of a point against the tile
+    with this offset: the Fraction path.  The point is shifted in
+    Fractions, scaled by the lcm of its denominators and classified by the
+    subset scan."""
+    n = len(offset)
+    pt = [Fraction(x) for x in point]
+    if len(pt) != n:
+        raise ValueError(f"expected length {n}, got {len(pt)}")
+    shifted = [x - o for x, o in zip(pt, offset)]
+    den = lcm(*(x.denominator for x in shifted))
+    return subset_scan([int(x * den) for x in shifted], den, n)
+
+
+@st.composite
+def points_near(draw, offset):
+    """A rational point a few small steps from a vertex of the tile with
+    this offset, so all three statuses occur.  Each entry comes as an int,
+    a Fraction, a float (for a denominator 2^k) or a string such as
+    "-10/4" that need not be in lowest terms."""
+    n = len(offset)
+    u = draw(st.permutations(range(1, n + 1)))
+    layer = draw(st.integers(0, 1))
+    point = []
+    for o, x in zip(offset, u):
+        den = draw(st.sampled_from([1, 2, 3, 4, 6, 8]))
+        num = den * (o + x + layer) + draw(st.integers(-den, den))
+        form = draw(st.sampled_from(["int", "fraction", "float", "str"]))
+        if form == "int" and num % den == 0:
+            point.append(num // den)
+        elif form == "float" and den & (den - 1) == 0:
+            point.append(num / den)
+        elif form == "str":
+            k = draw(st.integers(1, 3))
+            point.append(f"{k * num}/{k * den}")
+        else:
+            point.append(Fraction(num, den))
+    return tuple(point)
+
+
 def offset_oracle(coeffs):
     """Oracle for _lattice_offset: the product with the matrix C."""
     n = len(coeffs)
-    C, _ = coordinate_matrices(n)
+    C = coordinate_matrices(n)
     return tuple(sum(C[i][j] * coeffs[j] for j in range(n)) for i in range(n))
 
 
@@ -139,7 +196,7 @@ def json_mesh_oracle(tiles):
 
 def basis_columns(n):
     """Columns e_1..e_{n-1}, a of the change of basis C."""
-    C, _ = coordinate_matrices(n)
+    C = coordinate_matrices(n)
     return tuple(tuple(C[i][j] for i in range(n)) for j in range(n))
 
 
@@ -149,7 +206,7 @@ class TestBasis:
 
     def test_matrices_are_inverse(self):
         for n in range(1, 9):
-            C, Ci = coordinate_matrices(n)
+            C, Ci = coordinate_matrices(n), inverse_oracle(n)
             for i in range(n):
                 for j in range(n):
                     entry = sum(Fraction(C[i][k]) * Ci[k][j] for k in range(n))
@@ -207,6 +264,7 @@ class TestHalfspaces:
         assert hs.classify((1, 2, 3)) == "boundary"
         assert hs.classify((2, 2, 2)) == "boundary"   # base layer
         assert hs.classify((Fraction(5, 2),) * 3) == "interior"
+        assert hs.classify(("5/2", 2.5, "15/6")) == "interior"
         assert not hs.contains((0, 0, 0))
         assert hs.contains((1, 2, 3))
 
@@ -246,6 +304,18 @@ class TestHalfspaces:
     def test_wrong_length(self):
         with pytest.raises(ValueError):
             tile_halfspaces(3).classify((1, 2))
+
+    @settings(max_examples=300)
+    @given(st.data())
+    def test_scaled_classification_matches_fraction_path(self, data):
+        n = data.draw(st.integers(1, 6))
+        point = data.draw(points_near((0,) * n))
+        assert (tile_halfspaces(n).classify_with_tight(point)
+                == classify_oracle(point, (0,) * n)), point
+        coeffs = data.draw(st.tuples(*[st.integers(-3, 3)] * n))
+        tile = PrismTile(n, coeffs)
+        point = data.draw(points_near(tile.offset))
+        assert tile.classify(point) == classify_oracle(point, tile.offset)[0], point
 
     def test_sorted_prefix_matches_subset_scan_on_scaled_points(self):
         rng = random.Random(2024)
@@ -297,6 +367,15 @@ class TestTilesAndPatches:
         assert len(tile.vertices) == 12
         sums = sorted(sum(v) for v in tile.vertices)
         assert sums == [6] * 6 + [9] * 6
+
+    def test_classify_checks_the_length(self):
+        tile = PrismTile(3, (0, 0, 0))
+        half = Fraction(5, 2)
+        assert tile.classify((half,) * 3) == "interior"
+        with pytest.raises(ValueError, match="^expected length 3, got 4$"):
+            tile.classify((half,) * 3 + (99,))
+        with pytest.raises(ValueError, match="^expected length 3, got 2$"):
+            tile.classify((half,) * 2)
 
     def test_vertices_lie_on_boundary(self):
         tile = PrismTile(3, (1, 0, 2))

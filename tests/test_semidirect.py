@@ -27,7 +27,13 @@ from latticetwist.twisted import (
     star_multiply,
     transport_permutation,
 )
-from latticetwist.units import cyclic_action, deformed_multiply, is_residue_distinct
+from latticetwist.units import (
+    cyclic_action,
+    deformed_multiply,
+    is_residue_distinct,
+    is_unit_member,
+)
+from test_twisted import vectors_for
 
 
 def semi_elements(n):
@@ -272,11 +278,25 @@ class TestGeneralActions:
                 assert general_is_unit(x, tau) == bijective
 
     def test_cyclic_case_reduces_to_unit_membership(self):
-        from latticetwist.units import is_unit_member
-
         tau = (4, 1, 2, 3)
+        action = Action.from_permutation(tau)
         for x in product(range(4), repeat=4):
             assert general_is_unit(x, tau) == is_unit_member(x)
+            # both run one kernel; the transport map is the independent check
+            assert is_unit_member(x) == (not isinstance(
+                transport_permutation(x, action), NotBijective))
+
+    @given(st.data())
+    def test_unit_predicates_match_transport(self, data):
+        n = data.draw(st.integers(1, 7))
+        tau = tuple(data.draw(st.permutations(range(1, n + 1))))
+        x = data.draw(vectors_for(tau))
+        assert general_is_unit(x, tau) == (not isinstance(
+            transport_permutation(x, Action.from_permutation(tau)), NotBijective))
+        cyclic = cyclic_action(n)
+        y = data.draw(vectors_for(cyclic.tau))
+        expect = not isinstance(transport_permutation(y, cyclic), NotBijective)
+        assert is_unit_member(y) == general_is_unit(y, cyclic.tau) == expect
 
     def test_split_assemble_roundtrip(self):
         cycles = ordered_cycles((2, 1, 4, 3))

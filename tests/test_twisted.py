@@ -30,6 +30,55 @@ def brute_act(tau, v, g):
     return v
 
 
+@st.composite
+def vectors_for(draw, tau):
+    """Vectors with entries in [-50, 50]; half of them are units of tau.
+
+    A unit puts the places j - a(w_j) mod m of each cycle (w_0 .. w_{m-1})
+    in a drawn order, so its transport map is a bijection.
+    """
+    n = len(tau)
+    x = list(draw(st.tuples(*[st.integers(-50, 50)] * n)))
+    if draw(st.booleans()):
+        for cycle in ordered_cycles(tuple(tau)):
+            m = len(cycle)
+            places = draw(st.permutations(range(m)))
+            for j, (w, p) in enumerate(zip(cycle, places)):
+                x[w - 1] = j - p + m * (x[w - 1] // m)
+    return tuple(x)
+
+
+def transport_oracle(a, tau):
+    """The transport map v -> tau^{a(v)}(v) by iteration, or the first
+    collision: the least v2 whose image an earlier v1 already has."""
+    images = [brute_act(tau, v, g) for v, g in enumerate(a, start=1)]
+    for v2, image in enumerate(images, start=1):
+        if image in images[:v2 - 1]:
+            return NotBijective(images.index(image) + 1, v2, image)
+    return tuple(images)
+
+
+class TestAgainstIteration:
+    # star_multiply and the transport map read images off one position
+    # table; iterating tau is the independent check.
+    @given(st.data())
+    def test_star_multiply(self, data):
+        n = data.draw(st.integers(1, 7))
+        tau = data.draw(st.permutations(range(1, n + 1)))
+        a, b = data.draw(vectors_for(tau)), data.draw(vectors_for(tau))
+        expect = tuple(a[v - 1] + b[brute_act(tau, v, a[v - 1]) - 1]
+                       for v in range(1, n + 1))
+        assert star_multiply(a, b, Action.from_permutation(tau)) == expect
+
+    @given(st.data())
+    def test_transport_permutation(self, data):
+        n = data.draw(st.integers(1, 7))
+        tau = data.draw(st.permutations(range(1, n + 1)))
+        a = data.draw(vectors_for(tau))
+        assert (transport_permutation(a, Action.from_permutation(tau))
+                == transport_oracle(a, tau))
+
+
 class TestAction:
     def test_cyclic_permutation(self):
         assert Action.cyclic(4).tau == (4, 1, 2, 3)

@@ -444,6 +444,14 @@ class TestClosure:
         assert not report.closed
         assert report.element_count == 20
 
+    def test_default_budget_is_read_at_each_call(self, monkeypatch):
+        gens = standard_generators(3)
+        monkeypatch.setattr(limits, "MAX_CLOSURE_BUDGET", 5)
+        report = generated_closure([gens["s"], gens["t"]])
+        assert report.budget == 5
+        assert report.budget_exhausted
+        assert report.element_count == 5
+
     def test_budget_cap(self):
         gens = standard_generators(3)
         with pytest.raises(BudgetExceededError):
@@ -476,7 +484,9 @@ class TestClosure:
     def test_matches_oracle_on_benchmark_shapes(self):
         cases = [(5, "s t", None, False, 10**6), (4, "a b", "s t g", True, 10**6),
                  (3, "a b", None, False, 1000), (4, "s t g", None, False, 3000),
-                 (5, "a b", "s t g", True, 10**6), (5, "s t g", "t", True, 500)]
+                 (5, "a b", "s t g", True, 10**6), (5, "s t g", "t", True, 500),
+                 # spans Z^3 early, then walks on through pure translations
+                 (3, "a b", None, False, 10**4)]
         for n, names, target_names, stop_early, budget in cases:
             gens = standard_generators(n)
             images = [gens[x] for x in names.split()]
