@@ -22,6 +22,13 @@ smallest entries, so the cross-section lies in the permutohedron exactly
 when every sorted prefix sum meets its bound (Rado 1952).  All predicates
 run in scaled integer arithmetic; no floats are involved anywhere except
 mesh-face ordering for export.
+
+Each growing cost is checked once, before the work, against the count it
+bounds: n against `limits.MAX_PERMUTOHEDRON_N` wherever the n!
+permutations are listed, and against `limits.MAX_BOX_POINTS` the
+tile-side (vertex, s) pairs 2*n!*(hi-lo+1) and the residue-side vertex
+count of a tiling check, its sample count, the exported vertex rows
+(2r+1)^n*2*n! of a patch, and the vertices of a product tile.
 """
 
 from __future__ import annotations
@@ -31,14 +38,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, cached_property
 from itertools import permutations, product
-from math import lcm
+from math import factorial, lcm, prod
 from operator import add
 from typing import NamedTuple, Sequence
 
 from . import limits
 from .semidirect import CycleStructure
 from .twisted import Vec, as_vector, check_permutation, ordered_cycles
-from .units import _residue_distinct
 
 SAMPLE_DENOMINATOR = 101
 FACET_REDRAWS = 64       # draws per sample before check_tiling gives up
@@ -49,6 +55,12 @@ def _check_n(n: int, cap: int, what: str) -> None:
         raise ValueError(f"n must be positive, got {n}")
     if n > cap:
         raise limits.BudgetExceededError(f"n={n} exceeds {what} cap {cap}")
+
+
+def _check_count(count: int, what: str) -> None:
+    if count > limits.MAX_BOX_POINTS:
+        raise limits.BudgetExceededError(
+            f"{count} {what} exceed the cap {limits.MAX_BOX_POINTS}")
 
 
 def permutohedron_vertices(n: int) -> list[Vec]:
@@ -172,37 +184,6 @@ def _scaled(point: Sequence, n: int) -> tuple[list[int], int]:
 
 
 @dataclass(frozen=True)
-class HalfspaceSystem:
-    """Classifier of rational points against the base tile of dimension n.
-
-    The tile is the unit a-slab over the permutohedron cross-section, cut
-    out by the 2^n - 2 subset-sum inequalities; `_evaluate_scaled` decides
-    them by one sort in scaled integer arithmetic.
-    """
-
-    n: int
-
-    def classify(self, point: Sequence) -> str:
-        """'interior', 'boundary' (some inequality tight), or 'outside'."""
-        status, _ = self.classify_with_tight(point)
-        return status
-
-    def classify_with_tight(self, point: Sequence) -> tuple[str, tuple[str, ...]]:
-        P, den = _scaled(point, self.n)
-        return _evaluate_scaled(P, den, self.n)
-
-    def contains(self, point: Sequence) -> bool:
-        return self.classify(point) != "outside"
-
-
-@lru_cache(maxsize=None)
-def tile_halfspaces(n: int) -> HalfspaceSystem:
-    """The base tile's classifier: subset-sum inequalities plus the a-slab."""
-    _check_n(n, limits.MAX_HALFSPACE_N, "halfspace")
-    return HalfspaceSystem(n)
-
-
-@dataclass(frozen=True)
 class PrismTile:
     """One prism: the base tile translated by C . coeffs.
 
@@ -226,20 +207,22 @@ class PrismTile:
                      + [tuple(map(add, top, u)) for u in base])
 
     def classify(self, point: Sequence) -> str:
+        """'interior', 'boundary' (some inequality tight), or 'outside'."""
         P, den = _scaled(point, self.n)
-        _check_n(self.n, limits.MAX_HALFSPACE_N, "halfspace")
         P0 = [p - den * o for p, o in zip(P, self.offset)]
         return _evaluate_scaled(P0, den, self.n)[0]
 
 
 def generate_patch(n: int, radius: int) -> list[PrismTile]:
-    """All tiles with max-norm coefficient at most `radius`, lexicographic."""
-    _check_n(n, limits.MAX_PATCH_N, "patch")
+    """All tiles with max-norm coefficient at most `radius`, lexicographic.
+
+    Refused when the exported mesh would have more than
+    `limits.MAX_BOX_POINTS` vertex rows, (2r+1)^n tiles of 2*n! each.
+    """
+    _check_n(n, limits.MAX_PERMUTOHEDRON_N, "patch")
     if radius < 0:
         raise ValueError(f"radius must be >= 0, got {radius}")
-    if radius > limits.MAX_PATCH_RADIUS:
-        raise limits.BudgetExceededError(
-            f"radius {radius} exceeds cap {limits.MAX_PATCH_RADIUS}")
+    _check_count((2 * radius + 1) ** n * 2 * factorial(n), "patch vertex rows")
     span = range(-radius, radius + 1)
     return [PrismTile(n, coeffs) for coeffs in product(span, repeat=n)]
 
@@ -270,7 +253,14 @@ def product_tile_vertices(tau: Sequence[int]) -> ProductTile:
     tau = check_permutation(tau)
     cycles = ordered_cycles(tau)
     n = len(tau)
-    _check_n(n, limits.MAX_PRODUCT_TILE_N, "product tile")
+    # every cycle length before any factorial, then the vertex count
+    # prod 2*|c|!, stopping as soon as it passes the cap
+    _check_n(max(map(len, cycles), default=0), limits.MAX_PERMUTOHEDRON_N,
+             "product tile cycle")
+    count = 1
+    for cycle in cycles:
+        count *= 2 * factorial(len(cycle))
+        _check_count(count, "product tile vertices")
     factor_vertices = []
     for cycle in cycles:
         m = len(cycle)
@@ -421,23 +411,24 @@ def _box_vertex_sets(n: int, lo: int, hi: int):
     w_n + s and coordinate i < n is w_i + s - n t_i, so for each w only
     the s in [lo - w_n, hi - w_n] and, per i, the t_i in
     [ceil((w_i + s - hi)/n), floor((w_i + s - lo)/n)] land in the box;
-    t_a = s - sum_j t_j is then fixed.  Residue side: every integer point
-    of the box whose entries are pairwise distinct mod n.
+    t_a = s - sum_j t_j is then fixed.  Residue side: with C_r the box
+    values congruent to r mod n, the product of C_{r_1}, .., C_{r_n} for
+    each permutation (r_1, .., r_n) of the residues: n! * prod |C_r|
+    points, each once.
 
-    `tile_count` is the size of the coefficient window that holds every
-    tile with a vertex in the box, reported and capped as the work bound.
+    Both counts, 2*n!*(hi-lo+1) (vertex, s) pairs and the residue side's
+    size, are checked before any work.  `tile_count` is the size of the
+    coefficient window that holds every tile with a vertex in the box;
+    it bounds nothing and is only reported.
     """
-    if (hi - lo + 1) ** n > limits.MAX_BOX_POINTS:
-        raise limits.BudgetExceededError(
-            f"box [{lo}, {hi}]^{n} exceeds {limits.MAX_BOX_POINTS} integer points")
+    _check_count(2 * factorial(n) * (hi - lo + 1), "tile-side (vertex, s) pairs")
+    classes = [range(lo + (r - lo) % n, hi + 1, n) for r in range(n)]
+    _check_count(factorial(n) * prod(map(len, classes)), "residue-distinct box points")
     # such a tile's offset C t lies in [lo - n - 1, hi - 1]^n, an interval
     # of span + 1 integers: |t_i| <= span/n for i < n, and t_a, the mean
     # of the offset, lies in the interval itself
     span = hi - lo + n
     tile_count = (2 * (span // n) + 1) ** (n - 1) * (span + 1)
-    if tile_count > limits.MAX_BOX_POINTS:
-        raise limits.BudgetExceededError(
-            f"{tile_count} candidate tiles exceed {limits.MAX_BOX_POINTS}")
     from_tiles = set()
     for w in PrismTile(n, (0,) * n).vertices:
         *head, last = w
@@ -446,9 +437,9 @@ def _box_vertex_sets(n: int, lo: int, hi: int):
             # the values in [lo, hi] congruent to w_i + s mod n
             axes = [range(lo + (x + s - lo) % n, hi + 1, n) for x in head]
             from_tiles.update(product(*axes, (last + s,)))
-    from_residues = {
-        v for v in product(range(lo, hi + 1), repeat=n) if _residue_distinct(v)
-    }
+    from_residues = set()
+    for order in permutations(classes):
+        from_residues.update(product(*order))
     return from_tiles, from_residues, tile_count
 
 
@@ -463,15 +454,16 @@ def check_tiling(
 
     Rational sample points with denominator 101 are classified against
     every tile that could contain them; samples landing on a facet are
-    redrawn deterministically.  Also enumerates all integer points of the
-    box and matches the tile-vertex set against the residue-distinct set.
+    redrawn deterministically.  Also matches the tile-vertex set inside
+    the box against the residue-distinct set, each listed independently.
     """
-    _check_n(n, limits.MAX_PATCH_N, "tiling")
+    _check_n(n, limits.MAX_PERMUTOHEDRON_N, "tiling")
     lo, hi = int(box[0]), int(box[1])
     if lo >= hi:
         raise ValueError(f"box must have lo < hi, got [{lo}, {hi}]")
     if samples < 0:
         raise ValueError(f"samples must be >= 0, got {samples}")
+    _check_count(samples, "samples")
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     if workers > limits.MAX_WORKERS:

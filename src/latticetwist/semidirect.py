@@ -138,11 +138,8 @@ def phi_forward(x: Sequence[int]) -> SemiElement:
 
 def phi_backward(g: SemiElement) -> Vec:
     """Inverse of phi_forward: x_i = n*z_i + ((1 - s(i)) mod n)."""
-    z, s = g
-    n = len(z)
-    s = check_permutation(s)
-    if len(s) != n:
-        raise ValueError(f"length mismatch: {n} vs {len(s)}")
+    z, s = _checked(g)
+    n = len(s)
     return tuple(n * m + ((1 - v) % n) for m, v in zip(as_vector(z), s))
 
 

@@ -13,7 +13,7 @@ Residue-distinct vectors fall into exactly n! classes inside [0, n-1]^n.
 
 from __future__ import annotations
 
-from functools import cache
+from functools import lru_cache
 from itertools import permutations
 from operator import add, sub
 from typing import Sequence
@@ -22,7 +22,7 @@ from . import limits
 from .twisted import Action, Vec, _invert, _is_unit, as_vector
 
 
-@cache
+@lru_cache(maxsize=16, typed=True)
 def cyclic_action(n: int) -> Action:
     return Action.cyclic(n)
 
@@ -37,7 +37,8 @@ def shift_vector(n: int) -> Vec:
 def is_unit_member(x: Sequence[int]) -> bool:
     """Invertibility under the cyclic twisted product."""
     xv = as_vector(x)
-    return _is_unit(xv, cyclic_action(len(xv)).cycles)
+    # the cyclic action has the one cycle (1..n)
+    return _is_unit(xv, (range(1, len(xv) + 1),))
 
 
 def is_residue_distinct(x: Sequence[int]) -> bool:
@@ -81,8 +82,8 @@ def enumerate_residue_classes(n: int) -> list[Vec]:
     """All residue-distinct vectors in [0, n-1]^n: the n! class representatives."""
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
-    if n > limits.MAX_ENUMERATE_N:
+    if n > limits.MAX_PERMUTOHEDRON_N:
         raise limits.BudgetExceededError(
-            f"n={n} exceeds enumeration cap {limits.MAX_ENUMERATE_N}"
+            f"n={n} exceeds enumeration cap {limits.MAX_PERMUTOHEDRON_N}"
         )
     return [tuple(p) for p in permutations(range(n))]

@@ -218,7 +218,9 @@ class TestExitCodes:
 
     def test_budget_errors(self, capsys):
         assert invoke(capsys, "enumerate", "-n", "9")[0] == 3
-        assert invoke(capsys, "check-tiling", "-n", "5", "--box", "0,4")[0] == 3
+        assert invoke(capsys, "check-tiling", "-n", "9", "--box", "0,4")[0] == 3
+        assert invoke(capsys, "check-tiling", "-n", "2", "--box", "0,4", "--samples",
+                      str(limits.MAX_BOX_POINTS + 1))[0] == 3
         too_many = str(limits.MAX_WORKERS + 1)
         assert invoke(capsys, "check-tiling", "-n", "2", "--box", "0,4",
                       "--workers", too_many)[0] == 3
@@ -334,7 +336,7 @@ _COMMANDS = {
         [("-n", _N), ("--gens", ["s,t", "a,b", "g", "s,t,g", "", "q"]),
          ("--budget", ["1", "50", "0", "-3"])]),
     "tessellate": ([], {
-        "--radius": ["-1", "0", "1", "5"], "--format": ["json", "off", "x"],
+        "--radius": ["-1", "0", "1", "250000"], "--format": ["json", "off", "x"],
         "--out": ["{tmp}/m.txt", "{tmp}/missing/m.txt", "{tmp}"]},
         [("-n", _N)]),
     "check-tiling": ([], {"--seed": ["0", "5"], "--json": _FLAG}, [

@@ -20,6 +20,7 @@ from latticetwist.geometry import (
     _evaluate_scaled,
     _face_loops,
     _lattice_offset,
+    _scaled,
     _tiling_chunk,
     check_tiling,
     coordinate_matrices,
@@ -28,9 +29,8 @@ from latticetwist.geometry import (
     generate_patch,
     permutohedron_vertices,
     product_tile_vertices,
-    tile_halfspaces,
 )
-from latticetwist.limits import MAX_PATCH_RADIUS, BudgetExceededError
+from latticetwist.limits import BudgetExceededError
 from latticetwist.semidirect import split_to_factors
 from latticetwist.twisted import ordered_cycles
 from latticetwist.units import is_residue_distinct
@@ -70,6 +70,21 @@ def materialized_box_vertices(n, lo, hi):
         for v in PrismTile(n, coeffs).vertices
         if all(lo <= x <= hi for x in v)
     }, math.prod(len(r) for r in ranges)
+
+
+def residue_filter_oracle(n, lo, hi):
+    """Oracle for the residue side of _box_vertex_sets: every integer point
+    of the box, kept when its entries are pairwise distinct mod n."""
+    return {v for v in product(range(lo, hi + 1), repeat=n) if is_residue_distinct(v)}
+
+
+def base_tile(n):
+    return PrismTile(n, (0,) * n)
+
+
+def tight_labels(point, n):
+    """(status, tight facet labels) of a point against the base tile."""
+    return _evaluate_scaled(*_scaled(point, n), n)
 
 
 def inverse_oracle(n):
@@ -259,23 +274,23 @@ class TestDecompose:
 
 class TestHalfspaces:
     def test_classification(self):
-        hs = tile_halfspaces(3)
-        assert hs.classify((0, 0, 0)) == "outside"
-        assert hs.classify((1, 2, 3)) == "boundary"
-        assert hs.classify((2, 2, 2)) == "boundary"   # base layer
-        assert hs.classify((Fraction(5, 2),) * 3) == "interior"
-        assert hs.classify(("5/2", 2.5, "15/6")) == "interior"
-        assert not hs.contains((0, 0, 0))
-        assert hs.contains((1, 2, 3))
+        tile = base_tile(3)
+        assert tile.classify((0, 0, 0)) == "outside"
+        assert tile.classify((1, 2, 3)) == "boundary"
+        assert tile.classify((2, 2, 2)) == "boundary"   # base layer
+        assert tile.classify((Fraction(5, 2),) * 3) == "interior"
+        assert tile.classify(("5/2", 2.5, "15/6")) == "interior"
+        assert tight_labels((2, 2, 2), 3) == ("boundary", ("layer_bottom",))
+        assert tight_labels((1, 2, 3), 3) == (
+            "boundary", ("layer_bottom", "facet_1", "facet_1_2"))
 
     def test_cross_section_is_required(self):
         # (1,4) satisfies the subset-sum inequalities read naively on the
         # raw coordinates, but its cross-section falls outside: the tile
         # must reject it or neighboring prisms would overlap
-        hs = tile_halfspaces(2)
         p = (1, 4)
         assert sum(p) >= 3 and all(x >= 1 for x in p)
-        assert hs.classify(p) == "outside"
+        assert base_tile(2).classify(p) == "outside"
 
     def test_inequalities_agree_with_classifier(self):
         # the tile as rational 'coeffs . x >= rhs' rows: the a-slab, then
@@ -287,7 +302,7 @@ class TestHalfspaces:
             for subset in combinations(range(n), m):
                 coeffs = tuple(int(i in subset) - Fraction(m, n) for i in range(n))
                 rows.append((coeffs, m * (m + 1) // 2 - Fraction(m, n) * K))
-        hs = tile_halfspaces(n)
+        tile = base_tile(n)
         for p in [(1, 2, 3), (0, 0, 0), (2, 3, 2), (Fraction(5, 2),) * 3,
                   (1, 4, 2), (4, 4, 4)]:
             pt = tuple(Fraction(x) for x in p)
@@ -299,19 +314,18 @@ class TestHalfspaces:
                 expect = "boundary"
             else:
                 expect = "interior"
-            assert hs.classify(p) == expect, p
+            assert tile.classify(p) == expect, p
 
     def test_wrong_length(self):
         with pytest.raises(ValueError):
-            tile_halfspaces(3).classify((1, 2))
+            base_tile(3).classify((1, 2))
 
     @settings(max_examples=300)
     @given(st.data())
     def test_scaled_classification_matches_fraction_path(self, data):
         n = data.draw(st.integers(1, 6))
         point = data.draw(points_near((0,) * n))
-        assert (tile_halfspaces(n).classify_with_tight(point)
-                == classify_oracle(point, (0,) * n)), point
+        assert tight_labels(point, n) == classify_oracle(point, (0,) * n), point
         coeffs = data.draw(st.tuples(*[st.integers(-3, 3)] * n))
         tile = PrismTile(n, coeffs)
         point = data.draw(points_near(tile.offset))
@@ -356,10 +370,6 @@ class TestHalfspaces:
         P = [den * (x + layer) + d for x, d in zip(u, moves)]
         assert _evaluate_scaled(P, den, n) == subset_scan(P, den, n), (P, den)
 
-    def test_dimension_cap(self):
-        with pytest.raises(BudgetExceededError):
-            tile_halfspaces(7)
-
 
 class TestTilesAndPatches:
     def test_vertex_count_and_layers(self):
@@ -392,10 +402,18 @@ class TestTilesAndPatches:
         assert len(generate_patch(3, 0)) == 1
 
     def test_patch_guards(self):
+        # the cap is on exported vertex rows, (2r+1)^n * 2 * n!
+        assert len(generate_patch(4, 4)) == 9 ** 4        # 314,928 rows
+        assert len(generate_patch(4, 5)) == 11 ** 4       # 702,768 rows
+        with pytest.raises(BudgetExceededError, match="1370928 patch vertex rows"):
+            generate_patch(4, 6)
+        assert len(generate_patch(5, 2)) == 5 ** 5        # 750,000 rows
         with pytest.raises(BudgetExceededError):
-            generate_patch(5, 1)
-        with pytest.raises(BudgetExceededError):
-            generate_patch(2, 5)
+            generate_patch(5, 3)
+        with pytest.raises(BudgetExceededError, match="1004004 patch vertex rows"):
+            generate_patch(2, 250)
+        with pytest.raises(BudgetExceededError, match="n=9 exceeds patch cap 8"):
+            generate_patch(9, 0)
         with pytest.raises(ValueError):
             generate_patch(2, -1)
 
@@ -445,8 +463,25 @@ class TestProductTiles:
             assert len(product_tile_vertices(tau).vertices) == expect
 
     def test_size_cap(self):
-        with pytest.raises(BudgetExceededError):
-            product_tile_vertices((2, 3, 4, 5, 6, 7, 1))
+        # the cap is on the vertex count prod 2*|c|! and on each cycle length
+        assert len(product_tile_vertices((2, 3, 4, 5, 6, 7, 1)).vertices) == 10_080
+        with pytest.raises(BudgetExceededError, match="cycle cap 8"):
+            product_tile_vertices((2, 3, 4, 5, 6, 7, 8, 9, 1))
+        seven_and_eight = (2, 3, 4, 5, 6, 7, 1, 9, 10, 11, 12, 13, 14, 15, 8)
+        with pytest.raises(BudgetExceededError, match="812851200 product tile"):
+            product_tile_vertices(seven_and_eight)
+        # twenty fixed points: 2^20 vertices, refused after the twentieth factor
+        with pytest.raises(BudgetExceededError, match="1048576 product tile"):
+            product_tile_vertices(range(1, 21))
+
+    def test_long_cycle_is_refused_before_any_factorial(self, monkeypatch):
+        def no_factorial(m):
+            raise AssertionError(f"factorial({m}) computed")
+
+        monkeypatch.setattr(geometry, "factorial", no_factorial)
+        n = 10**5
+        with pytest.raises(BudgetExceededError, match=f"n={n} exceeds"):
+            product_tile_vertices((*range(2, n + 1), 1))
 
 
 class TestCheckTiling:
@@ -510,6 +545,28 @@ class TestCheckTiling:
                 assert from_tiles == expect, (n, lo, hi)
                 assert tile_count == expect_count
                 assert from_tiles == from_residues
+
+    def test_residue_side_matches_filter(self):
+        for n in range(1, 6):
+            for lo, hi in [(-3, 2), (-1, 0), (-6, -2), (-4, 4), (-2, 5), (0, 3),
+                           (-9, -8), (5, 11)]:
+                if (hi - lo + 1) ** n > 10**5:
+                    continue
+                _, from_residues, _ = _box_vertex_sets(n, lo, hi)
+                assert from_residues == residue_filter_oracle(n, lo, hi), (n, lo, hi)
+
+    def test_vertex_count_is_factorial_times_class_sizes(self):
+        for n, lo, hi in [(1, -3, 3), (2, -5, 2), (3, -4, 6), (4, -7, 1), (5, -2, 3),
+                          (5, 0, 3), (6, -1, 6)]:
+            report = check_tiling(n, (lo, hi), samples=0)
+            sizes = [sum(1 for v in range(lo, hi + 1) if v % n == r) for r in range(n)]
+            assert report.vertex_count == math.factorial(n) * math.prod(sizes)
+            assert report.vertex_match, (n, lo, hi)
+
+    def test_six_dimensional_spot_check(self):
+        report = check_tiling(6, (0, 6), samples=50, seed=1)
+        assert report.passed
+        assert report.vertex_count == 2 * math.factorial(6)
 
     @settings(max_examples=60, deadline=None)
     @given(n=st.integers(1, 4), lo=st.integers(-8, 3), width=st.integers(1, 6),
@@ -575,17 +632,27 @@ class TestCheckTiling:
         check_tiling(2, (0, 4), samples=5, seed=3, workers=8)
         assert pools == [cap, 5]
 
-    def test_guards(self):
-        with pytest.raises(BudgetExceededError):
-            check_tiling(5, (0, 4))
+    def test_guards(self, monkeypatch):
+        with pytest.raises(BudgetExceededError, match="n=9 exceeds tiling cap 8"):
+            check_tiling(9, (0, 4))
+        assert check_tiling(5, (0, 4), samples=20).passed
         with pytest.raises(ValueError):
             check_tiling(2, (3, 3))
         with pytest.raises(ValueError):
             check_tiling(2, (0, 4), samples=-1)
         with pytest.raises(ValueError):
             check_tiling(2, (0, 4), workers=0)
-        with pytest.raises(BudgetExceededError):
-            check_tiling(4, (0, 40))
+        # [0, 59]^4 holds 24 * 15^4 residue-distinct points
+        with pytest.raises(BudgetExceededError, match="1215000 residue-distinct"):
+            check_tiling(4, (0, 59), samples=0)
+        # n = 1 lists two (vertex, s) pairs per integer of the box
+        with pytest.raises(BudgetExceededError, match="1000002 tile-side"):
+            check_tiling(1, (1, 500_001), samples=0)
+        # too many samples are refused before the box match starts
+        monkeypatch.setattr(geometry, "_box_vertex_sets", None)
+        cap = limits.MAX_BOX_POINTS
+        with pytest.raises(BudgetExceededError, match=f"{cap + 1} samples"):
+            check_tiling(2, (0, 4), samples=cap + 1)
 
 
 class TestExport:
@@ -647,7 +714,7 @@ class TestExport:
 
     def test_off_loops_match_per_tile_computation(self):
         for n in range(1, 4):
-            for radius in range(MAX_PATCH_RADIUS + 1):
+            for radius in range(4 + 1):
                 tiles = generate_patch(n, radius)
                 vertices, faces = [], []
                 for tile in tiles:

@@ -36,6 +36,22 @@ class TestPredicates:
         assert is_unit_member((1, 0, 2))
         assert not is_unit_member((1, 1, 0))
 
+    def test_cyclic_action_cache_is_bounded(self):
+        cyclic_action.cache_clear()
+        # membership reads the one cycle (1..n) without building an action
+        assert is_unit_member((0,) * 10**5)
+        assert not is_unit_member(tuple(range(10**5)))
+        for n in range(1, 21):
+            is_unit_member(shift_vector(n))
+        assert cyclic_action.cache_info().currsize == 0
+        for n in range(1, 21):
+            assert deformed_inverse(shift_vector(n)) == shift_vector(n)
+        assert cyclic_action.cache_info().currsize <= 16
+        # typed: a float length misses the cached int entry and is rejected
+        assert cyclic_action(2).n == 2
+        with pytest.raises(TypeError):
+            cyclic_action(2.0)
+
     def test_is_residue_distinct_examples(self):
         assert is_residue_distinct((3, 5, 4))
         assert not is_residue_distinct((2, 2, 1))
