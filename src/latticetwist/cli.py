@@ -21,7 +21,6 @@ import json
 import re
 import sys
 import time
-from dataclasses import asdict, is_dataclass
 from fractions import Fraction
 
 from . import geometry, limits, semidirect, twisted, units, words
@@ -42,22 +41,15 @@ def _format_vec(v) -> str:
     return ",".join(str(x) for x in v)
 
 
-def _jsonable(obj):
-    if is_dataclass(obj) and not isinstance(obj, type):
-        return _jsonable(asdict(obj))
+def _json_default(obj):
+    # Fraction is the one non-JSON type in any payload
     if isinstance(obj, Fraction):
-        return int(obj) if obj.denominator == 1 else f"{obj.numerator}/{obj.denominator}"
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(x) for x in obj]
-    if isinstance(obj, (str, int, float, bool)) or obj is None:
-        return obj
-    return str(obj)
+        return obj.numerator if obj.denominator == 1 else str(obj)
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
 def _emit_json(payload) -> None:
-    print(json.dumps(_jsonable(payload), indent=2))
+    print(json.dumps(payload, indent=2, default=_json_default))
 
 
 def _action_from_args(args) -> twisted.Action:
@@ -140,52 +132,33 @@ def _cmd_enumerate(args) -> int:
     return 0
 
 
+def _print_checks(args, head: dict, rows, start: float) -> int:
+    """Print a verification report from one (json row, text row) per check."""
+    elapsed = time.perf_counter() - start
+    holds = [row["holds"] for row, _ in rows]
+    if args.json:
+        _emit_json({**head, "checks": [row for row, _ in rows],
+                    "passed": all(holds), "elapsed_seconds": round(elapsed, 6)})
+    else:
+        for ok, (_, text) in zip(holds, rows):
+            print(f"{'ok  ' if ok else 'FAIL'} {text}")
+        print(f"passed: {sum(holds)}/{len(holds)} ({elapsed:.3f}s)")
+    return 0 if all(holds) else 1
+
+
 def _cmd_verify_relations(args) -> int:
     start = time.perf_counter()
-    preset = words.relation_preset(args.n, args.preset)
-    report = words.verify_relations(preset)
-    elapsed = time.perf_counter() - start
-    if args.json:
-        payload = {
-            "n": report.n,
-            "preset": report.preset,
-            "checks": [
-                {"label": c.label, "holds": c.holds} for c in report.checks
-            ],
-            "passed": report.passed,
-            "elapsed_seconds": round(elapsed, 6),
-        }
-        _emit_json(payload)
-    else:
-        for c in report.checks:
-            print(f"{'ok  ' if c.holds else 'FAIL'} {c.label}")
-        print(f"passed: {sum(c.holds for c in report.checks)}/{len(report.checks)} "
-              f"({elapsed:.3f}s)")
-    return 0 if report.passed else 1
+    report = words.verify_relations(words.relation_preset(args.n, args.preset))
+    rows = [({"label": c.label, "holds": c.holds}, c.label) for c in report.checks]
+    return _print_checks(args, {"n": report.n, "preset": report.preset}, rows, start)
 
 
 def _cmd_verify_identities(args) -> int:
     start = time.perf_counter()
     report = words.verify_derived_identities(args.n, seed=args.seed, draws=args.draws)
-    elapsed = time.perf_counter() - start
-    if args.json:
-        payload = {
-            "n": report.n,
-            "seed": args.seed,
-            "checks": [
-                {"name": c.name, "instance": c.instance, "holds": c.holds}
-                for c in report.checks
-            ],
-            "passed": report.passed,
-            "elapsed_seconds": round(elapsed, 6),
-        }
-        _emit_json(payload)
-    else:
-        for c in report.checks:
-            print(f"{'ok  ' if c.holds else 'FAIL'} {c.name}: {c.instance}")
-        print(f"passed: {sum(c.holds for c in report.checks)}/{len(report.checks)} "
-              f"({elapsed:.3f}s)")
-    return 0 if report.passed else 1
+    rows = [({"name": c.name, "instance": c.instance, "holds": c.holds},
+             f"{c.name}: {c.instance}") for c in report.checks]
+    return _print_checks(args, {"n": report.n, "seed": args.seed}, rows, start)
 
 
 def _cmd_closure(args) -> int:

@@ -341,10 +341,9 @@ def _candidate_coeffs(P: Sequence[int], den: int, n: int):
 
 
 def _count_containing(P: Sequence[int], den: int, n: int):
-    """(closed_count, interior_tiles, any_tight) over all candidate tiles."""
-    closed = 0
+    """Coefficients of the tiles with P/den in their interior, or None as
+    soon as one candidate tile has it on its boundary."""
     interior = []
-    any_tight = False
     dn = den * n
     for coeffs in _candidate_coeffs(P, den, n):
         # P - den * _lattice_offset(coeffs), without building the offset
@@ -354,16 +353,18 @@ def _count_containing(P: Sequence[int], den: int, n: int):
         status, tight = _evaluate_scaled(P0, den, n)
         if status == "outside":
             continue
-        closed += 1
         if tight:
-            any_tight = True
-        else:
-            interior.append(coeffs)
-    return closed, interior, any_tight
+            return None
+        interior.append(coeffs)
+    return interior
 
 
 def _tiling_chunk(args) -> dict:
-    """Sample a contiguous index range; deterministic per-sample seeding."""
+    """Sample a contiguous index range; deterministic per-sample seeding.
+
+    An accepted draw lies on no facet, so every tile that contains it
+    contains it in its interior: covered means some interior tile.
+    """
     n, lo, hi, seed, start, count = args
     den = SAMPLE_DENOMINATOR
     lo_den, hi_den = lo * den, hi * den
@@ -379,15 +380,15 @@ def _tiling_chunk(args) -> dict:
         rng.seed(seed * 1_000_003 + index)
         for _ in range(FACET_REDRAWS):
             P = [randint(lo_den, hi_den) for _ in range(n)]
-            closed, interior, any_tight = _count_containing(P, den, n)
-            if not any_tight:
+            interior = _count_containing(P, den, n)
+            if interior is not None:
                 break
             resamples += 1
         else:
             raise limits.BudgetExceededError(
                 f"sample {index}: every one of {FACET_REDRAWS} draws "
                 f"landed on a facet")
-        if closed >= 1:
+        if interior:
             covered += 1
         if len(interior) == 1:
             interior_one += 1
@@ -473,14 +474,9 @@ def check_tiling(
     from_tiles, from_residues, tile_count = _box_vertex_sets(n, lo, hi)
     mismatches = tuple(sorted(from_tiles ^ from_residues))[:8]
 
-    chunks = []
-    if samples:
-        per = max(1, samples // workers)
-        start = 0
-        while start < samples:
-            count = min(per, samples - start)
-            chunks.append((n, lo, hi, seed, start, count))
-            start += count
+    per = max(1, samples // workers)
+    chunks = [(n, lo, hi, seed, start, min(per, samples - start))
+              for start in range(0, samples, per)]
     if workers > 1 and len(chunks) > 1:
         from concurrent.futures import ProcessPoolExecutor
 

@@ -107,77 +107,82 @@ def render_word(word: Word) -> str:
     return " ".join(sym if exp == 1 else f"{sym}^{exp}" for sym, exp in word)
 
 
-_TOKEN = re.compile(r"\s*(?:(?P<lpar>\()|(?P<rpar>\))|(?P<hat>\^)"
-                    r"|(?P<int>-?\d+)|(?P<sym>[stgab]))")
-
-
-def _tokenize(text: str) -> list[tuple[str, str, int]]:
-    tokens = []
-    i = 0
-    while i < len(text):
-        m = _TOKEN.match(text, i)
-        if m is None:
-            stripped = text[i:].lstrip()
-            if not stripped:
-                break
-            raise WordSyntaxError(
-                f"unexpected character {stripped[0]!r}",
-                len(text) - len(stripped),
-            )
-        kind = m.lastgroup
-        tokens.append((kind, m.group(kind), m.start(kind)))
-        i = m.end()
-    return tokens
+_TOKEN = re.compile(r"(?P<lpar>\()|(?P<rpar>\))|(?P<hat>\^)|(?P<int>-?\d+)"
+                    r"|(?P<sym>[stgab])|(?P<bad>\S)")
 
 
 def parse_word(text: str) -> Word:
-    """Parse the grammar above into a normalized word."""
-    tokens = _tokenize(text)
-    letters, i = _parse_sequence(tokens, 0, len(text), depth=0)
-    return normalize_word(letters)
+    """Parse the grammar above into a normalized word, without recursion.
 
-
-def _parse_sequence(tokens, i: int, text_len: int, depth: int):
-    letters: list[Letter] = []
+    One pass reads the tokens into a tree of terms, checking the letter
+    cap from the letter counts; a second pass expands the tree.  Neither
+    copies letters per level, so the cost is linear in the text and the
+    expanded word, whatever the nesting depth.
+    """
+    tokens = []
+    for m in _TOKEN.finditer(text):
+        if m.lastgroup == "bad":
+            raise WordSyntaxError(f"unexpected character {m[0]!r}", m.start())
+        tokens.append((m.lastgroup, m[0], m.start()))
+    # a term is (symbol, exp) or (list of terms, exp); `count` is the number
+    # of letters the terms of the innermost open group expand to
+    terms: list = []
+    count = 0
+    # per open group: the enclosing terms, their count, the '(' position
+    stack: list = []
+    i = 0
     while i < len(tokens):
         kind, value, pos = tokens[i]
+        i += 1
+        if kind == "lpar":
+            stack.append((terms, count, pos))
+            terms, count = [], 0
+            continue
         if kind == "rpar":
-            if depth == 0:
+            if not stack:
                 raise WordSyntaxError("unmatched ')'", pos)
-            return letters, i
-        if kind == "sym":
-            exp, i = _parse_exponent(tokens, i + 1, text_len)
-            letters.append((value, exp))
-        elif kind == "lpar":
-            inner, j = _parse_sequence(tokens, i + 1, text_len, depth + 1)
-            if j >= len(tokens) or tokens[j][0] != "rpar":
-                raise WordSyntaxError("missing ')'", text_len)
-            if not inner:
+            # the closed group is the next term of the enclosing one
+            value, size = terms, count
+            terms, count, pos = stack.pop()
+            if not value:
                 raise WordSyntaxError("empty parentheses", pos)
-            exp, i = _parse_exponent(tokens, j + 1, text_len)
-            _check_letters(len(letters) + len(inner) * abs(exp))
-            if exp >= 0:
-                letters.extend(l for _ in range(exp) for l in inner)
-            else:
-                inverse = [(sym, -e) for sym, e in reversed(inner)]
-                letters.extend(l for _ in range(-exp) for l in inverse)
-        else:
+        elif kind != "sym":
             raise WordSyntaxError(f"unexpected token {value!r}", pos)
-    if depth != 0:
-        raise WordSyntaxError("missing ')'", text_len)
-    return letters, i
+        exp = 1
+        if i < len(tokens) and tokens[i][0] == "hat":
+            if i + 1 == len(tokens) or tokens[i + 1][0] != "int":
+                raise WordSyntaxError(
+                    "'^' must be followed by an integer", tokens[i][2])
+            exp = int(tokens[i + 1][1])
+            if exp == 0:
+                raise WordSyntaxError("zero exponent", tokens[i + 1][2])
+            i += 2
+        terms.append((value, exp))
+        if kind == "sym":
+            count += 1
+        else:
+            count += size * abs(exp)
+            _check_letters(count)
+    if stack:
+        raise WordSyntaxError("missing ')'", len(text))
+    return normalize_word(_expand(terms))
 
 
-def _parse_exponent(tokens, i: int, text_len: int) -> tuple[int, int]:
-    if i < len(tokens) and tokens[i][0] == "hat":
-        if i + 1 >= len(tokens) or tokens[i + 1][0] != "int":
-            pos = tokens[i][2]
-            raise WordSyntaxError("'^' must be followed by an integer", pos)
-        exp = int(tokens[i + 1][1])
-        if exp == 0:
-            raise WordSyntaxError("zero exponent", tokens[i + 1][2])
-        return exp, i + 2
-    return 1, i
+def _expand(terms: list) -> list[Letter]:
+    """The letters of a term tree, left to right, from an explicit stack."""
+    letters: list[Letter] = []
+    todo = terms[::-1]  # the next term is on top
+    while todo:
+        term = todo.pop()
+        value, exp = term
+        if isinstance(value, str):
+            letters.append(term)
+        elif exp > 0:
+            todo.extend(value[::-1] * exp)
+        else:
+            # (x y)^-k is (y^-1 x^-1)^k; pushed in order, so x^-1 pops last
+            todo.extend([(v, -e) for v, e in value] * -exp)
+    return letters
 
 
 def standard_generators(n: int) -> dict[str, SemiElement]:

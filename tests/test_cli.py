@@ -1,16 +1,18 @@
 """In-process CLI checks: output formats, exit codes, stability."""
 
 import concurrent.futures
+import dataclasses
 import io
 import json
 import re
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from latticetwist import cli, geometry, limits
+from latticetwist import cli, geometry, limits, words
 from latticetwist.cli import run
 from latticetwist.geometry import decompose_point
 from latticetwist.twisted import star_multiply
@@ -21,6 +23,40 @@ def invoke(capsys, *args):
     code = run(list(args))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def _jsonable(obj):
+    """Oracle for the CLI's JSON output: a recursive walker that turns
+    dataclasses, dicts, lists, tuples and Fractions into JSON values."""
+    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        return _jsonable(dataclasses.asdict(obj))
+    if isinstance(obj, Fraction):
+        return int(obj) if obj.denominator == 1 else f"{obj.numerator}/{obj.denominator}"
+    if isinstance(obj, dict):
+        return {str(k): _jsonable(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_jsonable(x) for x in obj]
+    if isinstance(obj, (str, int, float, bool)) or obj is None:
+        return obj
+    return str(obj)
+
+
+def record_payloads(monkeypatch):
+    """Keep every payload the CLI prints as JSON, in order."""
+    payloads = []
+    emit = cli._emit_json
+
+    def recording(payload):
+        payloads.append(payload)
+        emit(payload)
+
+    monkeypatch.setattr(cli, "_emit_json", recording)
+    return payloads
+
+
+def mask_elapsed(out):
+    out = re.sub(r'"elapsed_seconds": [^\n]*', '"elapsed_seconds": 0', out)
+    return re.sub(r"\(\d+\.\d{3}s\)$", "(0.000s)", out, flags=re.M)
 
 
 class TestComputeCommands:
@@ -179,6 +215,112 @@ class TestReports:
         assert doc["shape"] == "P1 x P1 x I^2"
 
 
+class TestJsonOutput:
+    @pytest.mark.parametrize("argv", [
+        ("verify-relations", "-n", "5", "--preset", "three_gen"),
+        ("verify-identities", "-n", "5", "--seed", "3"),
+        ("closure", "-n", "3", "--gens", "a,b", "--targets", "s,t,g",
+         "--stop-early"),
+        ("check-tiling", "-n", "3", "--box", "-1,3", "--samples", "40"),
+        ("product-tile", "2,1,4,3"),
+    ])
+    def test_matches_the_recursive_walker(self, capsys, monkeypatch, argv):
+        payloads = record_payloads(monkeypatch)
+        code, out, err = invoke(capsys, *argv, "--json")
+        assert (code, err) == (0, "")
+        assert out == json.dumps(_jsonable(payloads[0]), indent=2) + "\n"
+
+    def test_fractions_in_a_failing_tiling_report(self, capsys, monkeypatch):
+        # by the sum of its numerators a sample lies in no tile, in one or
+        # in two, so both fractions are non-integral and overlaps are listed
+        monkeypatch.setattr(
+            geometry, "_count_containing",
+            lambda P, den, n: [[], [(0, 1)], [(0, 1), (1, 1)]][sum(P) % 3])
+        payloads = record_payloads(monkeypatch)
+        code, out, err = invoke(capsys, "check-tiling", "-n", "2", "--box",
+                                "0,4", "--samples", "30", "--json")
+        assert (code, err) == (1, "")
+        payload = payloads[0]
+        assert out == json.dumps(_jsonable(payload), indent=2) + "\n"
+        covered = payload["covered_fraction"]
+        assert isinstance(covered, Fraction) and covered.denominator > 1
+        doc = json.loads(out)
+        assert doc["covered_fraction"] == str(covered)
+        points = [x for point, _ in doc["overlap_witnesses"] for x in point]
+        assert any(isinstance(x, str) and "/" in x for x in points)
+        assert doc["passed"] is False
+
+
+class TestFailingReports:
+    def test_one_failing_relator(self, capsys, monkeypatch):
+        preset = words.relation_preset
+
+        def cubed(n, name):
+            rels = tuple(
+                rel if rel.label != "(b a^2 b a^-2)^2" else words.Relation(
+                    "(b a^2 b a^-2)^3",
+                    words.word_power(words.parse_word("b a^2 b a^-2"), 3))
+                for rel in preset(n, name).relations)
+            return words.RelationPreset("mutated", n, rels)
+
+        monkeypatch.setattr(words, "relation_preset", cubed)
+        argv = ("verify-relations", "-n", "4", "--preset", "two_gen")
+        code, out, err = invoke(capsys, *argv)
+        assert (code, err) == (1, "")
+        assert mask_elapsed(out) == (
+            "ok   b^2\n"
+            "ok   (b a b a^-1)^3\n"
+            "FAIL (b a^2 b a^-2)^3\n"
+            "ok   b a^4 b a^-4\n"
+            "passed: 3/4 (0.000s)\n")
+        code, out, err = invoke(capsys, *argv, "--json")
+        assert (code, err) == (1, "")
+        labels = ["b^2", "(b a b a^-1)^3", "(b a^2 b a^-2)^3", "b a^4 b a^-4"]
+        assert mask_elapsed(out) == json.dumps({
+            "n": 4,
+            "preset": "mutated",
+            "checks": [{"label": label, "holds": label != labels[2]}
+                       for label in labels],
+            "passed": False,
+            "elapsed_seconds": 0,
+        }, indent=2) + "\n"
+
+    def test_one_failing_identity(self, capsys, monkeypatch):
+        identities = words.verify_derived_identities
+
+        def flipped(n, seed=0, draws=4):
+            report = identities(n, seed=seed, draws=draws)
+            return words.IdentityReport(n, tuple(
+                dataclasses.replace(c, holds=False) if c.name == "cycle_order"
+                else c for c in report.checks))
+
+        monkeypatch.setattr(words, "verify_derived_identities", flipped)
+        argv = ("verify-identities", "-n", "4", "--draws", "0")
+        code, out, err = invoke(capsys, *argv)
+        assert (code, err) == (1, "")
+        checks = [
+            ("adjacent_swap_conjugate", "i=1"), ("adjacent_swap_conjugate", "i=2"),
+            ("adjacent_swap_conjugate", "i=3"), ("cycle_order", "t^4"),
+            ("cycle_from_two_generators", "t"),
+            ("translation_from_two_generators", "g"),
+            ("power_swap", "a^4 b = b a^4"), ("prefix_rewrite", "k=2"),
+        ]
+        assert mask_elapsed(out) == "".join(
+            f"{'FAIL' if name == 'cycle_order' else 'ok  '} {name}: {instance}\n"
+            for name, instance in checks) + "passed: 7/8 (0.000s)\n"
+        code, out, err = invoke(capsys, *argv, "--json")
+        assert (code, err) == (1, "")
+        assert mask_elapsed(out) == json.dumps({
+            "n": 4,
+            "seed": 0,
+            "checks": [{"name": name, "instance": instance,
+                        "holds": name != "cycle_order"}
+                       for name, instance in checks],
+            "passed": False,
+            "elapsed_seconds": 0,
+        }, indent=2) + "\n"
+
+
 class TestTessellate:
     def test_stdout_json(self, capsys):
         code, out, _ = invoke(capsys, "tessellate", "-n", "2", "--radius", "0")
@@ -235,7 +377,7 @@ class TestExitCodes:
 
     def test_sampler_that_cannot_avoid_facets_exits_3(self, capsys, monkeypatch):
         monkeypatch.setattr(geometry, "_count_containing",
-                            lambda P, den, n: (1, [], True))
+                            lambda P, den, n: None)
         code, out, err = invoke(capsys, "check-tiling", "-n", "2", "--box",
                                 "0,4", "--samples", "2")
         assert (code, out) == (3, "")

@@ -597,7 +597,7 @@ class TestCheckTiling:
 
     def test_sampler_that_cannot_avoid_facets_is_a_budget_error(self, monkeypatch):
         monkeypatch.setattr(geometry, "_count_containing",
-                            lambda P, den, n: (1, [], True))
+                            lambda P, den, n: None)
         with pytest.raises(BudgetExceededError, match="facet"):
             check_tiling(2, (0, 4), samples=3, seed=1)
 

@@ -1,11 +1,13 @@
 """Word parsing, relation presets, derived identities, closure search."""
 
 import math
+import re
 import time
 from collections import deque
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from latticetwist import limits
 from latticetwist.limits import BudgetExceededError
@@ -107,6 +109,109 @@ def closure_oracle(images, budget=limits.MAX_CLOSURE_BUDGET, targets=None,
     )
 
 
+_ORACLE_TOKEN = re.compile(r"\s*(?:(?P<lpar>\()|(?P<rpar>\))|(?P<hat>\^)"
+                           r"|(?P<int>-?\d+)|(?P<sym>[stgab]))")
+
+
+def parse_oracle(text):
+    """Reference recursive-descent parser for the word grammar.
+
+    Tokenizes the whole text first (so a bad character is reported before
+    any syntax error), then descends one call per parenthesis; the letter
+    cap is checked before each group is expanded.
+    """
+    tokens = []
+    i = 0
+    while i < len(text):
+        m = _ORACLE_TOKEN.match(text, i)
+        if m is None:
+            stripped = text[i:].lstrip()
+            if not stripped:
+                break
+            raise WordSyntaxError(f"unexpected character {stripped[0]!r}",
+                                  len(text) - len(stripped))
+        kind = m.lastgroup
+        tokens.append((kind, m.group(kind), m.start(kind)))
+        i = m.end()
+
+    def exponent(i):
+        if i < len(tokens) and tokens[i][0] == "hat":
+            if i + 1 >= len(tokens) or tokens[i + 1][0] != "int":
+                raise WordSyntaxError("'^' must be followed by an integer",
+                                      tokens[i][2])
+            exp = int(tokens[i + 1][1])
+            if exp == 0:
+                raise WordSyntaxError("zero exponent", tokens[i + 1][2])
+            return exp, i + 2
+        return 1, i
+
+    def sequence(i, depth):
+        letters = []
+        while i < len(tokens):
+            kind, value, pos = tokens[i]
+            if kind == "rpar":
+                if depth == 0:
+                    raise WordSyntaxError("unmatched ')'", pos)
+                return letters, i
+            if kind == "sym":
+                exp, i = exponent(i + 1)
+                letters.append((value, exp))
+            elif kind == "lpar":
+                inner, j = sequence(i + 1, depth + 1)
+                if j >= len(tokens) or tokens[j][0] != "rpar":
+                    raise WordSyntaxError("missing ')'", len(text))
+                if not inner:
+                    raise WordSyntaxError("empty parentheses", pos)
+                exp, i = exponent(j + 1)
+                count = len(letters) + len(inner) * abs(exp)
+                if count > limits.MAX_WORD_LETTERS:
+                    raise BudgetExceededError(
+                        f"word expands to {count} letters, over the cap "
+                        f"{limits.MAX_WORD_LETTERS}")
+                if exp < 0:
+                    inner = [(sym, -e) for sym, e in reversed(inner)]
+                for _ in range(abs(exp)):
+                    letters.extend(inner)
+            else:
+                raise WordSyntaxError(f"unexpected token {value!r}", pos)
+        if depth != 0:
+            raise WordSyntaxError("missing ')'", len(text))
+        return letters, i
+
+    return normalize_word(sequence(0, 0)[0])
+
+
+def parse_outcome(parse, text):
+    """The word, or the error's type and message (the message carries the
+    position of a syntax error)."""
+    try:
+        return parse(text)
+    except (WordSyntaxError, BudgetExceededError) as exc:
+        return type(exc).__name__, str(exc), getattr(exc, "position", None)
+
+
+# Pieces of text over the token alphabet and a few characters outside it.
+_PIECES = ["s", "t", "g", "a", "b", "(", ")", "(", ")", "()", "^", "^", "-",
+           "0", "1", "-1", "^0", "s^0", "(s)^0", "^-2", "^3", "^12", " ", " ",
+           "\t", "x", "é"]
+
+
+def word_texts():
+    """Texts of valid words: symbols and nested groups, each optionally
+    powered, joined with whitespace."""
+    powered = st.tuples(
+        st.integers(-5, 5).filter(bool),
+        st.sampled_from(["", "^", " ^ "])).map(
+            lambda e: "" if not e[1] else f"{e[1]}{e[0]}")
+    atom = st.tuples(st.sampled_from("stgab"), powered).map("".join)
+    return st.recursive(
+        atom,
+        lambda inner: st.tuples(st.lists(inner, min_size=1, max_size=4),
+                                powered).map(
+            lambda p: f"({' '.join(p[0])}){p[1]}"),
+        max_leaves=12)
+
+
 def semi_elements(n, lo=-2, hi=2):
     return st.tuples(
         st.tuples(*[st.integers(lo, hi)] * n),
@@ -201,6 +306,39 @@ class TestParser:
     def test_render_parse_roundtrip(self, letters):
         word = normalize_word(letters)
         assert parse_word(render_word(word)) == word
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.one_of(
+        st.lists(st.sampled_from(_PIECES), max_size=30).map("".join),
+        st.lists(word_texts(), max_size=4).map(" ".join),
+        st.tuples(word_texts(), st.sampled_from(_PIECES), word_texts()).map(
+            " ".join),
+        st.text(max_size=12)))
+    # the cap counts only the letters of the enclosing group: 88, not 87
+    @example("s " * 56 + "(t (s)^30 t)")
+    def test_matches_recursive_oracle(self, text):
+        # a low cap makes refusals common among the nested powered words
+        with mock.patch.object(limits, "MAX_WORD_LETTERS", 60):
+            assert parse_outcome(parse_word, text) == parse_outcome(
+                parse_oracle, text)
+
+    def test_nesting_depth_is_bounded_only_by_text_length(self):
+        deep = "(" * 5000 + "s t" + ")" * 5000
+        assert parse_word(deep + "^2") == (
+            ("s", 1), ("t", 1), ("s", 1), ("t", 1))
+        with pytest.raises(WordSyntaxError) as info:
+            parse_word(deep[:-1])
+        assert info.value.position == len(deep) - 1
+        inverted = "(" * 5001 + "s t" + ")^-1" * 5001
+        assert parse_word(inverted) == (("t", -1), ("s", -1))
+
+    def test_cost_does_not_grow_with_depth_times_length(self):
+        # each of 20000 levels inverts all 40000 letters: copying the
+        # letters per level would take minutes
+        start = time.perf_counter()
+        word = parse_word("(" * 20000 + "s t " * 20000 + ")^-1" * 20000)
+        assert time.perf_counter() - start < 5
+        assert word == (("s", 1), ("t", 1)) * 20000
 
 
 class TestGenerators:
@@ -311,6 +449,10 @@ class TestRelationPresets:
             assert verify_relations(relation_preset(n, "two_gen")).passed
 
     def test_labels_parse_to_their_words(self):
+        for name, low in (("sn", 4), ("three_gen", 4), ("two_gen", 2)):
+            for n in [*range(low, 13), limits.MAX_VERIFY_N]:
+                for rel in relation_preset(n, name).relations:
+                    assert parse_word(rel.label) == rel.word, (name, n, rel.label)
         for n, name in [(4, "sn"), (5, "three_gen"), (2, "two_gen"),
                         (3, "two_gen"), (6, "two_gen")]:
             for rel in relation_preset(n, name).relations:
