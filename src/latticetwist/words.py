@@ -115,9 +115,12 @@ def parse_word(text: str) -> Word:
     """Parse the grammar above into a normalized word, without recursion.
 
     One pass reads the tokens into a tree of terms, checking the letter
-    cap from the letter counts; a second pass expands the tree.  Neither
-    copies letters per level, so the cost is linear in the text and the
-    expanded word, whatever the nesting depth.
+    cap from the letter counts; a second pass expands the tree.  A group
+    of one term folds into that term with the exponents multiplied, so
+    every group left in the tree has at least two terms and the expansion
+    pops fewer groups than it writes letters.  Neither pass copies letters
+    per level, so the cost is linear in the text and the expanded word,
+    which the cap bounds, whatever the nesting depth.
     """
     tokens = []
     for m in _TOKEN.finditer(text):
@@ -157,12 +160,16 @@ def parse_word(text: str) -> Word:
             if exp == 0:
                 raise WordSyntaxError("zero exponent", tokens[i + 1][2])
             i += 2
-        terms.append((value, exp))
         if kind == "sym":
             count += 1
         else:
             count += size * abs(exp)
             _check_letters(count)
+            if len(value) == 1:
+                # (x^e)^k is x^(e k), for a symbol or a group x
+                value, inner = value[0]
+                exp *= inner
+        terms.append((value, exp))
     if stack:
         raise WordSyntaxError("missing ')'", len(text))
     return normalize_word(_expand(terms))

@@ -196,13 +196,18 @@ _PIECES = ["s", "t", "g", "a", "b", "(", ")", "(", ")", "()", "^", "^", "-",
            "\t", "x", "é"]
 
 
-def word_texts():
-    """Texts of valid words: symbols and nested groups, each optionally
-    powered, joined with whitespace."""
-    powered = st.tuples(
+def powers():
+    """An optional power suffix: '', '^k' or ' ^ k' with 0 < |k| <= 5."""
+    return st.tuples(
         st.integers(-5, 5).filter(bool),
         st.sampled_from(["", "^", " ^ "])).map(
             lambda e: "" if not e[1] else f"{e[1]}{e[0]}")
+
+
+def word_texts():
+    """Texts of valid words: symbols and nested groups, each optionally
+    powered, joined with whitespace."""
+    powered = powers()
     atom = st.tuples(st.sampled_from("stgab"), powered).map("".join)
     return st.recursive(
         atom,
@@ -210,6 +215,13 @@ def word_texts():
                                 powered).map(
             lambda p: f"({' '.join(p[0])}){p[1]}"),
         max_leaves=12)
+
+
+def chain_texts():
+    """A word text inside a chain of one-term groups, each optionally
+    powered."""
+    return st.tuples(word_texts(), st.lists(powers(), max_size=30)).map(
+        lambda p: "(" * len(p[1]) + p[0] + "".join(f"){e}" for e in p[1]))
 
 
 def semi_elements(n, lo=-2, hi=2):
@@ -313,7 +325,8 @@ class TestParser:
         st.lists(word_texts(), max_size=4).map(" ".join),
         st.tuples(word_texts(), st.sampled_from(_PIECES), word_texts()).map(
             " ".join),
-        st.text(max_size=12)))
+        st.text(max_size=12),
+        chain_texts()))
     # the cap counts only the letters of the enclosing group: 88, not 87
     @example("s " * 56 + "(t (s)^30 t)")
     def test_matches_recursive_oracle(self, text):
@@ -333,12 +346,21 @@ class TestParser:
         assert parse_word(inverted) == (("t", -1), ("s", -1))
 
     def test_cost_does_not_grow_with_depth_times_length(self):
-        # each of 20000 levels inverts all 40000 letters: copying the
-        # letters per level would take minutes
-        start = time.perf_counter()
-        word = parse_word("(" * 20000 + "s t " * 20000 + ")^-1" * 20000)
-        assert time.perf_counter() - start < 5
-        assert word == (("s", 1), ("t", 1)) * 20000
+        # 20000 levels around 40000 letters, or under a power of 10^6:
+        # copying the letters per level, or walking the chain of one-term
+        # groups once per copy, would take minutes
+        cases = [
+            ("(" * 20000 + "s t " * 20000 + ")^-1" * 20000,
+             (("s", 1), ("t", 1)) * 20000),
+            ("(" * 20000 + "s" + ")" * 20000 + "^1000000",
+             (("s", 1000000),)),
+            ("(" * 20001 + "s t^-1" + ")^-1" * 20000 + ")^500000",
+             (("s", 1), ("t", -1)) * 500000),
+        ]
+        for text, word in cases:
+            start = time.perf_counter()
+            assert parse_word(text) == word
+            assert time.perf_counter() - start < 5
 
 
 class TestGenerators:
