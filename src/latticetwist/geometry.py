@@ -48,6 +48,7 @@ from .twisted import Vec, as_vector, check_permutation, ordered_cycles
 
 SAMPLE_DENOMINATOR = 101
 FACET_REDRAWS = 64       # draws per sample before check_tiling gives up
+SAMPLE_BLOCK = 64        # consecutive samples drawn from one seeded stream
 
 
 def _check_n(n: int, cap: int, what: str) -> None:
@@ -360,26 +361,40 @@ def _count_containing(P: Sequence[int], den: int, n: int):
 
 
 def _tiling_chunk(args) -> dict:
-    """Sample a contiguous index range; deterministic per-sample seeding.
+    """Sample the index range [start, start + count), block by block.
+
+    Block b holds the sample indices [64 b, 64 b + 64) and draws all its
+    points, redraws included, from one generator seeded with
+    seed * 1_000_003 + b.  `start` must be a multiple of SAMPLE_BLOCK, so
+    every block this chunk draws from starts here, whole and in order; the
+    report then does not depend on how whole blocks are split into chunks.
 
     An accepted draw lies on no facet, so every tile that contains it
     contains it in its interior: covered means some interior tile.
     """
     n, lo, hi, seed, start, count = args
+    if start % SAMPLE_BLOCK:
+        raise ValueError(f"chunk start {start} is not a multiple of {SAMPLE_BLOCK}")
     den = SAMPLE_DENOMINATOR
-    lo_den, hi_den = lo * den, hi * den
+    lo_den = lo * den
+    width = (hi - lo) * den + 1
+    bits = width.bit_length()
     covered = 0
     interior_one = 0
     resamples = 0
     overlaps = []
-    rng = random.Random()
-    randint = rng.randint
     for index in range(start, start + count):
-        # sample `index` draws from its own stream, so the report does not
-        # depend on how the samples are split into chunks
-        rng.seed(seed * 1_000_003 + index)
+        if index % SAMPLE_BLOCK == 0:
+            getrandbits = random.Random(seed * 1_000_003 + index // SAMPLE_BLOCK).getrandbits
         for _ in range(FACET_REDRAWS):
-            P = [randint(lo_den, hi_den) for _ in range(n)]
+            # randint(lo_den, hi_den) per coordinate, without its call layers:
+            # the same rejection loop over `bits` random bits
+            P = []
+            for _ in range(n):
+                r = getrandbits(bits)
+                while r >= width:
+                    r = getrandbits(bits)
+                P.append(lo_den + r)
             interior = _count_containing(P, den, n)
             if interior is not None:
                 break
@@ -455,8 +470,11 @@ def check_tiling(
 
     Rational sample points with denominator 101 are classified against
     every tile that could contain them; samples landing on a facet are
-    redrawn deterministically.  Also matches the tile-vertex set inside
-    the box against the residue-distinct set, each listed independently.
+    redrawn deterministically.  The samples are drawn in blocks of
+    SAMPLE_BLOCK, each from its own seeded stream, and `workers` processes
+    split whole blocks, so the report does not depend on `workers`.  Also
+    matches the tile-vertex set inside the box against the
+    residue-distinct set, each listed independently.
     """
     _check_n(n, limits.MAX_PERMUTOHEDRON_N, "tiling")
     lo, hi = int(box[0]), int(box[1])
@@ -474,7 +492,9 @@ def check_tiling(
     from_tiles, from_residues, tile_count = _box_vertex_sets(n, lo, hi)
     mismatches = tuple(sorted(from_tiles ^ from_residues))[:8]
 
-    per = max(1, samples // workers)
+    # ceil(blocks / workers) whole blocks per chunk (one block when there
+    # are no samples, as range() takes no zero step)
+    per = max(1, _ceil_div(samples, SAMPLE_BLOCK * workers)) * SAMPLE_BLOCK
     chunks = [(n, lo, hi, seed, start, min(per, samples - start))
               for start in range(0, samples, per)]
     if workers > 1 and len(chunks) > 1:

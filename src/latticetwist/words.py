@@ -115,7 +115,8 @@ def parse_word(text: str) -> Word:
     """Parse the grammar above into a normalized word, without recursion.
 
     One pass reads the tokens into a tree of terms, checking the letter
-    cap from the letter counts; a second pass expands the tree.  A group
+    cap from the letter counts at each group's close and once at the end;
+    a second pass expands the tree.  A group
     of one term folds into that term with the exponents multiplied, so
     every group left in the tree has at least two terms and the expansion
     pops fewer groups than it writes letters.  Neither pass copies letters
@@ -172,6 +173,8 @@ def parse_word(text: str) -> Word:
         terms.append((value, exp))
     if stack:
         raise WordSyntaxError("missing ')'", len(text))
+    # a group's close checks only the letters up to it
+    _check_letters(count)
     return normalize_word(_expand(terms))
 
 

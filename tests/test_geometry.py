@@ -12,6 +12,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from latticetwist import geometry, limits
 from latticetwist.geometry import (
+    SAMPLE_BLOCK,
     SAMPLE_DENOMINATOR,
     Decomposition,
     NotAVertex,
@@ -151,16 +152,18 @@ def offset_oracle(coeffs):
 
 
 def tiling_chunk_oracle(args, drawn=None):
-    """Oracle for _tiling_chunk: a fresh generator per sample, the offset
-    by matrix product and statuses from the subset scan.  Every point
-    drawn is appended to `drawn` when given."""
+    """Oracle for _tiling_chunk: a fresh generator at each block of 64
+    samples, coordinates by `randint`, the offset by matrix product and
+    statuses from the subset scan.  Every point drawn is appended to
+    `drawn` when given."""
     n, lo, hi, seed, start, count = args
     den = SAMPLE_DENOMINATOR
     dn = den * n
     covered = interior_one = resamples = 0
     overlaps = []
     for index in range(start, start + count):
-        rng = random.Random(seed * 1_000_003 + index)
+        if index % 64 == 0:
+            rng = random.Random(seed * 1_000_003 + index // 64)
         for _ in range(64):
             P = [rng.randint(lo * den, hi * den) for _ in range(n)]
             if drawn is not None:
@@ -195,6 +198,22 @@ def tiling_chunk_oracle(args, drawn=None):
             overlaps.append((tuple(Fraction(p, den) for p in P), tuple(interior)))
     return {"covered": covered, "interior_one": interior_one,
             "resamples": resamples, "overlaps": overlaps}
+
+
+class InlinePool:
+    """Stands in for ProcessPoolExecutor: maps in this process."""
+
+    def __init__(self, max_workers):
+        pass
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return map(fn, items)
 
 
 def json_mesh_oracle(tiles):
@@ -530,8 +549,8 @@ class TestCheckTiling:
     def test_workers_give_the_same_report(self):
         # two worker processes, no more; this seed redraws samples that land
         # on a facet, so the resample count shows how samples were drawn
-        a = check_tiling(3, (-2, 4), samples=200, seed=2, workers=1)
-        b = check_tiling(3, (-2, 4), samples=200, seed=2, workers=2)
+        a = check_tiling(3, (-2, 4), samples=200, seed=4, workers=1)
+        b = check_tiling(3, (-2, 4), samples=200, seed=4, workers=2)
         assert a.resample_count > 0
         assert a == b
 
@@ -570,16 +589,16 @@ class TestCheckTiling:
 
     @settings(max_examples=60, deadline=None)
     @given(n=st.integers(1, 4), lo=st.integers(-8, 3), width=st.integers(1, 6),
-           seed=st.integers(0, 10**6), start=st.integers(0, 10**4),
+           seed=st.integers(0, 10**6), block=st.integers(0, 160),
            count=st.integers(1, 200))
-    @example(n=3, lo=-2, width=6, seed=2, start=0, count=200)  # redraws samples
-    def test_chunk_matches_oracle(self, n, lo, width, seed, start, count):
-        args = (n, lo, lo + width, seed, start, count)
+    @example(n=3, lo=-2, width=6, seed=4, block=0, count=200)  # redraws samples
+    def test_chunk_matches_oracle(self, n, lo, width, seed, block, count):
+        args = (n, lo, lo + width, seed, block * SAMPLE_BLOCK, count)
         assert _tiling_chunk(args) == tiling_chunk_oracle(args)
 
     def test_chunk_draws_the_oracle_points(self, monkeypatch):
         # the report hardly depends on which points are drawn, so compare
-        # the points: each sample keeps its own generator stream
+        # the points: each block of samples keeps its own generator stream
         drawn = []
         count_containing = geometry._count_containing
 
@@ -588,12 +607,52 @@ class TestCheckTiling:
             return count_containing(P, den, n)
 
         monkeypatch.setattr(geometry, "_count_containing", recording)
-        for args in [(3, -2, 4, 2, 0, 200), (4, -5, 1, 77, 1234, 40), (1, 0, 2, 5, 3, 10)]:
+        for args in [(3, -2, 4, 4, 0, 200), (4, -5, 1, 77, 1216, 40), (1, 0, 2, 5, 0, 10)]:
             drawn.clear()
             expect = []
             assert _tiling_chunk(args) == tiling_chunk_oracle(args, expect)
             assert drawn == expect, args
-        assert len(expect) == 10
+        assert len(expect) == 11  # ten samples, one redrawn
+
+    def test_chunk_start_must_open_a_block(self):
+        for start in (1, SAMPLE_BLOCK - 1, SAMPLE_BLOCK + 1):
+            with pytest.raises(ValueError, match="not a multiple"):
+                _tiling_chunk((2, 0, 4, 1, start, 5))
+
+    @pytest.mark.parametrize("n, box, samples, seed, resamples, first", [
+        (3, (-2, 4), 200, 4, 3,
+         [(-93, 342, -115), (-109, 278, 378), (132, 380, 372)]),
+        (2, (0, 4), 400, 7, 1, [(77, 367), (98, 325), (118, 298)]),
+    ])
+    def test_sample_stream_is_pinned(self, monkeypatch, n, box, samples, seed,
+                                     resamples, first):
+        # the drawn points, as numerators over SAMPLE_DENOMINATOR, and the
+        # redraw count of a seed; any change to the sample stream shows here
+        drawn = []
+        count_containing = geometry._count_containing
+
+        def recording(P, den, n):
+            drawn.append(tuple(P))
+            return count_containing(P, den, n)
+
+        monkeypatch.setattr(geometry, "_count_containing", recording)
+        report = check_tiling(n, box, samples=samples, seed=seed)
+        assert report.resample_count == resamples
+        assert len(drawn) == samples + resamples
+        assert drawn[:3] == first
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(1, 3), lo=st.integers(-4, 2), width=st.integers(1, 5),
+           samples=st.sampled_from([1, 63, 65, 200]), seed=st.integers(0, 10**6))
+    def test_report_does_not_depend_on_workers(self, n, lo, width, samples, seed):
+        import concurrent.futures
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+            reports = [check_tiling(n, (lo, lo + width), samples=samples,
+                                    seed=seed, workers=workers)
+                       for workers in range(1, 6)]
+        assert all(report == reports[0] for report in reports)
 
     def test_sampler_that_cannot_avoid_facets_is_a_budget_error(self, monkeypatch):
         monkeypatch.setattr(geometry, "_count_containing",
@@ -606,31 +665,21 @@ class TestCheckTiling:
 
         pools = []
 
-        class InlinePool:
-            """Stands in for ProcessPoolExecutor: maps in this process."""
-
+        class RecordingPool(InlinePool):
             def __init__(self, max_workers):
                 pools.append(max_workers)
 
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, items):
-                return map(fn, items)
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
         cap = limits.MAX_WORKERS
         with pytest.raises(BudgetExceededError):
             check_tiling(2, (0, 4), samples=200, seed=3, workers=cap + 1)
         assert pools == []
         serial = check_tiling(2, (0, 4), samples=200, seed=3)
         assert check_tiling(2, (0, 4), samples=200, seed=3, workers=cap) == serial
-        # no more processes than chunks: five samples make five chunks
+        # no more processes than chunks: 200 samples make four whole-block
+        # chunks, and five samples make one chunk, which starts no pool
         check_tiling(2, (0, 4), samples=5, seed=3, workers=8)
-        assert pools == [cap, 5]
+        assert pools == [4]
 
     def test_guards(self, monkeypatch):
         with pytest.raises(BudgetExceededError, match="n=9 exceeds tiling cap 8"):

@@ -118,7 +118,7 @@ def parse_oracle(text):
 
     Tokenizes the whole text first (so a bad character is reported before
     any syntax error), then descends one call per parenthesis; the letter
-    cap is checked before each group is expanded.
+    cap is checked before each group is expanded and on the whole word.
     """
     tokens = []
     i = 0
@@ -178,7 +178,12 @@ def parse_oracle(text):
             raise WordSyntaxError("missing ')'", len(text))
         return letters, i
 
-    return normalize_word(sequence(0, 0)[0])
+    letters = sequence(0, 0)[0]
+    if len(letters) > limits.MAX_WORD_LETTERS:
+        raise BudgetExceededError(
+            f"word expands to {len(letters)} letters, over the cap "
+            f"{limits.MAX_WORD_LETTERS}")
+    return normalize_word(letters)
 
 
 def parse_outcome(parse, text):
@@ -430,6 +435,15 @@ class TestWordLengthCap:
         with pytest.raises(BudgetExceededError):
             parse_word("(s t)^-3 (s t)^3")
         assert len(parse_word("s t (s t)^4")) == 10
+
+    def test_cap_counts_letters_outside_every_group(self, monkeypatch):
+        monkeypatch.setattr(limits, "MAX_WORD_LETTERS", 10)
+        assert len(parse_word("s t " * 5)) == 10
+        assert len(parse_word("(s t)^4 s t")) == 10
+        for text in ["s t " * 8, "(" + "s t " * 8 + ")", "(s t)^4 s t s",
+                     "s^-1 " * 11]:
+            with pytest.raises(BudgetExceededError, match="expands to"):
+                parse_word(text)
 
     def test_word_power_cap(self, monkeypatch):
         monkeypatch.setattr(limits, "MAX_WORD_LETTERS", 10)
