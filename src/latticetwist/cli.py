@@ -217,10 +217,12 @@ def _cmd_closure(args) -> int:
 
 def _cmd_tessellate(args) -> int:
     tiles = geometry.generate_patch(args.n, args.radius)
-    text = geometry.export_mesh(tiles, args.format, args.out)
+    chunks = geometry.export_mesh(tiles, args.format)
     if args.out is None:
-        print(text, end="")
+        sys.stdout.writelines(chunks)
     else:
+        with open(args.out, "w") as handle:
+            handle.writelines(chunks)
         print(f"wrote {len(tiles)} tiles to {args.out}")
     return 0
 

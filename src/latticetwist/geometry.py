@@ -20,8 +20,8 @@ sum_{i in S} x_i >= |S|(|S|+1)/2.  The 2^n - 2 inequalities are decided
 by one sort: the smallest subset sum of size k is the sum of the k
 smallest entries, so the cross-section lies in the permutohedron exactly
 when every sorted prefix sum meets its bound (Rado 1952).  All predicates
-run in scaled integer arithmetic; no floats are involved anywhere except
-mesh-face ordering for export.
+and the face order of the exported mesh run in scaled integer arithmetic;
+no floats are involved anywhere.
 
 Each growing cost is checked once, before the work, against the count it
 bounds: n against `limits.MAX_PERMUTOHEDRON_N` wherever the n!
@@ -36,11 +36,11 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, cached_property
+from functools import cached_property, cmp_to_key, lru_cache
 from itertools import permutations, product
 from math import factorial, lcm, prod
-from operator import add
-from typing import NamedTuple, Sequence
+from operator import add, mul
+from typing import Iterator, NamedTuple, Sequence
 
 from . import limits
 from .semidirect import CycleStructure
@@ -198,9 +198,10 @@ class PrismTile:
     def offset(self) -> Vec:
         return _lattice_offset(self.coeffs)
 
-    @cached_property
+    @property
     def vertices(self) -> tuple[Vec, ...]:
-        """Both layers: permutations of (1..n), then their a-shifts."""
+        """Both layers: permutations of (1..n), then their a-shifts.  Not
+        cached, so an exported tile's rows are freed once written."""
         base = permutohedron_vertices(self.n)
         bottom = self.offset
         top = tuple(o + 1 for o in bottom)
@@ -364,10 +365,11 @@ def _tiling_chunk(args) -> dict:
     """Sample the index range [start, start + count), block by block.
 
     Block b holds the sample indices [64 b, 64 b + 64) and draws all its
-    points, redraws included, from one generator seeded with
-    seed * 1_000_003 + b.  `start` must be a multiple of SAMPLE_BLOCK, so
-    every block this chunk draws from starts here, whole and in order; the
-    report then does not depend on how whole blocks are split into chunks.
+    points, redraws included, from one generator seeded with seed * 1_000_003
+    + b, or -seed * 1_000_003 - 1 - b for seed < 0 as CPython seeds by
+    absolute value.  `start` must be a multiple of SAMPLE_BLOCK, so every
+    block this chunk draws from starts here, whole and in order; the report
+    then does not depend on how whole blocks are split into chunks.
 
     An accepted draw lies on no facet, so every tile that contains it
     contains it in its interior: covered means some interior tile.
@@ -385,7 +387,9 @@ def _tiling_chunk(args) -> dict:
     overlaps = []
     for index in range(start, start + count):
         if index % SAMPLE_BLOCK == 0:
-            getrandbits = random.Random(seed * 1_000_003 + index // SAMPLE_BLOCK).getrandbits
+            block = index // SAMPLE_BLOCK
+            key = seed * 1_000_003 + block if seed >= 0 else -seed * 1_000_003 - 1 - block
+            getrandbits = random.Random(key).getrandbits
         for _ in range(FACET_REDRAWS):
             # randint(lo_den, hi_den) per coordinate, without its call layers:
             # the same rejection loop over `bits` random bits
@@ -530,8 +534,8 @@ def check_tiling(
 def _face_loops(tile: PrismTile) -> list[list[int]]:
     """Vertex index loops of the tile's 2D faces, outward oriented.
 
-    Combinatorics (which vertices lie on which facet) is exact; only the
-    cyclic ordering of each loop uses floats.
+    Which vertices lie on which facet comes from `_evaluate_scaled`, and
+    `_order_loop` orders each loop in integers: no floats anywhere.
     """
     n = tile.n
     verts = tile.vertices
@@ -547,8 +551,10 @@ def _face_loops(tile: PrismTile) -> list[list[int]]:
         loops = [list(range(len(verts)))]
     else:
         loops = [idx for idx in groups.values() if len(idx) >= 3]
-    center = [sum(v[i] for v in verts) / len(verts) for i in range(n)]
-    return [_order_loop([verts[i] for i in loop], loop, center) for loop in loops]
+    # times the vertex count, about the tile centre, padded to three entries
+    total = [sum(column) for column in zip(*verts)]
+    moved = [(*[len(verts) * x - t for x, t in zip(v, total)], 0, 0)[:3] for v in verts]
+    return [_order_loop([moved[i] for i in loop], loop) for loop in loops]
 
 
 @lru_cache(maxsize=None)
@@ -562,34 +568,28 @@ def _base_face_loops(n: int) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(loop) for loop in _face_loops(PrismTile(n, (0,) * n)))
 
 
-def _order_loop(points, indices, center):
-    import math as _math
-
+def _order_loop(points, indices):
+    """`indices` by angle in (-pi, pi] about the face centre from the first
+    point, counterclockwise seen from the outside (the tile centre is 0);
+    exact ties keep index order.  r = k p - sum(points) is k times p's
+    offset from the face centre, and p's plane coordinates are r.u and
+    r.(normal x u), for u the first r and the normal the first u x r != 0."""
     k = len(points)
-    fc = [sum(p[i] for p in points) / k for i in range(len(center))]
-    rel = [[p[i] - fc[i] for i in range(len(fc))] for p in points]
+    face = [sum(column) for column in zip(*points)]
+    rel = [[k * x - s for x, s in zip(p, face)] for p in points]
     u = rel[0]
-    normal = None
-    for other in rel[1:]:
-        normal = _cross3(_pad3(u), _pad3(other))
-        if sum(abs(x) for x in normal) > 1e-9:
-            break
-    outward = [fc[i] - center[i] for i in range(len(fc))]
-    if sum(a * b for a, b in zip(normal, _pad3(outward))) < 0:
+    normal = next(w for w in (_cross3(u, r) for r in rel[1:]) if any(w))
+    if sum(map(mul, normal, face)) < 0:
         normal = [-x for x in normal]
-    basis_u = _pad3(u)
-    basis_v = _cross3(normal, basis_u)
-    angles = []
-    for idx, r in zip(indices, rel):
-        r3 = _pad3(r)
-        x = sum(a * b for a, b in zip(r3, basis_u))
-        y = sum(a * b for a, b in zip(r3, basis_v))
-        angles.append((_math.atan2(y, x), idx))
-    return [idx for _, idx in sorted(angles)]
-
-
-def _pad3(v):
-    return [float(x) for x in (*v, 0, 0)][:3]
+    v = _cross3(normal, u)
+    plane = []
+    for r, i in zip(rel, indices):
+        x, y = sum(map(mul, r, u)), sum(map(mul, r, v))
+        # half planes (-pi, 0), [0, pi) and {pi} first: within one, angles
+        # differ by less than pi, so the sign of a cross product orders them
+        plane.append((0 if y < 0 else 1 if y > 0 or x > 0 else 2, x, y, i))
+    order = cmp_to_key(lambda a, b: a[0] - b[0] or b[1] * a[2] - a[1] * b[2])
+    return [i for *_, i in sorted(plane, key=order)]
 
 
 def _cross3(u, v):
@@ -600,7 +600,7 @@ def _cross3(u, v):
     ]
 
 
-def _json_mesh(tiles: Sequence[PrismTile], n: int) -> str:
+def _json_chunks(tiles: Sequence[PrismTile], n: int) -> Iterator[str]:
     """The bytes of json.dumps(doc, indent=2) and a newline, where doc is
     {"n": n, "tiles": [{"t": coeffs, "vertices": [[...], ...]}, ...]}.
 
@@ -615,17 +615,33 @@ def _json_mesh(tiles: Sequence[PrismTile], n: int) -> str:
             + '\n      ],\n      "vertices": [\n')
     vertex = "        [\n" + entries(" " * 10) + "\n        ]"
     tail = "\n      ]\n    }"
-    body = ",\n".join(
-        head % tuple(t.coeffs) + ",\n".join([vertex % v for v in t.vertices]) + tail
-        for t in tiles
-    )
-    return '{\n  "n": %d,\n  "tiles": [\n%s\n  ]\n}\n' % (n, body)
+    yield '{\n  "n": %d,\n  "tiles": [\n' % n
+    for i, t in enumerate(tiles):
+        yield ((",\n" if i else "") + head % tuple(t.coeffs)
+               + ",\n".join([vertex % v for v in t.vertices]) + tail)
+    yield "\n  ]\n}\n"
 
 
-def export_mesh(tiles: Sequence[PrismTile], format: str, path: str | None = None):
+def _off_chunks(tiles: Sequence[PrismTile], n: int) -> Iterator[str]:
+    """OFF text: the header, every tile's 2*n! vertex rows padded to three
+    coordinates, then every tile's face rows: tile i's start at row 2*n!*i."""
+    rows = 2 * factorial(n)
+    loops = _base_face_loops(n)
+    yield f"OFF\n{len(tiles) * rows} {len(tiles) * len(loops)} 0\n"
+    vertex = " ".join(["%d"] * n + ["0"] * (3 - n)) + "\n"
+    for tile in tiles:
+        yield "".join([vertex % v for v in tile.vertices])
+    faces = "".join(f"{len(loop)}" + " %d" * len(loop) + "\n" for loop in loops)
+    corners = [i for loop in loops for i in loop]
+    for base in range(0, len(tiles) * rows, rows):
+        yield faces % tuple([base + i for i in corners])
+
+
+def export_mesh(tiles: Sequence[PrismTile], format: str) -> Iterator[str]:
     """Serialize tiles as 'json' (any n) or 'off' (ambient dimension <= 3).
 
-    Returns the serialized text; also writes it to `path` when given.
+    Every check runs before this returns an iterator of text chunks: one
+    per tile besides the opening and closing text, so memory stays flat.
     """
     if not tiles:
         raise ValueError("no tiles to export")
@@ -633,29 +649,9 @@ def export_mesh(tiles: Sequence[PrismTile], format: str, path: str | None = None
     if any(t.n != n for t in tiles):
         raise ValueError("tiles have mixed dimensions")
     if format == "json":
-        text = _json_mesh(tiles, n)
-    elif format == "off":
+        return _json_chunks(tiles, n)
+    if format == "off":
         if n > 3:
             raise ValueError(f"off export needs ambient dimension <= 3, got {n}")
-        all_vertices: list[Vec] = []
-        all_faces: list[list[int]] = []
-        for tile in tiles:
-            base = len(all_vertices)
-            all_vertices.extend(tile.vertices)
-            if n >= 2:
-                all_faces.extend(
-                    [base + i for i in loop] for loop in _base_face_loops(n)
-                )
-        lines = ["OFF", f"{len(all_vertices)} {len(all_faces)} 0"]
-        for v in all_vertices:
-            coords = (*v, 0, 0)[:3]
-            lines.append(" ".join(str(x) for x in coords))
-        for face in all_faces:
-            lines.append(" ".join(str(x) for x in (len(face), *face)))
-        text = "\n".join(lines) + "\n"
-    else:
-        raise ValueError(f"unknown format {format!r}")
-    if path is not None:
-        with open(path, "w") as handle:
-            handle.write(text)
-    return text
+        return _off_chunks(tiles, n)
+    raise ValueError(f"unknown format {format!r}")

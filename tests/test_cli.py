@@ -4,7 +4,10 @@ import concurrent.futures
 import dataclasses
 import io
 import json
+import os
 import re
+import subprocess
+import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
@@ -12,6 +15,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import latticetwist
 from latticetwist import cli, geometry, limits, words
 from latticetwist.cli import run
 from latticetwist.geometry import decompose_point
@@ -52,6 +56,12 @@ def record_payloads(monkeypatch):
 
     monkeypatch.setattr(cli, "_emit_json", recording)
     return payloads
+
+
+def _child_env():
+    """The environment of a CLI child process that imports this package."""
+    src = os.path.dirname(os.path.dirname(latticetwist.__file__))
+    return {**os.environ, "PYTHONPATH": src}
 
 
 def mask_elapsed(out):
@@ -335,6 +345,60 @@ class TestTessellate:
         assert code == 0
         assert "wrote 1 tiles" in out
         assert path.read_text().startswith("OFF\n12 8 0\n")
+
+    def test_out_file_holds_the_stdout_bytes(self, capsys, tmp_path):
+        argv = ["tessellate", "-n", "3", "--radius", "2", "--format", "off"]
+        code, out, _ = invoke(capsys, *argv)
+        assert code == 0
+        path = tmp_path / "patch.off"
+        assert invoke(capsys, *argv, "--out", str(path))[0] == 0
+        assert path.read_bytes() == out.encode()
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss in KiB")
+    def test_peak_memory_does_not_grow_with_the_patch(self):
+        # 8,748 and 187,500 vertex rows: the output grows 21-fold, but
+        # only one tile's text is held at a time
+        def peak_mib(radius):
+            code = ("import resource, sys\n"
+                    "from latticetwist.cli import run\n"
+                    f"rc = run(['tessellate', '-n', '3', '--radius', '{radius}',"
+                    " '--format', 'off'])\n"
+                    "sys.stdout.flush()\n"
+                    "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss,"
+                    " file=sys.stderr)\n"
+                    "sys.exit(rc)\n")
+            proc = subprocess.run([sys.executable, "-c", code], env=_child_env(),
+                                  stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
+                                  text=True, timeout=120)
+            assert proc.returncode == 0, proc.stderr
+            return int(proc.stderr) / 1024
+
+        assert peak_mib(12) - peak_mib(4) < 24
+
+    def test_closed_stdout_is_a_usage_error(self):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "latticetwist.cli", "tessellate", "-n", "3",
+                 "--radius", "2", "--format", "off"],
+                env=_child_env(), stdout=write_end, stderr=subprocess.PIPE,
+                text=True, timeout=120)
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+        assert "Exception ignored" not in proc.stderr
+
+    def test_refused_export_creates_no_file(self, capsys, tmp_path):
+        path = tmp_path / "patch.off"
+        for argv, want in [(["-n", "4", "--format", "off"], 2),
+                           (["-n", "2", "--radius", "250"], 3),
+                           (["-n", "2", "--radius", "-1"], 2)]:
+            code, out, err = invoke(capsys, "tessellate", *argv, "--out", str(path))
+            assert (code, out) == (want, ""), argv
+            assert err.startswith("error: ") and err.count("\n") == 1
+            assert not path.exists(), argv
 
     def test_unwritable_out_path_is_usage_error(self, capsys, tmp_path):
         path = tmp_path / "missing" / "patch.off"

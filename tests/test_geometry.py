@@ -17,6 +17,7 @@ from latticetwist.geometry import (
     Decomposition,
     NotAVertex,
     PrismTile,
+    _base_face_loops,
     _box_vertex_sets,
     _evaluate_scaled,
     _face_loops,
@@ -153,9 +154,9 @@ def offset_oracle(coeffs):
 
 def tiling_chunk_oracle(args, drawn=None):
     """Oracle for _tiling_chunk: a fresh generator at each block of 64
-    samples, coordinates by `randint`, the offset by matrix product and
-    statuses from the subset scan.  Every point drawn is appended to
-    `drawn` when given."""
+    samples, keyed apart for negative seeds, coordinates by `randint`, the
+    offset by matrix product and statuses from the subset scan.  Every
+    point drawn is appended to `drawn` when given."""
     n, lo, hi, seed, start, count = args
     den = SAMPLE_DENOMINATOR
     dn = den * n
@@ -163,7 +164,9 @@ def tiling_chunk_oracle(args, drawn=None):
     overlaps = []
     for index in range(start, start + count):
         if index % 64 == 0:
-            rng = random.Random(seed * 1_000_003 + index // 64)
+            block = index // 64
+            rng = random.Random(seed * 1_000_003 + block if seed >= 0
+                                else -seed * 1_000_003 - 1 - block)
         for _ in range(64):
             P = [rng.randint(lo * den, hi * den) for _ in range(n)]
             if drawn is not None:
@@ -589,7 +592,7 @@ class TestCheckTiling:
 
     @settings(max_examples=60, deadline=None)
     @given(n=st.integers(1, 4), lo=st.integers(-8, 3), width=st.integers(1, 6),
-           seed=st.integers(0, 10**6), block=st.integers(0, 160),
+           seed=st.integers(-10**6, 10**6), block=st.integers(0, 160),
            count=st.integers(1, 200))
     @example(n=3, lo=-2, width=6, seed=4, block=0, count=200)  # redraws samples
     def test_chunk_matches_oracle(self, n, lo, width, seed, block, count):
@@ -623,6 +626,7 @@ class TestCheckTiling:
         (3, (-2, 4), 200, 4, 3,
          [(-93, 342, -115), (-109, 278, 378), (132, 380, 372)]),
         (2, (0, 4), 400, 7, 1, [(77, 367), (98, 325), (118, 298)]),
+        (2, (0, 4), 400, -7, 4, [(327, 317), (380, 297), (14, 301)]),
     ])
     def test_sample_stream_is_pinned(self, monkeypatch, n, box, samples, seed,
                                      resamples, first):
@@ -640,6 +644,28 @@ class TestCheckTiling:
         assert report.resample_count == resamples
         assert len(drawn) == samples + resamples
         assert drawn[:3] == first
+
+    def test_negative_seeds_draw_their_own_points(self, monkeypatch):
+        # CPython seeds an int by its absolute value, so seed -1 must not
+        # key its blocks as seed 1 does
+        drawn = []
+        count_containing = geometry._count_containing
+
+        def recording(P, den, n):
+            drawn.append(tuple(P))
+            return count_containing(P, den, n)
+
+        monkeypatch.setattr(geometry, "_count_containing", recording)
+        check_tiling(2, (0, 4), samples=64, seed=1)
+        positive = drawn[:]
+        drawn.clear()
+        check_tiling(2, (0, 4), samples=64, seed=-1)
+        assert drawn != positive
+
+    def test_block_keys_stay_apart(self):
+        # mod 1_000_003 a block key is b for seed >= 0 and 1_000_002 - b for
+        # a negative seed: apart while there are fewer than 500_001 blocks
+        assert math.ceil(limits.MAX_BOX_POINTS / SAMPLE_BLOCK) < 500_001
 
     @settings(max_examples=40, deadline=None)
     @given(n=st.integers(1, 3), lo=st.integers(-4, 2), width=st.integers(1, 5),
@@ -707,7 +733,7 @@ class TestCheckTiling:
 class TestExport:
     def test_json_structure(self):
         tiles = generate_patch(2, 1)
-        doc = json.loads(export_mesh(tiles, "json"))
+        doc = json.loads("".join(export_mesh(tiles, "json")))
         assert doc["n"] == 2
         assert len(doc["tiles"]) == 9
         assert doc["tiles"][0].keys() == {"t", "vertices"}
@@ -719,12 +745,12 @@ class TestExport:
         for n in range(1, 5):
             for radius in range(3):
                 tiles = generate_patch(n, radius)
-                assert export_mesh(tiles, "json") == json_mesh_oracle(tiles), (n, radius)
+                assert "".join(export_mesh(tiles, "json")) == json_mesh_oracle(tiles), (n, radius)
         tiles = [PrismTile(3, (-7, 0, 12)), PrismTile(3, (5, -3, -1000))]
-        assert export_mesh(tiles, "json") == json_mesh_oracle(tiles)
+        assert "".join(export_mesh(tiles, "json")) == json_mesh_oracle(tiles)
 
     def test_off_single_prism(self):
-        text = export_mesh([PrismTile(3, (0, 0, 0))], "off")
+        text = "".join(export_mesh([PrismTile(3, (0, 0, 0))], "off"))
         lines = text.strip().split("\n")
         assert lines[0] == "OFF"
         nv, nf, ne = map(int, lines[1].split())
@@ -741,7 +767,7 @@ class TestExport:
                 assert gap in (2, 3)  # swap edges and vertical prism edges
 
     def test_off_planar_patch(self):
-        text = export_mesh(generate_patch(2, 1), "off")
+        text = "".join(export_mesh(generate_patch(2, 1), "off"))
         lines = text.strip().split("\n")
         nv, nf, _ = map(int, lines[1].split())
         assert (nv, nf) == (36, 9)
@@ -774,9 +800,35 @@ class TestExport:
                 lines = ["OFF", f"{len(vertices)} {len(faces)} 0"]
                 lines += [" ".join(str(x) for x in (*v, 0, 0)[:3]) for v in vertices]
                 lines += [" ".join(str(x) for x in (len(f), *f)) for f in faces]
-                assert export_mesh(tiles, "off") == "\n".join(lines) + "\n", (n, radius)
+                assert "".join(export_mesh(tiles, "off")) == "\n".join(lines) + "\n", (n, radius)
 
-    def test_writes_file(self, tmp_path):
-        path = tmp_path / "mesh.off"
-        text = export_mesh([PrismTile(3, (0, 0, 0))], "off", str(path))
-        assert path.read_text() == text
+    def test_face_loops_are_pinned(self):
+        # golden: the loops every OFF export has written, start vertex and
+        # direction included
+        assert _base_face_loops(1) == ()
+        assert _base_face_loops(2) == ((2, 0, 1, 3),)
+        assert _base_face_loops(3) == (
+            (4, 2, 0, 1, 3, 5), (1, 0, 6, 7), (6, 0, 2, 8), (3, 1, 7, 9),
+            (8, 2, 4, 10), (5, 3, 9, 11), (10, 4, 5, 11), (9, 7, 6, 8, 10, 11))
+
+    def test_face_loops_turn_outward(self):
+        # consecutive edges a, b of a loop turn counterclockwise seen from
+        # outside: (a x b) . (face centre - tile centre) > 0, here scaled
+        # by the face and tile vertex counts to stay in integers
+        verts = PrismTile(3, (0, 0, 0)).vertices
+        center = [sum(column) for column in zip(*verts)]
+        for loop in _base_face_loops(3):
+            face = [sum(verts[i][j] for i in loop) for j in range(3)]
+            outward = [len(verts) * f - len(loop) * c for f, c in zip(face, center)]
+            for i in range(len(loop)):
+                p, q, r = (verts[loop[(i + k) % len(loop)]] for k in range(3))
+                a = [y - x for x, y in zip(p, q)]
+                b = [y - x for x, y in zip(q, r)]
+                cross = (a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2],
+                         a[0] * b[1] - a[1] * b[0])
+                assert sum(x * y for x, y in zip(cross, outward)) > 0, loop
+
+    def test_chunks_come_one_per_tile(self):
+        tiles = generate_patch(2, 1)
+        assert len(list(export_mesh(tiles, "json"))) == len(tiles) + 2
+        assert len(list(export_mesh(tiles, "off"))) == 2 * len(tiles) + 1
