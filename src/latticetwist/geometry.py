@@ -28,7 +28,8 @@ bounds: n against `limits.MAX_PERMUTOHEDRON_N` wherever the n!
 permutations are listed, and against `limits.MAX_BOX_POINTS` the
 tile-side (vertex, s) pairs 2*n!*(hi-lo+1) and the residue-side vertex
 count of a tiling check, its sample count, the exported vertex rows
-(2r+1)^n*2*n! of a patch, and the vertices of a product tile.
+(2r+1)^n*2*n! of a patch, the vertices of a product tile and the n*n
+entries of C.
 """
 
 from __future__ import annotations
@@ -70,11 +71,11 @@ def permutohedron_vertices(n: int) -> list[Vec]:
     return [tuple(p) for p in permutations(range(1, n + 1))]
 
 
-@lru_cache(maxsize=None)
 def coordinate_matrices(n: int) -> tuple[Vec, ...]:
     """C, row by row: its columns are e_1..e_{n-1}, a."""
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
+    _check_count(n * n, "matrix entries")
     rows = [
         tuple(-(n - 1) if j == i else 1 for j in range(n)) for i in range(n - 1)
     ]
@@ -193,6 +194,14 @@ class PrismTile:
 
     n: int
     coeffs: Vec
+
+    def __post_init__(self) -> None:
+        coeffs = tuple(self.coeffs)
+        ints = tuple(map(int, coeffs))
+        if len(ints) != self.n or ints != coeffs:
+            raise ValueError(
+                f"coeffs must be {self.n} integers, got {self.coeffs!r}")
+        object.__setattr__(self, "coeffs", ints)
 
     @cached_property
     def offset(self) -> Vec:

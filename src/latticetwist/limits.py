@@ -6,13 +6,14 @@ unbounded closure searches.  Each cap below bounds a count of the work
 itself, checked before that work starts: `MAX_PERMUTOHEDRON_N` caps n
 wherever the n! permutations are listed, and the geometry counts (box
 vertices and tile-side pairs of a tiling check, exported patch rows,
-product-tile vertices) and the tiling sample count all stay within
-`MAX_BOX_POINTS`.  Callers that need more should precompute offline.
+product-tile vertices, entries of the basis matrix) and the tiling sample
+count all stay within `MAX_BOX_POINTS`.  Callers that need more should
+precompute offline.
 """
 
 MAX_PERMUTOHEDRON_N = 8          # n! permutations listed
 MAX_CLOSURE_BUDGET = 1_000_000   # visited elements in a closure search
-MAX_BOX_POINTS = 1_000_000       # vertices, pairs, rows or samples in geometry
+MAX_BOX_POINTS = 1_000_000       # vertices, pairs, rows, samples, entries in geometry
 MAX_WORD_LETTERS = 1_000_000     # letters of a word after expanding powers
 MAX_VERIFY_N = 80                # generators, closures; relation checks cost ~n^3
 MAX_IDENTITY_DRAWS = 16          # exponent draws, about n^2 evaluations each

@@ -14,10 +14,11 @@ parenthesized word, optionally raised to a nonzero integer power:
 
     word := term*       term := SYMBOL ['^' INT] | '(' word ')' ['^' INT]
 
-Relation presets and derived identities are verified by evaluating words
-in the concrete group; a report saying "holds" certifies only that the
-named words evaluate to the identity, not that any relation set presents
-the group.
+Each preset relation is its label text, parsed by `parse_word`.  Relation
+presets and derived identities are verified by evaluating words in the
+concrete group; a report saying "holds" certifies only that the named
+words evaluate to the identity, not that any relation set presents the
+group.
 """
 
 from __future__ import annotations
@@ -247,10 +248,6 @@ class RelationPreset:
     relations: tuple[Relation, ...]
 
 
-def _commutator(x: Word, y: Word) -> Word:
-    return word_concat(x, y, word_inverse(x), word_inverse(y))
-
-
 def _conjugate(by: Word, x: Word) -> Word:
     return word_concat(by, x, word_inverse(by))
 
@@ -261,92 +258,40 @@ def _check_verify_n(n: int) -> None:
             f"n={n} exceeds the verification cap {limits.MAX_VERIFY_N}")
 
 
+_PRESET_MIN_N = {"sn": 4, "three_gen": 4, "two_gen": 2}
+
+
 def relation_preset(n: int, name: str) -> RelationPreset:
-    """Relation families 'sn', 'three_gen', 'two_gen', stored as L R^-1 words."""
+    """Relation families 'sn', 'three_gen', 'two_gen'.
+
+    Each relation is its label text, an L R^-1 word, parsed by `parse_word`:
+    the text that `verify-relations` prints is the word it evaluates.
+    """
     _check_verify_n(n)
     key = name.replace("-", "_").lower()
-    if key == "sn":
-        return RelationPreset("sn", n, _sn_relations(n))
-    if key == "three_gen":
-        rels = _sn_relations(n) + _gamma_relations(n)
-        return RelationPreset("three_gen", n, rels)
+    least = _PRESET_MIN_N.get(key)
+    if least is None:
+        raise ValueError(f"unknown preset {name!r}")
+    if n < least:
+        raise ValueError(f"preset needs n >= {least}, got {n}")
     if key == "two_gen":
-        return RelationPreset("two_gen", n, _two_gen_relations(n))
-    raise ValueError(f"unknown preset {name!r}")
-
-
-def _sn_relations(n: int) -> tuple[Relation, ...]:
-    if n < 4:
-        raise ValueError(f"preset needs n >= 4, got {n}")
-    s, t = letter("s"), letter("t")
-    rels = [
-        Relation("s^2", word_power(s, 2)),
-        Relation("(s t s t^-1)^3",
-                 word_power(word_concat(s, t, s, letter("t", -1)), 3)),
-    ]
-    for m in range(2, n - 1):
-        rels.append(Relation(
-            f"(s t^{m} s t^-{m})^2",
-            word_power(word_concat(s, letter("t", m), s, letter("t", -m)), 2),
-        ))
-    rels.append(Relation(
-        f"(s t)^{n - 1} t^-{n}",
-        word_concat(word_power(word_concat(s, t), n - 1), letter("t", -n)),
-    ))
-    return tuple(rels)
-
-
-def _gamma_relations(n: int) -> tuple[Relation, ...]:
-    if n < 4:
-        raise ValueError(f"preset needs n >= 4, got {n}")
-    s, g = letter("s"), letter("g")
-    rels = []
-    for k in range(0, n - 2):
-        conj = _conjugate(letter("t", k), s)
-        text = f"t^{k} s t^-{k}" if k else "s"
-        rels.append(Relation(
-            f"g {text} ({text} g)^-1", _commutator(g, conj)))
-    for l in range(1, n):
-        conj = _conjugate(letter("t", l), g)
-        text = f"t^{l} g t^-{l}"
-        rels.append(Relation(
-            f"g {text} ({text} g)^-1", _commutator(g, conj)))
-    return tuple(rels)
-
-
-def _two_gen_relations(n: int) -> tuple[Relation, ...]:
-    if n < 2:
-        raise ValueError(f"preset needs n >= 2, got {n}")
-    a, b = letter("a"), letter("b")
-    square = Relation("b^2", word_power(b, 2))
-    if n == 2:
-        return (
-            square,
-            Relation("b a^2 b a^-2",
-                     word_concat(b, letter("a", 2), b, letter("a", -2))),
-        )
-    braid = Relation(
-        "(b a b a^-1)^3",
-        word_power(word_concat(b, a, b, letter("a", -1)), 3),
-    )
-    if n == 3:
-        return (
-            square,
-            braid,
-            Relation("b a^3 b a^-3",
-                     word_concat(b, letter("a", 3), b, letter("a", -3))),
-        )
-    rels = [square, braid]
-    for k in range(2, n - 1):
-        rels.append(Relation(
-            f"(b a^{k} b a^-{k})^2",
-            word_power(word_concat(b, letter("a", k), b, letter("a", -k)), 2),
-        ))
-    rels.append(Relation(
-        f"b a^{n} b a^-{n}",
-        word_concat(b, letter("a", n), b, letter("a", -n)),
-    ))
-    return tuple(rels)
+        labels = ["b^2"]
+        if n > 2:
+            labels.append("(b a b a^-1)^3")
+        labels += [f"(b a^{k} b a^-{k})^2" for k in range(2, n - 1)]
+        labels.append(f"b a^{n} b a^-{n}")
+    else:
+        labels = ["s^2", "(s t s t^-1)^3"]
+        labels += [f"(s t^{m} s t^-{m})^2" for m in range(2, n - 1)]
+        labels.append(f"(s t)^{n - 1} t^-{n}")
+        if key == "three_gen":
+            # g commutes with each conjugate c: g c g^-1 c^-1
+            conjugates = ["s"]
+            conjugates += [f"t^{k} s t^-{k}" for k in range(1, n - 2)]
+            conjugates += [f"t^{l} g t^-{l}" for l in range(1, n)]
+            labels += [f"g {c} ({c} g)^-1" for c in conjugates]
+    relations = tuple(Relation(label, parse_word(label)) for label in labels)
+    return RelationPreset(key, n, relations)
 
 
 _RELATION_NOTE = (

@@ -264,6 +264,11 @@ class TestBasis:
         with pytest.raises(BudgetExceededError):
             permutohedron_vertices(9)
 
+    def test_matrix_cap(self):
+        assert len(coordinate_matrices(1000)) == 1000
+        with pytest.raises(BudgetExceededError, match="matrix entries"):
+            coordinate_matrices(1001)
+
 
 class TestDecompose:
     def test_example(self):
@@ -408,6 +413,16 @@ class TestTilesAndPatches:
             tile.classify((half,) * 3 + (99,))
         with pytest.raises(ValueError, match="^expected length 3, got 2$"):
             tile.classify((half,) * 2)
+
+    def test_coeffs_are_n_integers(self):
+        for n, coeffs in [(3, (0, 0)), (3, (0, 0, 0, 0)), (2, (0.5, 0)),
+                          (2, (0, Fraction(1, 3)))]:
+            with pytest.raises(ValueError, match="^coeffs must be"):
+                PrismTile(n, coeffs)
+        tile = PrismTile(2, [1.0, Fraction(-2)])
+        assert tile.coeffs == (1, -2)
+        assert all(type(c) is int for c in tile.coeffs + tile.offset)
+        assert tile == PrismTile(2, (1, -2))
 
     def test_vertices_lie_on_boundary(self):
         tile = PrismTile(3, (1, 0, 2))

@@ -109,6 +109,105 @@ def closure_oracle(images, budget=limits.MAX_CLOSURE_BUDGET, targets=None,
     )
 
 
+def _commutator(x, y):
+    return word_concat(x, y, word_inverse(x), word_inverse(y))
+
+
+def _conjugate(by, x):
+    return word_concat(by, x, word_inverse(by))
+
+
+def _sn_relations(n):
+    if n < 4:
+        raise ValueError(f"preset needs n >= 4, got {n}")
+    s, t = letter("s"), letter("t")
+    rels = [
+        Relation("s^2", word_power(s, 2)),
+        Relation("(s t s t^-1)^3",
+                 word_power(word_concat(s, t, s, letter("t", -1)), 3)),
+    ]
+    for m in range(2, n - 1):
+        rels.append(Relation(
+            f"(s t^{m} s t^-{m})^2",
+            word_power(word_concat(s, letter("t", m), s, letter("t", -m)), 2),
+        ))
+    rels.append(Relation(
+        f"(s t)^{n - 1} t^-{n}",
+        word_concat(word_power(word_concat(s, t), n - 1), letter("t", -n)),
+    ))
+    return tuple(rels)
+
+
+def _gamma_relations(n):
+    if n < 4:
+        raise ValueError(f"preset needs n >= 4, got {n}")
+    s, g = letter("s"), letter("g")
+    rels = []
+    for k in range(0, n - 2):
+        conj = _conjugate(letter("t", k), s)
+        text = f"t^{k} s t^-{k}" if k else "s"
+        rels.append(Relation(
+            f"g {text} ({text} g)^-1", _commutator(g, conj)))
+    for l in range(1, n):
+        conj = _conjugate(letter("t", l), g)
+        text = f"t^{l} g t^-{l}"
+        rels.append(Relation(
+            f"g {text} ({text} g)^-1", _commutator(g, conj)))
+    return tuple(rels)
+
+
+def _two_gen_relations(n):
+    if n < 2:
+        raise ValueError(f"preset needs n >= 2, got {n}")
+    a, b = letter("a"), letter("b")
+    square = Relation("b^2", word_power(b, 2))
+    if n == 2:
+        return (
+            square,
+            Relation("b a^2 b a^-2",
+                     word_concat(b, letter("a", 2), b, letter("a", -2))),
+        )
+    braid = Relation(
+        "(b a b a^-1)^3",
+        word_power(word_concat(b, a, b, letter("a", -1)), 3),
+    )
+    if n == 3:
+        return (
+            square,
+            braid,
+            Relation("b a^3 b a^-3",
+                     word_concat(b, letter("a", 3), b, letter("a", -3))),
+        )
+    rels = [square, braid]
+    for k in range(2, n - 1):
+        rels.append(Relation(
+            f"(b a^{k} b a^-{k})^2",
+            word_power(word_concat(b, letter("a", k), b, letter("a", -k)), 2),
+        ))
+    rels.append(Relation(
+        f"b a^{n} b a^-{n}",
+        word_concat(b, letter("a", n), b, letter("a", -n)),
+    ))
+    return tuple(rels)
+
+
+def preset_oracle(n, name):
+    """Reference relation presets, each word built by concatenation and
+    powers rather than parsed from its label."""
+    if n > limits.MAX_VERIFY_N:
+        raise BudgetExceededError(
+            f"n={n} exceeds the verification cap {limits.MAX_VERIFY_N}")
+    key = name.replace("-", "_").lower()
+    if key == "sn":
+        return RelationPreset("sn", n, _sn_relations(n))
+    if key == "three_gen":
+        rels = _sn_relations(n) + _gamma_relations(n)
+        return RelationPreset("three_gen", n, rels)
+    if key == "two_gen":
+        return RelationPreset("two_gen", n, _two_gen_relations(n))
+    raise ValueError(f"unknown preset {name!r}")
+
+
 _ORACLE_TOKEN = re.compile(r"\s*(?:(?P<lpar>\()|(?P<rpar>\))|(?P<hat>\^)"
                            r"|(?P<int>-?\d+)|(?P<sym>[stgab]))")
 
@@ -484,16 +583,18 @@ class TestRelationPresets:
         for n in range(2, 9):
             assert verify_relations(relation_preset(n, "two_gen")).passed
 
-    def test_labels_parse_to_their_words(self):
-        for name, low in (("sn", 4), ("three_gen", 4), ("two_gen", 2)):
-            for n in [*range(low, 13), limits.MAX_VERIFY_N]:
-                for rel in relation_preset(n, name).relations:
-                    assert parse_word(rel.label) == rel.word, (name, n, rel.label)
-        for n, name in [(4, "sn"), (5, "three_gen"), (2, "two_gen"),
-                        (3, "two_gen"), (6, "two_gen")]:
-            for rel in relation_preset(n, name).relations:
-                assert eval_word(parse_word(rel.label), n) == eval_word(
-                    rel.word, n), rel.label
+    def test_matches_call_built_oracle(self):
+        for n in range(-1, limits.MAX_VERIFY_N + 2):
+            for name in ("sn", "three_gen", "two_gen", "Three-Gen", "nope"):
+                try:
+                    want = preset_oracle(n, name)
+                except (ValueError, BudgetExceededError) as exc:
+                    with pytest.raises(type(exc)) as got:
+                        relation_preset(n, name)
+                    assert type(got.value) is type(exc), (n, name)
+                    assert str(got.value) == str(exc), (n, name)
+                else:
+                    assert relation_preset(n, name) == want, (n, name)
 
     def test_mutated_relation_is_caught(self):
         # cubing an order-two word must break exactly that one check
