@@ -196,6 +196,8 @@ class PrismTile:
     coeffs: Vec
 
     def __post_init__(self) -> None:
+        if self.n < 1:
+            raise ValueError(f"n must be positive, got {self.n}")
         coeffs = tuple(self.coeffs)
         ints = tuple(map(int, coeffs))
         if len(ints) != self.n or ints != coeffs:
@@ -210,7 +212,8 @@ class PrismTile:
     @property
     def vertices(self) -> tuple[Vec, ...]:
         """Both layers: permutations of (1..n), then their a-shifts.  Not
-        cached, so an exported tile's rows are freed once written."""
+        cached, so a tile keeps no rows; `export_mesh` writes its own
+        from the base tile's."""
         base = permutohedron_vertices(self.n)
         bottom = self.offset
         top = tuple(o + 1 for o in bottom)
@@ -609,40 +612,56 @@ def _cross3(u, v):
     ]
 
 
+def _base_rows(n: int) -> tuple[list[int], int]:
+    """The base tile's vertex rows, bottom layer then top, laid end to end,
+    and their count 2*n!.  A tile's rows are these plus its offset once
+    per row, in the order of `PrismTile.vertices`."""
+    bottom = [x for v in permutohedron_vertices(n) for x in v]
+    return bottom + [x + 1 for x in bottom], 2 * factorial(n)
+
+
 def _json_chunks(tiles: Sequence[PrismTile], n: int) -> Iterator[str]:
     """The bytes of json.dumps(doc, indent=2) and a newline, where doc is
     {"n": n, "tiles": [{"t": coeffs, "vertices": [[...], ...]}, ...]}.
 
     With `indent`, json.dumps runs its pure-Python encoder over one small
-    list per vertex.  The layout here is fixed, so one %-template per
-    vertex and one per tile header give the same bytes for integer entries.
+    list per vertex.  The layout here is fixed, so one %-template of a
+    whole tile, its header and all 2*n! vertex lists, gives the same bytes
+    for integer entries.  Each tile fills it in one call, with its
+    coefficients and the base rows plus its offset.
     """
     def entries(indent: str) -> str:
         return ",\n".join([indent + "%d"] * n)
 
-    head = ('    {\n      "t": [\n' + entries(" " * 8)
-            + '\n      ],\n      "vertices": [\n')
+    rows, count = _base_rows(n)
     vertex = "        [\n" + entries(" " * 10) + "\n        ]"
-    tail = "\n      ]\n    }"
+    later = (',\n    {\n      "t": [\n' + entries(" " * 8)
+             + '\n      ],\n      "vertices": [\n'
+             + ",\n".join([vertex] * count) + "\n      ]\n    }")
+    first = later[2:]
     yield '{\n  "n": %d,\n  "tiles": [\n' % n
     for i, t in enumerate(tiles):
-        yield ((",\n" if i else "") + head % tuple(t.coeffs)
-               + ",\n".join([vertex % v for v in t.vertices]) + tail)
+        yield (later if i else first) % (
+            *t.coeffs, *map(add, rows, _lattice_offset(t.coeffs) * count))
     yield "\n  ]\n}\n"
 
 
 def _off_chunks(tiles: Sequence[PrismTile], n: int) -> Iterator[str]:
     """OFF text: the header, every tile's 2*n! vertex rows padded to three
-    coordinates, then every tile's face rows: tile i's start at row 2*n!*i."""
-    rows = 2 * factorial(n)
+    coordinates, then every tile's face rows: tile i's start at row 2*n!*i.
+
+    The vertex rows of a tile come from one %-template of all 2*n! rows,
+    filled in one call with the base rows plus the tile's offset.
+    """
+    rows, count = _base_rows(n)
     loops = _base_face_loops(n)
-    yield f"OFF\n{len(tiles) * rows} {len(tiles) * len(loops)} 0\n"
-    vertex = " ".join(["%d"] * n + ["0"] * (3 - n)) + "\n"
-    for tile in tiles:
-        yield "".join([vertex % v for v in tile.vertices])
+    yield f"OFF\n{len(tiles) * count} {len(tiles) * len(loops)} 0\n"
+    vertices = (" ".join(["%d"] * n + ["0"] * (3 - n)) + "\n") * count
+    for t in tiles:
+        yield vertices % tuple(map(add, rows, _lattice_offset(t.coeffs) * count))
     faces = "".join(f"{len(loop)}" + " %d" * len(loop) + "\n" for loop in loops)
     corners = [i for loop in loops for i in loop]
-    for base in range(0, len(tiles) * rows, rows):
+    for base in range(0, len(tiles) * count, count):
         yield faces % tuple([base + i for i in corners])
 
 

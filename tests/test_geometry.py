@@ -231,6 +231,32 @@ def json_mesh_oracle(tiles):
     return json.dumps(doc, indent=2) + "\n"
 
 
+def off_mesh_oracle(tiles):
+    """Oracle for the OFF text of export_mesh: each tile's own vertices and
+    face loops, written line by line."""
+    n = tiles[0].n
+    vertices, faces = [], []
+    for tile in tiles:
+        base = len(vertices)
+        vertices.extend(tile.vertices)
+        if n >= 2:
+            faces.extend([base + i for i in loop] for loop in _face_loops(tile))
+    lines = ["OFF", f"{len(vertices)} {len(faces)} 0"]
+    lines += [" ".join(str(x) for x in (*v, 0, 0)[:3]) for v in vertices]
+    lines += [" ".join(str(x) for x in (len(f), *f)) for f in faces]
+    return "\n".join(lines) + "\n"
+
+
+def far_tiles(n):
+    """Hand-made tiles with negative and large coefficients."""
+    return [PrismTile(n, c) for c in (
+        (-1,) * n,
+        tuple(range(-3 * n, -2 * n)),
+        tuple((-1) ** i * 10 ** (12 + i) for i in range(n)),
+        (2 ** 70,) + (-5,) * (n - 1),
+    )]
+
+
 def basis_columns(n):
     """Columns e_1..e_{n-1}, a of the change of basis C."""
     C = coordinate_matrices(n)
@@ -423,6 +449,11 @@ class TestTilesAndPatches:
         assert tile.coeffs == (1, -2)
         assert all(type(c) is int for c in tile.coeffs + tile.offset)
         assert tile == PrismTile(2, (1, -2))
+
+    def test_n_must_be_positive(self):
+        for n in (0, -1):
+            with pytest.raises(ValueError, match=f"^n must be positive, got {n}$"):
+                PrismTile(n, ())
 
     def test_vertices_lie_on_boundary(self):
         tile = PrismTile(3, (1, 0, 2))
@@ -761,8 +792,13 @@ class TestExport:
             for radius in range(3):
                 tiles = generate_patch(n, radius)
                 assert "".join(export_mesh(tiles, "json")) == json_mesh_oracle(tiles), (n, radius)
+        tiles = generate_patch(5, 1)
+        assert "".join(export_mesh(tiles, "json")) == json_mesh_oracle(tiles)
         tiles = [PrismTile(3, (-7, 0, 12)), PrismTile(3, (5, -3, -1000))]
         assert "".join(export_mesh(tiles, "json")) == json_mesh_oracle(tiles)
+        for n in range(1, 5):
+            tiles = far_tiles(n)
+            assert "".join(export_mesh(tiles, "json")) == json_mesh_oracle(tiles), n
 
     def test_off_single_prism(self):
         text = "".join(export_mesh([PrismTile(3, (0, 0, 0))], "off"))
@@ -806,16 +842,19 @@ class TestExport:
         for n in range(1, 4):
             for radius in range(4 + 1):
                 tiles = generate_patch(n, radius)
-                vertices, faces = [], []
-                for tile in tiles:
-                    base = len(vertices)
-                    vertices.extend(tile.vertices)
-                    if n >= 2:
-                        faces.extend([base + i for i in loop] for loop in _face_loops(tile))
-                lines = ["OFF", f"{len(vertices)} {len(faces)} 0"]
-                lines += [" ".join(str(x) for x in (*v, 0, 0)[:3]) for v in vertices]
-                lines += [" ".join(str(x) for x in (len(f), *f)) for f in faces]
-                assert "".join(export_mesh(tiles, "off")) == "\n".join(lines) + "\n", (n, radius)
+                assert "".join(export_mesh(tiles, "off")) == off_mesh_oracle(tiles), (n, radius)
+
+    def test_off_far_tiles_match_per_tile_computation(self):
+        for n in range(1, 4):
+            tiles = far_tiles(n)
+            assert "".join(export_mesh(tiles, "off")) == off_mesh_oracle(tiles), n
+
+    def test_export_leaves_offset_uncached(self):
+        for n, fmt in [(2, "json"), (2, "off"), (3, "off"), (4, "json")]:
+            tiles = generate_patch(n, 1)
+            for _ in export_mesh(tiles, fmt):
+                pass
+            assert all("offset" not in vars(t) for t in tiles), (n, fmt)
 
     def test_face_loops_are_pinned(self):
         # golden: the loops every OFF export has written, start vertex and
