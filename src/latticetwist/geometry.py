@@ -11,7 +11,7 @@ vectors with pairwise distinct residues mod n (`units.is_residue_distinct`).
 `coordinate_matrices(n)` gives the change of basis C, whose columns are
 e_1..e_{n-1}, a; a residue-distinct point p splits as p = C t + u with t
 integer and u a permutation of (1..n).  The inverse of C is never built:
-`decompose_point` and `_candidate_coeffs` apply it in closed form.
+`decompose_point` applies it in closed form.
 
 Membership in a tile is decided exactly: the a-coordinate of a point
 must lie in the unit slab, and its cross-section (the projection back to
@@ -19,9 +19,12 @@ the permutohedron layer) must satisfy every subset-sum inequality
 sum_{i in S} x_i >= |S|(|S|+1)/2.  The 2^n - 2 inequalities are decided
 by one sort: the smallest subset sum of size k is the sum of the k
 smallest entries, so the cross-section lies in the permutohedron exactly
-when every sorted prefix sum meets its bound (Rado 1952).  All predicates
-and the face order of the exported mesh run in scaled integer arithmetic;
-no floats are involved anywhere.
+when every sorted prefix sum meets its bound (Rado 1952); `_prefix_test`
+is that one test, for the classifier and the sampler alike.  A tiling
+sample is tested only against the tiles that its 2n one-coordinate facets
+1 <= x_i <= n allow, about one tile whatever n (`_count_containing`).
+All predicates and the face order of the exported mesh run in scaled
+integer arithmetic; no floats are involved anywhere.
 
 Each growing cost is checked once, before the work, against the count it
 bounds: n against `limits.MAX_PERMUTOHEDRON_N` wherever the n!
@@ -130,46 +133,64 @@ def decompose_point(p: Sequence[int]) -> Decomposition | NotAVertex:
     return Decomposition(tuple(t), u)
 
 
+def _prefix_test(Q: Sequence[int], dn: int, n: int) -> list[int] | None:
+    """The sorted-prefix test (Rado 1952) on cross-section numerators.
+
+    Q_i = n*P_i - L is n*den times the cross-section of the point P/den,
+    and its entries sum to dn*n(n+1)/2, dn = den*n.  The cross-section
+    lies in the permutohedron exactly when every subset S satisfies
+    sum_S(Q) >= dn*|S|(|S|+1)/2, and for each size m the smallest such sum
+    is that of the m smallest entries.  Returns None when one size falls
+    short (outside), else the sizes m < n whose bound holds with equality:
+    none strictly inside.
+    """
+    tight = []
+    slack = m = 0
+    for q in sorted(Q)[:-1]:
+        m += 1
+        # the m smallest entries' sum less its bound dn*m(m+1)/2
+        slack += q - dn * m
+        if slack < 0:
+            return None
+        if not slack:
+            tight.append(m)
+    return tight
+
+
 def _evaluate_scaled(P: Sequence[int], den: int, n: int) -> tuple[str, tuple[str, ...]]:
     """Classify the point P/den against the base tile; exact, integer-only.
 
     The a-coordinate numerator is L = sum(P) - den*K with K = n(n+1)/2;
     the slab is 0 <= L <= den*n, and each subset inequality becomes
-    n*sum_S(P) - |S|*L >= den*n*B_S after clearing denominators.
+    n*sum_S(P) - |S|*L >= den*n*B_S after clearing denominators, which
+    `_prefix_test` decides on Q = n*P - L.  The sampler's
+    `_count_containing` runs the same test, without labels, on each tile
+    left in its facet-derived candidate list.
 
-    The subset inequalities are decided by sorted prefix sums (Rado 1952):
-    for each size m the smallest sum_S(P) is S_m, the sum of the m
-    smallest entries, so the point is inside exactly when
-    n*S_m - m*L >= den*n*m(m+1)/2 for every m.  When that holds with
-    equality, the m smallest entries are the only tight subset of size m:
-    inside the tile the m-th and (m+1)-th smallest values of n*P - L are
-    at most den*n*m and at least den*n*(m+1), so no tie crosses position
-    m.  Labels therefore come out as in a scan of the subsets by size,
-    one facet per tight size.
+    When the inequality of size m holds with equality, the m smallest
+    entries are the only tight subset of size m: inside the tile the m-th
+    and (m+1)-th smallest values of Q are at most den*n*m and at least
+    den*n*(m+1), so no tie crosses position m.  Labels therefore come out
+    as in a scan of the subsets by size, one facet per tight size.
     """
-    K = n * (n + 1) // 2
-    total = sum(P)
-    L = total - den * K
-    tight: list[str] = []
-    if L < 0 or L > den * n:
+    dn = den * n
+    L = sum(P) - den * (n * (n + 1) // 2)
+    if L < 0 or L > dn:
         return "outside", ()
+    Q = [n * p - L for p in P]
+    sizes = _prefix_test(Q, dn, n)
+    if sizes is None:
+        return "outside", ()
+    tight: list[str] = []
     if L == 0:
         tight.append("layer_bottom")
-    if L == den * n:
+    if L == dn:
         tight.append("layer_top")
-    values = sorted(P)
-    order = None
-    prefix = 0
-    for m in range(1, n):
-        prefix += values[m - 1]
-        value = n * prefix - m * L - den * n * (m * (m + 1) // 2)
-        if value < 0:
-            return "outside", ()
-        if value == 0:
-            # only a label needs to know which entries are the m smallest
-            if order is None:
-                order = sorted(range(n), key=P.__getitem__)
-            tight.append("facet_" + "_".join(str(i + 1) for i in sorted(order[:m])))
+    if sizes:
+        # only a label needs to know which entries are the m smallest
+        order = sorted(range(n), key=Q.__getitem__)
+        tight += ["facet_" + "_".join(str(i + 1) for i in sorted(order[:m]))
+                  for m in sizes]
     if tight:
         return "boundary", tuple(tight)
     return "interior", ()
@@ -333,43 +354,58 @@ def _ceil_div(a: int, b: int) -> int:
     return -((-a) // b)
 
 
-def _candidate_coeffs(P: Sequence[int], den: int, n: int):
-    """Integer coefficient windows for tiles that could contain P/den.
+def _count_containing(P: Sequence[int], den: int, n: int):
+    """Coefficients of the tiles with P/den in their interior, in
+    lexicographic order, or None when one tile has it on its boundary.
 
-    The coefficient image of the base tile lies in the box
-    [(1-n)/n, (n-1)/n]^(n-1) x [(n+1)/2, (n+3)/2]; any containing tile's
-    coefficients sit inside the point's coefficients minus that box.
+    Only the tiles that the 2n one-coordinate facets 1 <= x_i <= n of the
+    cross-section x allow are tested.  With s the coefficient sum and c_a
+    the a-coefficient, the tile's offset is den*(s - n*c_i) on coordinate
+    i < n-1 and den*s on the last, so the numerators of `_prefix_test` are
+
+        L   = T - dn*c_a,  T = sum(P) - den*n(n+1)/2,
+        Q_i = n*P_i - L - dn*s + n*dn*c_i   (i < n-1),
+        Q_last = n*P_last - L - dn*s,
+
+    and every tile whose closure holds P has dn <= Q_i <= n*dn for all i.
+    The slab 0 <= L <= dn allows one c_a, or two when P is on a layer.
+    The last coordinate allows at most n values of s.  On coordinate
+    i < n-1 the window is narrower than the step n*dn, so c_i is its one
+    value there, if any.  The entries sum to s exactly when the Q sum to
+    dn*n(n+1)/2, as the numerators of any point of a tile do.
     """
     dn = den * n
-    ranges = []
-    for i in range(n - 1):
-        num = P[n - 1] - P[i]
-        lo = _ceil_div(num - den * (n - 1), dn)
-        hi = (num + den * (n - 1)) // dn
-        ranges.append(range(lo, hi + 1))
-    total2 = 2 * sum(P)
-    lo = _ceil_div(total2 - den * n * (n + 3), 2 * dn)
-    hi = (total2 - den * n * (n + 1)) // (2 * dn)
-    ranges.append(range(lo, hi + 1))
-    return product(*ranges)
-
-
-def _count_containing(P: Sequence[int], den: int, n: int):
-    """Coefficients of the tiles with P/den in their interior, or None as
-    soon as one candidate tile has it on its boundary."""
+    ndn = n * dn
+    target = dn * (n * (n + 1) // 2)
+    c_a, L = divmod(sum(P) - den * (n * (n + 1) // 2), dn)
+    # the slab 0 <= L <= dn: L on a layer is its top in tile c_a - 1 too
+    slab = ((c_a, L),) if L else ((c_a - 1, dn), (c_a, 0))
     interior = []
-    dn = den * n
-    for coeffs in _candidate_coeffs(P, den, n):
-        # P - den * _lattice_offset(coeffs), without building the offset
-        shift = den * sum(coeffs)
-        P0 = [p - shift + dn * c for p, c in zip(P, coeffs[:-1])]
-        P0.append(P[-1] - shift)
-        status, tight = _evaluate_scaled(P0, den, n)
-        if status == "outside":
-            continue
-        if tight:
-            return None
-        interior.append(coeffs)
+    for c_a, L in slab:
+        layer = L == 0 or L == dn
+        Y = [n * p - L - dn for p in P[:-1]]
+        R = n * P[-1] - L
+        # shift = dn*s over the s that put Q_last = R - shift in [dn, n*dn]
+        for shift in range(-((ndn - R) // dn) * dn, R - dn + 1, dn):
+            # on i < n-1, the one value of Q_i in [dn, dn + n*dn), if at
+            # most n*dn; c_i is then -((y - shift) // (n*dn))
+            Q = []
+            for y in Y:
+                q = (y - shift) % ndn + dn
+                if q > ndn:
+                    break
+                Q.append(q)
+            else:
+                Q.append(R - shift)
+                if sum(Q) != target:
+                    continue
+                sizes = _prefix_test(Q, dn, n)
+                if sizes is None:
+                    continue
+                if sizes or layer:
+                    return None
+                interior.append((*[-((y - shift) // ndn) for y in Y], c_a))
+    interior.sort()
     return interior
 
 
@@ -485,12 +521,12 @@ def check_tiling(
     """Estimate cover/overlap behavior of the tiling on a box, exactly.
 
     Rational sample points with denominator 101 are classified against
-    every tile that could contain them; samples landing on a facet are
-    redrawn deterministically.  The samples are drawn in blocks of
-    SAMPLE_BLOCK, each from its own seeded stream, and `workers` processes
-    split whole blocks, so the report does not depend on `workers`.  Also
-    matches the tile-vertex set inside the box against the
-    residue-distinct set, each listed independently.
+    every tile that their one-coordinate facets allow; samples landing on
+    a facet are redrawn deterministically.  The samples are drawn in
+    blocks of SAMPLE_BLOCK, each from its own seeded stream, and `workers`
+    processes split whole blocks, so the report does not depend on
+    `workers`.  Also matches the tile-vertex set inside the box against
+    the residue-distinct set, each listed independently.
     """
     _check_n(n, limits.MAX_PERMUTOHEDRON_N, "tiling")
     lo, hi = int(box[0]), int(box[1])

@@ -29,7 +29,7 @@ import re
 from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from . import limits
 from .semidirect import (
@@ -123,22 +123,57 @@ def parse_word(text: str) -> Word:
     pops fewer groups than it writes letters.  Neither pass copies letters
     per level, so the cost is linear in the text and the expanded word,
     which the cap bounds, whatever the nesting depth.
+
+    The tokens are read lazily.  Each symbol expands to at least one
+    letter, so a text is refused as soon as its symbols pass the cap, and
+    a refusal costs no more than the largest accepted word.  The token
+    stream's errors, a bad character or that first symbol past the cap,
+    are reported ahead of any other error wherever they are in the text.
+    So a text over the cap may be refused before a later syntax error, or
+    in place of an earlier one.
     """
-    tokens = []
+    tokens = _tokens(text)
+    try:
+        terms = _term_tree(tokens, len(text))
+    except (WordSyntaxError, limits.BudgetExceededError):
+        # the token stream's own errors come first, wherever they are
+        for _ in tokens:
+            pass
+        raise
+    return normalize_word(_expand(terms))
+
+
+def _tokens(text: str) -> Iterator[tuple[str, str, int]]:
+    """(kind, text, position) of each token of `text`, read lazily.
+
+    Raises at a bad character, and at the first symbol past the cap.
+    """
+    symbols = 0
     for m in _TOKEN.finditer(text):
-        if m.lastgroup == "bad":
+        kind = m.lastgroup
+        if kind == "bad":
             raise WordSyntaxError(f"unexpected character {m[0]!r}", m.start())
-        tokens.append((m.lastgroup, m[0], m.start()))
+        if kind == "sym":
+            symbols += 1
+            if symbols > limits.MAX_WORD_LETTERS:
+                raise limits.BudgetExceededError(
+                    f"word expands to at least {symbols} letters, over the cap "
+                    f"{limits.MAX_WORD_LETTERS}")
+        yield kind, m[0], m.start()
+
+
+def _term_tree(tokens: Iterator[tuple[str, str, int]], end: int) -> list:
+    """The term tree of a token stream that ends at text position `end`."""
     # a term is (symbol, exp) or (list of terms, exp); `count` is the number
     # of letters the terms of the innermost open group expand to
     terms: list = []
     count = 0
     # per open group: the enclosing terms, their count, the '(' position
     stack: list = []
-    i = 0
-    while i < len(tokens):
-        kind, value, pos = tokens[i]
-        i += 1
+    token = next(tokens, None)
+    while token is not None:
+        kind, value, pos = token
+        token = next(tokens, None)
         if kind == "lpar":
             stack.append((terms, count, pos))
             terms, count = [], 0
@@ -154,14 +189,15 @@ def parse_word(text: str) -> Word:
         elif kind != "sym":
             raise WordSyntaxError(f"unexpected token {value!r}", pos)
         exp = 1
-        if i < len(tokens) and tokens[i][0] == "hat":
-            if i + 1 == len(tokens) or tokens[i + 1][0] != "int":
-                raise WordSyntaxError(
-                    "'^' must be followed by an integer", tokens[i][2])
-            exp = int(tokens[i + 1][1])
+        if token is not None and token[0] == "hat":
+            hat = token[2]
+            token = next(tokens, None)
+            if token is None or token[0] != "int":
+                raise WordSyntaxError("'^' must be followed by an integer", hat)
+            exp = int(token[1])
             if exp == 0:
-                raise WordSyntaxError("zero exponent", tokens[i + 1][2])
-            i += 2
+                raise WordSyntaxError("zero exponent", token[2])
+            token = next(tokens, None)
         if kind == "sym":
             count += 1
         else:
@@ -173,10 +209,10 @@ def parse_word(text: str) -> Word:
                 exp *= inner
         terms.append((value, exp))
     if stack:
-        raise WordSyntaxError("missing ')'", len(text))
+        raise WordSyntaxError("missing ')'", end)
     # a group's close checks only the letters up to it
     _check_letters(count)
-    return normalize_word(_expand(terms))
+    return terms
 
 
 def _expand(terms: list) -> list[Letter]:

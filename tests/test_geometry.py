@@ -93,8 +93,9 @@ def inverse_oracle(n):
     """The exact rational inverse of C, row by row.
 
     Rows i < n-1 hold -1/n at column i and 1/n at column n-1; the last row
-    is all 1/n.  `decompose_point` and `_candidate_coeffs` apply it in
-    closed form.
+    is all 1/n.  `decompose_point` applies it in closed form.  The sampler
+    needs no inverse: `_count_containing` solves the one-coordinate facets
+    of the cross-section for the coefficients.
     """
     inv = [
         tuple(-Fraction(1, n) if j == i else
@@ -152,14 +153,40 @@ def offset_oracle(coeffs):
     return tuple(sum(C[i][j] * coeffs[j] for j in range(n)) for i in range(n))
 
 
+def window_scan_oracle(P, den, n):
+    """Oracle for _count_containing: the coefficient box that holds every
+    tile whose closure could contain P/den (the base tile's coefficients
+    lie in [(1-n)/n, (n-1)/n]^(n-1) x [(n+1)/2, (n+3)/2]), each tile in it
+    tested by the subset scan.  Returns the interior tiles' coefficients,
+    in lexicographic order, and whether some tile has P/den on its
+    boundary."""
+    dn = den * n
+    ranges = []
+    for i in range(n - 1):
+        num = P[n - 1] - P[i]
+        ranges.append(range(math.ceil(Fraction(num - den * (n - 1), dn)),
+                            (num + den * (n - 1)) // dn + 1))
+    total2 = 2 * sum(P)
+    ranges.append(range(math.ceil(Fraction(total2 - dn * (n + 3), 2 * dn)),
+                        (total2 - dn * (n + 1)) // (2 * dn) + 1))
+    interior, any_tight = [], False
+    for coeffs in product(*ranges):
+        off = offset_oracle(coeffs)
+        status, _ = subset_scan([p - den * o for p, o in zip(P, off)], den, n)
+        if status == "boundary":
+            any_tight = True
+        elif status == "interior":
+            interior.append(coeffs)
+    return interior, any_tight
+
+
 def tiling_chunk_oracle(args, drawn=None):
     """Oracle for _tiling_chunk: a fresh generator at each block of 64
-    samples, keyed apart for negative seeds, coordinates by `randint`, the
-    offset by matrix product and statuses from the subset scan.  Every
-    point drawn is appended to `drawn` when given."""
+    samples, keyed apart for negative seeds, coordinates by `randint` and
+    the tiles by the window scan.  Every point drawn is appended to
+    `drawn` when given."""
     n, lo, hi, seed, start, count = args
     den = SAMPLE_DENOMINATOR
-    dn = den * n
     covered = interior_one = resamples = 0
     overlaps = []
     for index in range(start, start + count):
@@ -171,31 +198,13 @@ def tiling_chunk_oracle(args, drawn=None):
             P = [rng.randint(lo * den, hi * den) for _ in range(n)]
             if drawn is not None:
                 drawn.append(tuple(P))
-            ranges = []
-            for i in range(n - 1):
-                num = P[n - 1] - P[i]
-                ranges.append(range(math.ceil(Fraction(num - den * (n - 1), dn)),
-                                    (num + den * (n - 1)) // dn + 1))
-            total2 = 2 * sum(P)
-            ranges.append(range(math.ceil(Fraction(total2 - dn * (n + 3), 2 * dn)),
-                                (total2 - dn * (n + 1)) // (2 * dn) + 1))
-            closed, interior, any_tight = 0, [], False
-            for coeffs in product(*ranges):
-                off = offset_oracle(coeffs)
-                status, _ = subset_scan([p - den * o for p, o in zip(P, off)], den, n)
-                if status == "outside":
-                    continue
-                closed += 1
-                if status == "boundary":
-                    any_tight = True
-                else:
-                    interior.append(coeffs)
+            interior, any_tight = window_scan_oracle(P, den, n)
             if not any_tight:
                 break
             resamples += 1
         else:
             raise BudgetExceededError(f"sample {index}")
-        covered += closed >= 1
+        covered += len(interior) >= 1
         interior_one += len(interior) == 1
         if len(interior) >= 2:
             overlaps.append((tuple(Fraction(p, den) for p in P), tuple(interior)))
@@ -644,6 +653,41 @@ class TestCheckTiling:
     def test_chunk_matches_oracle(self, n, lo, width, seed, block, count):
         args = (n, lo, lo + width, seed, block * SAMPLE_BLOCK, count)
         assert _tiling_chunk(args) == tiling_chunk_oracle(args)
+
+    def test_candidate_list_matches_window_scan(self):
+        # small denominators put many points on a facet (the None path) or
+        # on a layer, where two a-coefficients are candidates
+        rng = random.Random(14)
+        nones = layers = 0
+        for n in range(1, 9):
+            for den in (1, 2, 3, SAMPLE_DENOMINATOR):
+                dn = den * n
+                for _ in range(60 if n < 7 else 15):
+                    P = [rng.randint(-3 * dn, 3 * dn) for _ in range(n)]
+                    interior, any_tight = window_scan_oracle(P, den, n)
+                    expect = None if any_tight else interior
+                    assert geometry._count_containing(P, den, n) == expect, (P, den)
+                    nones += any_tight
+                    layers += (sum(P) - den * n * (n + 1) // 2) % dn == 0
+        assert nones > 100 and layers > 50
+
+    def test_few_tiles_are_tested_per_draw(self, monkeypatch):
+        # the coefficient box held 12 to 13 tiles per draw at n = 6 and
+        # doubled with each n; the facet-derived list holds about one
+        tested = []
+        prefix_test = geometry._prefix_test
+
+        def counting(Q, dn, n):
+            tested.append(Q)
+            return prefix_test(Q, dn, n)
+
+        monkeypatch.setattr(geometry, "_prefix_test", counting)
+        rng = random.Random(6)
+        den = SAMPLE_DENOMINATOR
+        for _ in range(500):
+            P = [rng.randint(-6 * den, 6 * den) for _ in range(6)]
+            geometry._count_containing(P, den, 6)
+        assert 500 <= len(tested) <= 2 * 500
 
     def test_chunk_draws_the_oracle_points(self, monkeypatch):
         # the report hardly depends on which points are drawn, so compare

@@ -3,6 +3,7 @@
 import math
 import re
 import time
+import tracemalloc
 from collections import deque
 from unittest import mock
 
@@ -543,6 +544,31 @@ class TestWordLengthCap:
                      "s^-1 " * 11]:
             with pytest.raises(BudgetExceededError, match="expands to"):
                 parse_word(text)
+
+    def test_over_cap_text_is_refused_while_it_is_read(self, monkeypatch):
+        # 1.2 * 10^6 symbols: tokenizing the whole text before counting a
+        # letter peaked at about 190 MiB, whatever the cap; refusing at the
+        # first symbol past the cap holds at most the cap's worth of terms
+        # (a low cap keeps the traced run short)
+        monkeypatch.setattr(limits, "MAX_WORD_LETTERS", 10_000)
+        text = "s t " * 600_000
+        tracemalloc.start()
+        try:
+            with pytest.raises(BudgetExceededError, match="at least 10001 letters"):
+                parse_word(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
+
+    def test_refusal_for_length_may_come_before_a_syntax_error(self, monkeypatch):
+        monkeypatch.setattr(limits, "MAX_WORD_LETTERS", 10)
+        for text in ["s " * 11 + ")", ") " + "s " * 11, "s " * 11 + "é"]:
+            with pytest.raises(BudgetExceededError, match="at least 11 letters"):
+                parse_word(text)
+        # a bad character is still reported ahead of an earlier syntax error
+        with pytest.raises(WordSyntaxError, match="'é'"):
+            parse_word(") " + "s " * 10 + "é")
 
     def test_word_power_cap(self, monkeypatch):
         monkeypatch.setattr(limits, "MAX_WORD_LETTERS", 10)
