@@ -488,6 +488,10 @@ def _box_vertex_sets(n: int, lo: int, hi: int):
     size, are checked before any work.  `tile_count` is the size of the
     coefficient window that holds every tile with a vertex in the box;
     it bounds nothing and is only reported.
+
+    A box of fewer than n integers returns both sides empty at once: some
+    residue class C_r is then empty, and a tile vertex has n distinct
+    residues w_i + s mod n, so no tile vertex fits in the box either.
     """
     _check_count(2 * factorial(n) * (hi - lo + 1), "tile-side (vertex, s) pairs")
     classes = [range(lo + (r - lo) % n, hi + 1, n) for r in range(n)]
@@ -497,6 +501,8 @@ def _box_vertex_sets(n: int, lo: int, hi: int):
     # of the offset, lies in the interval itself
     span = hi - lo + n
     tile_count = (2 * (span // n) + 1) ** (n - 1) * (span + 1)
+    if hi - lo + 1 < n:
+        return set(), set(), tile_count
     from_tiles = set()
     for w in PrismTile(n, (0,) * n).vertices:
         *head, last = w

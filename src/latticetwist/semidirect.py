@@ -111,12 +111,16 @@ def _inverse(g) -> SemiElement:
 
 
 def _power(g, k: int) -> SemiElement:
+    if k == 0:
+        return semi_identity(len(g[1]))
     if k < 0:
         g, k = _inverse(g), -k
-    acc = semi_identity(len(g[1]))
+    # the first factor is taken as it is, not multiplied into the identity
+    acc = None
     while k:
         if k & 1:
-            acc = _mul(acc, g)
+            acc = (SemiElement(tuple(g[0]), tuple(g[1])) if acc is None
+                   else _mul(acc, g))
         k >>= 1
         if k:
             g = _mul(g, g)

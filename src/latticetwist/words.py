@@ -19,6 +19,11 @@ presets and derived identities are verified by evaluating words in the
 concrete group; a report saying "holds" certifies only that the named
 words evaluate to the identity, not that any relation set presents the
 group.
+
+Words are evaluated by one kernel, `_eval`, which looks each letter's
+power up in a table the caller holds: a report keeps one table for all
+of its words, and `eval_word` starts from an empty one.  Nothing is
+cached across calls.
 """
 
 from __future__ import annotations
@@ -34,7 +39,6 @@ from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 from . import limits
 from .semidirect import (
     SemiElement,
-    _inverse,
     _mul,
     _power,
     identity_perm,
@@ -255,21 +259,49 @@ def eval_word(word: Word, n: int) -> SemiElement:
     """Left-to-right product of generator powers in Z^n x| S_n.
 
     A symbol outside the alphabet raises ValueError, as in normalize_word.
+    Each call starts from an empty table of letter powers (see `_eval`).
+    """
+    return _eval(word, n, {})
+
+
+# A table of letter powers maps (symbol, exponent) to (k, r), the power
+# (k, r) of the generator with both parts 0-padded for 1-based indexing:
+# k[v] is the translation entry at point v, r[v] the image of v.  k is None
+# when the power does not translate and r is None when it fixes every point.
+Powers = dict[Letter, tuple]
+
+
+def _eval(word: Word, n: int, powers: Powers) -> SemiElement:
+    """`eval_word` on a table of letter powers that the caller holds.
+
+    A letter missing from `powers` is computed once by `_power`, in
+    O(log |exp|) products, and added; the table must only ever be used
+    with this n.  The product is folded into the lists z and s by
+
+        (z, s) . (k, r) = (z + k o s, r o s),
+
+    skipping the pass over z when k is None and the one over s when r is.
     """
     gens = _generators(n)
-    acc = semi_identity(n)
-    try:
-        for sym, exp in word:
-            g = gens[sym]
-            if exp == 1:
-                acc = _mul(acc, g)
-            elif exp == -1:
-                acc = _mul(acc, _inverse(g))
-            else:
-                acc = _mul(acc, _power(g, exp))
-    except KeyError as exc:
-        raise ValueError(f"unknown symbol {exc.args[0]!r}") from None
-    return acc
+    ident = identity_perm(n)
+    z = [0] * n
+    s = list(ident)
+    for sym, exp in word:
+        entry = powers.get((sym, exp))
+        if entry is None:
+            g = gens.get(sym)
+            if g is None:
+                raise ValueError(f"unknown symbol {sym!r}")
+            k, r = _power(g, exp)
+            entry = powers[sym, exp] = (
+                (0, *k) if any(k) else None,
+                None if r == ident else (0, *r))
+        k, r = entry
+        if k is not None:
+            z = [a + k[v] for a, v in zip(z, s)]
+        if r is not None:
+            s = [r[v] for v in s]
+    return SemiElement(tuple(z), tuple(s))
 
 
 class Relation(NamedTuple):
@@ -357,9 +389,10 @@ class RelationReport:
 
 def verify_relations(preset: RelationPreset) -> RelationReport:
     ident = semi_identity(preset.n)
+    powers: Powers = {}
     checks = []
     for rel in preset.relations:
-        value = eval_word(rel.word, preset.n)
+        value = _eval(rel.word, preset.n, powers)
         checks.append(RelationCheck(rel.label, value == ident, value))
     return RelationReport(preset.name, preset.n, _RELATION_NOTE, tuple(checks))
 
@@ -399,9 +432,10 @@ def verify_derived_identities(n: int, seed: int = 0, draws: int = 4) -> Identity
         raise limits.BudgetExceededError(
             f"{draws} draws exceed the cap {limits.MAX_IDENTITY_DRAWS}")
     checks: list[IdentityCheck] = []
+    powers: Powers = {}
 
     def compare(name: str, instance: str, lhs: Word, rhs: Word) -> None:
-        left, right = eval_word(lhs, n), eval_word(rhs, n)
+        left, right = _eval(lhs, n, powers), _eval(rhs, n, powers)
         checks.append(IdentityCheck(name, instance, left == right, left, right))
 
     s, t, g, a, b = (letter(x) for x in SYMBOLS)
@@ -411,7 +445,7 @@ def verify_derived_identities(n: int, seed: int = 0, draws: int = 4) -> Identity
             i + 1 if v == i else i if v == i + 1 else v for v in range(1, n + 1)
         )
         lhs = word_concat(letter("t", i - 1), s, letter("t", 1 - i))
-        left = eval_word(lhs, n)
+        left = _eval(lhs, n, powers)
         right = SemiElement((0,) * n, swap)
         checks.append(IdentityCheck(
             "adjacent_swap_conjugate", f"i={i}", left == right, left, right))

@@ -2,6 +2,7 @@
 
 import concurrent.futures
 import dataclasses
+import hashlib
 import io
 import json
 import os
@@ -223,6 +224,31 @@ class TestReports:
         assert code == 0
         assert doc["vertex_count"] == 16
         assert doc["shape"] == "P1 x P1 x I^2"
+
+
+# Every verify report of the ranges the CI step runs, and the sha256 of
+# their --json payloads without `elapsed_seconds`, one sorted-key line each.
+GOLDEN_VERIFY_ARGV = (
+    [("verify-relations", "-n", str(n), "--preset", "two_gen") for n in range(2, 9)]
+    + [("verify-relations", "-n", str(n), "--preset", preset)
+       for preset in ("sn", "three_gen") for n in range(4, 9)]
+    + [("verify-identities", "-n", str(n), "--seed", str(seed))
+       for n in range(2, 9) for seed in range(3)])
+GOLDEN_VERIFY_SHA256 = "96dd8fec118e1e6829a94d73233d944157a893e851344f83ae4e10884268e79e"
+
+
+class TestGoldenVerifyOutput:
+    def test_payloads_match_the_golden_digest(self, capsys):
+        digest = hashlib.sha256()
+        for argv in GOLDEN_VERIFY_ARGV:
+            code, out, err = invoke(capsys, *argv, "--json")
+            assert (code, err) == (0, ""), argv
+            doc = json.loads(out)
+            assert doc["passed"] is True, argv
+            doc.pop("elapsed_seconds")
+            digest.update(json.dumps(doc, sort_keys=True).encode() + b"\n")
+        assert len(GOLDEN_VERIFY_ARGV) == 38
+        assert digest.hexdigest() == GOLDEN_VERIFY_SHA256
 
 
 class TestJsonOutput:

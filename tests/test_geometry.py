@@ -4,7 +4,7 @@ import json
 import math
 import random
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations, permutations, product
 from math import lcm
 
 import pytest
@@ -60,18 +60,39 @@ def subset_scan(P, den, n):
     return ("boundary", tuple(tight)) if tight else ("interior", ())
 
 
-def materialized_box_vertices(n, lo, hi):
-    """Oracle for the tile side of _box_vertex_sets: build every candidate
-    tile's vertices and keep those in the box."""
+def coefficient_window(n, lo, hi):
+    """Per coefficient, the range that holds every tile with a vertex in
+    the box."""
     d_lo, d_hi = lo - (n + 1), hi - 1
     ranges = [range(-((d_hi - d_lo) // n), (d_hi - d_lo) // n + 1)] * (n - 1)
     ranges.append(range(d_lo, d_hi + 1))
+    return ranges
+
+
+def materialized_box_vertices(n, lo, hi):
+    """Oracle for the tile side of _box_vertex_sets: build every candidate
+    tile's vertices and keep those in the box."""
+    ranges = coefficient_window(n, lo, hi)
     return {
         v
         for coeffs in product(*ranges)
         for v in PrismTile(n, coeffs).vertices
         if all(lo <= x <= hi for x in v)
     }, math.prod(len(r) for r in ranges)
+
+
+def full_box_walk(n, lo, hi):
+    """Oracle for _box_vertex_sets on any box: both sides walked in full,
+    with no shortcut for a box of fewer than n integers."""
+    from_tiles = set()
+    for *head, last in base_tile(n).vertices:
+        for s in range(lo - last, hi - last + 1):
+            axes = [range(lo + (x + s - lo) % n, hi + 1, n) for x in head]
+            from_tiles.update(product(*axes, (last + s,)))
+    classes = [range(lo + (r - lo) % n, hi + 1, n) for r in range(n)]
+    from_residues = {v for order in permutations(classes) for v in product(*order)}
+    window = math.prod(len(r) for r in coefficient_window(n, lo, hi))
+    return from_tiles, from_residues, window
 
 
 def residue_filter_oracle(n, lo, hi):
@@ -622,6 +643,23 @@ class TestCheckTiling:
                 assert from_tiles == expect, (n, lo, hi)
                 assert tile_count == expect_count
                 assert from_tiles == from_residues
+
+    def test_narrow_box_matches_the_full_walk(self):
+        for n in range(2, 7):
+            for lo in range(-3, 4):
+                for hi in range(lo, lo + n - 1):
+                    got = _box_vertex_sets(n, lo, hi)
+                    assert got == (set(), set(), got[2]), (n, lo, hi)
+                    assert got == full_box_walk(n, lo, hi), (n, lo, hi)
+
+    def test_narrow_box_lists_no_tile_vertex(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a narrow box walked the tile vertices")
+
+        monkeypatch.setattr(PrismTile, "vertices", property(refuse))
+        monkeypatch.setattr(geometry, "permutations", refuse)
+        report = check_tiling(8, (0, 6), samples=0)
+        assert (report.vertex_count, report.vertex_match) == (0, True)
 
     def test_residue_side_matches_filter(self):
         for n in range(1, 6):

@@ -114,6 +114,14 @@ class TestSemidirectGroup:
         with pytest.raises(ValueError):
             semi_multiply(semi_identity(2), semi_identity(3))
 
+    def test_first_power_is_an_element_of_tuples(self):
+        for k in (1, -1, 3):
+            p = semi_power(SemiElement([1, -2, 0], [2, 3, 1]), k)
+            assert type(p) is SemiElement
+            assert (type(p.z), type(p.s)) == (tuple, tuple)
+        assert semi_power(SemiElement([1, -2, 0], [2, 3, 1]), 1) == (
+            (1, -2, 0), (2, 3, 1))
+
     def test_power_zero_skips_validation(self):
         assert semi_power(SemiElement((5, 5), (1, 1)), 0) == semi_identity(2)
 

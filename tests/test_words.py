@@ -14,6 +14,9 @@ from latticetwist import limits
 from latticetwist.limits import BudgetExceededError
 from latticetwist.semidirect import (
     SemiElement,
+    _inverse,
+    _mul,
+    _power,
     semi_identity,
     semi_inverse,
     semi_multiply,
@@ -37,6 +40,7 @@ from latticetwist.words import (
     word_inverse,
     word_power,
     _IntLattice,
+    _eval,
 )
 
 
@@ -336,6 +340,35 @@ def semi_elements(n, lo=-2, hi=2):
     ).map(lambda pair: SemiElement(pair[0], tuple(pair[1])))
 
 
+def raw_words(n, max_size=12):
+    """Words over stgab as given, not normalized: equal neighbours and zero
+    exponents stay, some letters are lists, and the exponents include 0,
+    +-1, +-n and +-10^9."""
+    exps = st.one_of(st.sampled_from([0, 1, -1, n, -n, 10**9, -10**9]),
+                     st.integers(-2 * n, 2 * n))
+    letters = st.tuples(st.sampled_from("stgab"), exps, st.booleans()).map(
+        lambda l: [l[0], l[1]] if l[2] else l[:2])
+    return st.lists(letters, max_size=max_size).map(tuple)
+
+
+def mul_fold_oracle(word, n):
+    """Oracle for `eval_word`: the per-letter left fold, each letter's power
+    built afresh by `_power` (or `_inverse`) and multiplied in with `_mul`."""
+    gens = standard_generators(n)
+    acc = semi_identity(n)
+    for sym, exp in word:
+        if sym not in gens:
+            raise ValueError(f"unknown symbol {sym!r}")
+        g = gens[sym]
+        if exp == 1:
+            acc = _mul(acc, g)
+        elif exp == -1:
+            acc = _mul(acc, _inverse(g))
+        else:
+            acc = _mul(acc, _power(g, exp))
+    return acc
+
+
 def words_in(symbols="stgab", max_exp=4, max_size=8):
     return st.lists(
         st.tuples(st.sampled_from(symbols),
@@ -517,6 +550,61 @@ class TestGenerators:
         assert standard_generators(4)["s"] == SemiElement(
             (0, 0, 0, 0), (2, 1, 3, 4))
         assert eval_word(parse_word("s"), 4) == standard_generators(4)["s"]
+
+
+class TestEvalKernel:
+    @settings(max_examples=300)
+    @given(st.one_of(st.integers(2, 12), st.just(80)).flatmap(
+        lambda n: st.tuples(st.just(n), raw_words(n))))
+    def test_matches_the_mul_fold(self, case):
+        n, word = case
+        assert eval_word(word, n) == mul_fold_oracle(word, n)
+
+    @given(st.one_of(st.integers(2, 12), st.just(80)).flatmap(
+        lambda n: st.tuples(st.just(n), st.lists(raw_words(n, 6), max_size=8),
+                            st.randoms(use_true_random=False))))
+    def test_one_table_for_many_words_equals_fresh_tables(self, case):
+        n, batch, rng = case
+        expect = [mul_fold_oracle(word, n) for word in batch]
+        table = {}
+        for _ in range(2):
+            order = list(range(len(batch)))
+            rng.shuffle(order)
+            for i in order:
+                assert _eval(batch[i], n, table) == expect[i]
+        assert set(table) == {(sym, exp) for word in batch for sym, exp in word}
+
+    def test_table_entries_are_padded_and_skip_idle_passes(self):
+        table = {}
+        _eval(parse_word("g^3 s^2 t a^-1"), 4, table)
+        assert table == {
+            ("g", 3): ((0, 0, 0, 0, 3), None),
+            ("s", 2): (None, None),
+            ("t", 1): (None, (0, 4, 1, 2, 3)),
+            ("a", -1): ((0, 0, 0, -1, 0), (0, 2, 3, 4, 1)),
+        }
+
+    def test_unknown_symbol_after_cached_letters(self):
+        table = {}
+        word = parse_word("s t^2 g^-1")
+        _eval(word, 4, table)
+        for _ in range(2):
+            with pytest.raises(ValueError, match="unknown symbol 'q'"):
+                _eval((*word, ("q", 1)), 4, table)
+        assert set(table) == set(word)
+        assert _eval(word, 4, table) == mul_fold_oracle(word, 4)
+
+    def test_n_is_checked_as_before(self):
+        cap = limits.MAX_VERIFY_N
+        for table in ({}, {("s", 1): (None, (0, 2, 1))}):
+            with pytest.raises(ValueError, match="n >= 2"):
+                _eval((("s", 1),), 1, table)
+            with pytest.raises(BudgetExceededError):
+                _eval((), cap + 1, table)
+        with pytest.raises(ValueError, match="n >= 2"):
+            eval_word((), 1)
+        with pytest.raises(BudgetExceededError):
+            eval_word((), cap + 1)
 
 
 class TestWordLengthCap:
