@@ -22,6 +22,7 @@ import re
 import sys
 import time
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 
 from . import geometry, limits, semidirect, twisted, units, words
 
@@ -48,8 +49,68 @@ def _json_default(obj):
     raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
+# JSON text of each scalar type a verify payload holds
+_SCALAR_JSON = {
+    str: encode_basestring_ascii,
+    int: int.__repr__,
+    bool: {False: "false", True: "true"}.__getitem__,
+    float: json.dumps,
+    type(None): json.dumps,
+}
+
+
 def _emit_json(payload) -> None:
-    print(json.dumps(payload, indent=2, default=_json_default))
+    """Print `json.dumps(payload, indent=2, default=_json_default)`.
+
+    A verify payload is written by `_verify_json`; any other payload, or
+    one that holds a value of another type, goes through `json.dumps`.
+    """
+    text = _verify_json(payload)
+    if text is None:
+        text = json.dumps(payload, indent=2, default=_json_default)
+    print(text)
+
+
+def _verify_json(payload) -> str | None:
+    """The `indent=2` text of a verify payload, or None for another payload.
+
+    A verify payload is a dict of scalars (str, int, bool, float or None)
+    whose "checks" is a list of dicts of scalars.  The payload and each row
+    are written from one %-template made from their keys, once per key
+    order, and every string goes through the C encoder
+    `encode_basestring_ascii`.
+    """
+    if type(payload) is not dict or type(payload.get("checks")) is not list:
+        return None
+    rows = payload["checks"]
+    if any(type(row) is not dict for row in rows):
+        return None
+    templates: dict[tuple, str] = {}
+    texts = []
+    try:
+        for row in rows:
+            keys = tuple(row)
+            template = templates.get(keys)
+            if template is None:
+                template = templates[keys] = _object_template(keys, "    ")
+            texts.append(template % tuple(
+                [_SCALAR_JSON[type(value)](value) for value in row.values()]))
+        checks = "[\n%s\n  ]" % ",\n".join(texts) if texts else "[]"
+        return _object_template(tuple(payload), "") % tuple(
+            [checks if key == "checks" else _SCALAR_JSON[type(value)](value)
+             for key, value in payload.items()])
+    except (KeyError, TypeError):  # a value of another type, a key not a str
+        return None
+
+
+def _object_template(keys: tuple, indent: str) -> str:
+    """%-template of an `indent=2` object at `indent`, one %s a value."""
+    if not keys:
+        return indent + "{}"
+    fields = ",".join(
+        f"\n{indent}  {encode_basestring_ascii(key).replace('%', '%%')}: %s"
+        for key in keys)
+    return f"{indent}{{{fields}\n{indent}}}"
 
 
 def _action_from_args(args) -> twisted.Action:

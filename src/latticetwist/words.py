@@ -23,7 +23,10 @@ group.
 Words are evaluated by one kernel, `_eval`, which looks each letter's
 power up in a table the caller holds: a report keeps one table for all
 of its words, and `eval_word` starts from an empty one.  Nothing is
-cached across calls.
+cached across calls.  `_eval` reads any sequence of letters, normalized
+or not, so each side of a derived identity is written once as a literal
+tuple of letters, a straight-line program over the report's table, and
+is never built by `letter`/`word_concat`/`word_power` calls.
 """
 
 from __future__ import annotations
@@ -274,9 +277,11 @@ Powers = dict[Letter, tuple]
 def _eval(word: Word, n: int, powers: Powers) -> SemiElement:
     """`eval_word` on a table of letter powers that the caller holds.
 
-    A letter missing from `powers` is computed once by `_power`, in
-    O(log |exp|) products, and added; the table must only ever be used
-    with this n.  The product is folded into the lists z and s by
+    `word` need not be normalized: equal neighbours and zero exponents are
+    evaluated as they stand, which is how the derived identities' letter
+    tuples are read.  A letter missing from `powers` is computed once by
+    `_power`, in O(log |exp|) products, and added; the table must only
+    ever be used with this n.  The product is folded into the lists z and s by
 
         (z, s) . (k, r) = (z + k o s, r o s),
 
@@ -314,10 +319,6 @@ class RelationPreset:
     name: str
     n: int
     relations: tuple[Relation, ...]
-
-
-def _conjugate(by: Word, x: Word) -> Word:
-    return word_concat(by, x, word_inverse(by))
 
 
 def _check_verify_n(n: int) -> None:
@@ -421,7 +422,8 @@ def verify_derived_identities(n: int, seed: int = 0, draws: int = 4) -> Identity
 
     For n in {2, 3} only the first two families apply; from n = 4 on the
     full list is checked.  Commutation exponents are drawn from [-5, 5]
-    deterministically from `seed`.
+    deterministically from `seed`.  Each side is a tuple of letters that
+    `_eval` reads as written, with the report's one table of powers.
     """
     if n < 2:
         raise ValueError(f"identities need n >= 2, got {n}")
@@ -438,62 +440,55 @@ def verify_derived_identities(n: int, seed: int = 0, draws: int = 4) -> Identity
         left, right = _eval(lhs, n, powers), _eval(rhs, n, powers)
         checks.append(IdentityCheck(name, instance, left == right, left, right))
 
-    s, t, g, a, b = (letter(x) for x in SYMBOLS)
-
     for i in range(1, n):
         swap = tuple(
             i + 1 if v == i else i if v == i + 1 else v for v in range(1, n + 1)
         )
-        lhs = word_concat(letter("t", i - 1), s, letter("t", 1 - i))
-        left = _eval(lhs, n, powers)
+        left = _eval((("t", i - 1), ("s", 1), ("t", 1 - i)), n, powers)
         right = SemiElement((0,) * n, swap)
         checks.append(IdentityCheck(
             "adjacent_swap_conjugate", f"i={i}", left == right, left, right))
 
-    compare("cycle_order", f"t^{n}", word_power(t, n), ())
+    compare("cycle_order", f"t^{n}", (("t", n),), ())
 
     if n >= 4:
         compare(
             "cycle_from_two_generators", "t",
-            t,
-            word_concat(letter("a", -1), word_power(word_concat(b, a), n - 2),
-                        b, letter("a", 3 - n)),
+            (("t", 1),),
+            (("a", -1), *(("b", 1), ("a", 1)) * (n - 2), ("b", 1), ("a", 3 - n)),
         )
         compare(
             "translation_from_two_generators", "g",
-            g,
-            word_concat(letter("a", n - 2), b,
-                        word_power(word_concat(letter("a", -1), b), n - 2), a),
+            (("g", 1),),
+            (("a", n - 2), ("b", 1), *(("a", -1), ("b", 1)) * (n - 2), ("a", 1)),
         )
         compare("power_swap", f"a^{n} b = b a^{n}",
-                word_concat(letter("a", n), b), word_concat(b, letter("a", n)))
+                (("a", n), ("b", 1)), (("b", 1), ("a", n)))
         for k in range(2, n - 1):
             compare(
                 "prefix_rewrite", f"k={k}",
-                word_concat(word_power(word_concat(letter("a", -1), b), n - k),
-                            letter("a", n - k), b, letter("a", -1)),
-                word_concat(letter("a", -1), b, a, b, letter("a", -2), b,
-                            word_power(word_concat(letter("a", -1), b), n - k - 2),
-                            letter("a", n - k - 1)),
+                (*(("a", -1), ("b", 1)) * (n - k), ("a", n - k), ("b", 1), ("a", -1)),
+                (("a", -1), ("b", 1), ("a", 1), ("b", 1), ("a", -2), ("b", 1),
+                 *(("a", -1), ("b", 1)) * (n - k - 2), ("a", n - k - 1)),
             )
         rng = random.Random(seed)
         for _ in range(draws):
             alpha = rng.randint(-5, 5)
             beta = rng.randint(-5, 5)
-            ga, gb = letter("g", alpha), letter("g", beta)
+            ga = ("g", alpha)
             for l in range(1, n):
-                conj = _conjugate(letter("t", l), gb)
+                conj = (("t", l), ("g", beta), ("t", -l))
                 compare(
                     "commutation_with_powers",
                     f"g^{alpha} t^{l} g^{beta} t^-{l}",
-                    word_concat(ga, conj), word_concat(conj, ga),
+                    (ga, *conj), (*conj, ga),
                 )
             for k in range(0, n - 2):
-                conj = _conjugate(letter("t", k), s)
+                conj = (("t", k), ("s", 1), ("t", -k))
                 compare(
                     "commutation_with_powers",
                     f"g^{alpha} t^{k} s t^-{k}",
-                    word_concat(ga, conj), word_concat(conj, ga),
+                    (ga, *conj), (*conj, ga),
                 )
     return IdentityReport(n, tuple(checks))
 

@@ -1,0 +1,121 @@
+"""The CLI contract of the CI workflow, run through `python -m latticetwist.cli`.
+
+Each check runs the commands of one step of .github/workflows/tests.yml in
+child processes and asserts what that step asserts:
+
+- "entry point exit codes": each command's exit code;
+- "every relation preset and derived identity holds": each verify report
+  exits 0 with `"passed": true`, and `verify-identities -n 80 --draws 16`
+  exits 0;
+- "verify-identities json is the text the json module writes": the
+  `--json` text equals `json.dumps(json.loads(text), indent=2)` plus a
+  newline.
+
+It needs no pytest.  From the root of a checkout,
+
+    python -m tests.cli_contract
+
+runs every check with that interpreter and exits 1 if any fails;
+tests/test_cli_contract.py runs the same checks in the test suite.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import subprocess
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+# (exit code, argv) of the "entry point exit codes" step
+EXIT_CODES = (
+    (0, ("enumerate", "-n", "3")),
+    (1, ("inv", "1,1,0")),
+    (2, ("enumerate", "-n", "0")),
+    (3, ("enumerate", "-n", "9")),
+    (0, ("verify-relations", "-n", "4", "--preset", "three_gen")),
+    (2, ("verify-relations", "-n", "3", "--preset", "sn")),
+    (2, ("verify-relations", "-n", "4", "--preset", "nope")),
+    (3, ("verify-relations", "-n", "81", "--preset", "two_gen")),
+)
+
+# the reports of the "every relation preset and derived identity holds" step
+REPORTS = tuple(
+    [argv for n in range(2, 9) for argv in
+     [("verify-relations", "-n", str(n), "--preset", "two_gen")]
+     + [("verify-identities", "-n", str(n), "--seed", str(seed))
+        for seed in range(3)]]
+    + [("verify-relations", "-n", str(n), "--preset", preset)
+       for n in range(4, 9) for preset in ("sn", "three_gen")])
+
+
+def cli(argv) -> subprocess.CompletedProcess:
+    """`python -m latticetwist.cli argv`, importing this checkout's src."""
+    return subprocess.run(
+        [sys.executable, "-m", "latticetwist.cli", *argv],
+        capture_output=True, text=True, timeout=600,
+        env={**os.environ, "PYTHONPATH": SRC})
+
+
+def _run_each(argvs) -> list[subprocess.CompletedProcess]:
+    # two children at a time, results in the order of argvs
+    with ThreadPoolExecutor(2) as pool:
+        return list(pool.map(cli, argvs))
+
+
+def _shown(argv) -> str:
+    return "latticetwist " + " ".join(argv)
+
+
+def check_exit_codes() -> str:
+    for (want, argv), proc in zip(EXIT_CODES, _run_each([a for _, a in EXIT_CODES])):
+        assert proc.returncode == want, (
+            f"{_shown(argv)} -> exit {proc.returncode} (want {want}): "
+            f"{proc.stderr.strip()}")
+    return f"{len(EXIT_CODES)} commands gave their exit codes"
+
+
+def check_reports_hold() -> str:
+    argvs = [(*argv, "--json") for argv in REPORTS]
+    argvs.append(("verify-identities", "-n", "80", "--draws", "16"))
+    checks = 0
+    for argv, proc in zip(argvs, _run_each(argvs)):
+        assert proc.returncode == 0, (
+            f"{_shown(argv)} -> exit {proc.returncode}: {proc.stderr.strip()}")
+        if "--json" in argv:
+            doc = json.loads(proc.stdout)
+            assert doc["passed"] is True, f"{_shown(argv)}: {doc}"
+            checks += len(doc["checks"])
+    return f"{len(argvs)} reports passed, {checks} checks in the json ones"
+
+
+def check_json_text() -> str:
+    argv = ("verify-identities", "-n", "8", "--json")
+    proc = cli(argv)
+    assert proc.returncode == 0, (
+        f"{_shown(argv)} -> exit {proc.returncode}: {proc.stderr.strip()}")
+    text = proc.stdout
+    assert text == json.dumps(json.loads(text), indent=2) + "\n", (
+        f"{_shown(argv)}: the text differs from json.dumps")
+    return f"{len(text)} bytes, as json.dumps writes them"
+
+
+CHECKS = (check_exit_codes, check_reports_hold, check_json_text)
+
+
+def main() -> int:
+    failed = 0
+    for check in CHECKS:
+        try:
+            print(f"ok   {check.__name__}: {check()}")
+        except AssertionError as exc:
+            failed += 1
+            print(f"FAIL {check.__name__}: {exc}")
+    print(f"python {sys.version.split()[0]}: {len(CHECKS) - failed}/{len(CHECKS)} checks")
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

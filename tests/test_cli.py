@@ -14,7 +14,7 @@ from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import latticetwist
 from latticetwist import cli, geometry, limits, words
@@ -285,6 +285,79 @@ class TestJsonOutput:
         points = [x for point, _ in doc["overlap_witnesses"] for x in point]
         assert any(isinstance(x, str) and "/" in x for x in points)
         assert doc["passed"] is False
+
+
+# Strings with quotes, backslashes, control characters, non-ASCII text,
+# template syntax and empty strings, beside arbitrary text.
+_TEXTS = st.one_of(
+    st.text(),
+    st.sampled_from(['"', "\\", "\x00\x1f\n\t\x7f", "é ☃ 𝔄_n", "", "%s %% %(x)s",
+                     '"holds": true', "\ud800"]))
+_SCALARS = st.one_of(_TEXTS, st.booleans(), st.integers(), st.none(),
+                     st.sampled_from([0.0, 1e-06, -0.5, 1e300, 0.1]))
+
+
+@st.composite
+def verify_payloads(draw):
+    """Payloads of the verify shape: head keys, rows that share their keys,
+    "passed" and "elapsed_seconds"."""
+    head = {"n": draw(st.integers(2, 80))}
+    if draw(st.booleans()):
+        head["preset"] = draw(_TEXTS)
+    else:
+        head["seed"] = draw(st.integers())
+    keys = draw(st.one_of(
+        st.sampled_from([("label", "holds"), ("name", "instance", "holds"), ()]),
+        st.lists(_TEXTS, unique=True, max_size=4)))
+    rows = draw(st.lists(st.tuples(*[_SCALARS] * len(keys)).map(
+        lambda values: dict(zip(keys, values))), max_size=6))
+    elapsed = draw(st.one_of(st.sampled_from([0.0, 1e-06]),
+                             st.floats(0, 10).map(lambda x: round(x, 6))))
+    return {**head, "checks": rows, "passed": draw(st.booleans()),
+            "elapsed_seconds": elapsed}
+
+
+def emitted(payload):
+    out = io.StringIO()
+    with redirect_stdout(out):
+        cli._emit_json(payload)
+    return out.getvalue()
+
+
+class TestVerifyJsonTemplate:
+    @settings(max_examples=300)
+    @given(verify_payloads())
+    @example({"n": 4, "seed": -1, "checks": [
+        {"%s": "%d", '"\\': "\x00", "é": True, "": None, "%(x)s %%": 1e-06}],
+        "passed": False, "elapsed_seconds": 0.0})
+    def test_matches_json_dumps(self, payload):
+        assert cli._verify_json(payload) is not None
+        assert emitted(payload) == json.dumps(
+            payload, indent=2, default=cli._json_default) + "\n"
+
+    @given(verify_payloads(), st.data())
+    def test_rows_of_other_key_orders(self, payload, data):
+        for row in payload["checks"]:
+            items = data.draw(st.permutations(list(row.items())))
+            row.clear()
+            row.update(items)
+        assert emitted(payload) == json.dumps(
+            payload, indent=2, default=cli._json_default) + "\n"
+
+    @pytest.mark.parametrize("payload", [
+        {"n": 4, "checks": [{"label": "s^2", "holds": Fraction(1, 2)}]},
+        {"n": 4, "checks": [{"label": ["s", 2]}], "passed": True},
+        {"n": 4, "checks": [["s^2", True]]},
+        {"n": 4, "checks": ({"label": "s^2"},)},
+        {4: "n", "checks": []},
+        {"checks": [{1: True}]},
+        {"checks": [], "targets": {"s": True}},
+        {"checks": [{"holds": True}], "elapsed_seconds": Fraction(3, 1)},
+    ])
+    def test_other_payloads_take_json_dumps(self, payload):
+        assert cli._verify_json(payload) is None
+        assert emitted(payload) == json.dumps(
+            payload, indent=2, default=cli._json_default) + "\n"
 
 
 class TestFailingReports:

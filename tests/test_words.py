@@ -1,6 +1,7 @@
 """Word parsing, relation presets, derived identities, closure search."""
 
 import math
+import random
 import re
 import time
 import tracemalloc
@@ -23,6 +24,8 @@ from latticetwist.semidirect import (
 )
 from latticetwist.words import (
     ClosureReport,
+    IdentityCheck,
+    IdentityReport,
     Relation,
     RelationPreset,
     WordSyntaxError,
@@ -211,6 +214,77 @@ def preset_oracle(n, name):
     if key == "two_gen":
         return RelationPreset("two_gen", n, _two_gen_relations(n))
     raise ValueError(f"unknown preset {name!r}")
+
+
+def identities_oracle(n, seed=0, draws=4):
+    """Reference derived identities: the checks `verify_derived_identities`
+    makes, each side built by `letter`/`word_concat`/`word_power` calls,
+    so normalized, rather than written as a tuple of letters."""
+    checks = []
+    powers = {}
+
+    def compare(name, instance, lhs, rhs):
+        left, right = _eval(lhs, n, powers), _eval(rhs, n, powers)
+        checks.append(IdentityCheck(name, instance, left == right, left, right))
+
+    s, t, g, a, b = (letter(x) for x in "stgab")
+
+    for i in range(1, n):
+        swap = tuple(
+            i + 1 if v == i else i if v == i + 1 else v for v in range(1, n + 1)
+        )
+        lhs = word_concat(letter("t", i - 1), s, letter("t", 1 - i))
+        left = _eval(lhs, n, powers)
+        right = SemiElement((0,) * n, swap)
+        checks.append(IdentityCheck(
+            "adjacent_swap_conjugate", f"i={i}", left == right, left, right))
+
+    compare("cycle_order", f"t^{n}", word_power(t, n), ())
+
+    if n >= 4:
+        compare(
+            "cycle_from_two_generators", "t",
+            t,
+            word_concat(letter("a", -1), word_power(word_concat(b, a), n - 2),
+                        b, letter("a", 3 - n)),
+        )
+        compare(
+            "translation_from_two_generators", "g",
+            g,
+            word_concat(letter("a", n - 2), b,
+                        word_power(word_concat(letter("a", -1), b), n - 2), a),
+        )
+        compare("power_swap", f"a^{n} b = b a^{n}",
+                word_concat(letter("a", n), b), word_concat(b, letter("a", n)))
+        for k in range(2, n - 1):
+            compare(
+                "prefix_rewrite", f"k={k}",
+                word_concat(word_power(word_concat(letter("a", -1), b), n - k),
+                            letter("a", n - k), b, letter("a", -1)),
+                word_concat(letter("a", -1), b, a, b, letter("a", -2), b,
+                            word_power(word_concat(letter("a", -1), b), n - k - 2),
+                            letter("a", n - k - 1)),
+            )
+        rng = random.Random(seed)
+        for _ in range(draws):
+            alpha = rng.randint(-5, 5)
+            beta = rng.randint(-5, 5)
+            ga, gb = letter("g", alpha), letter("g", beta)
+            for l in range(1, n):
+                conj = _conjugate(letter("t", l), gb)
+                compare(
+                    "commutation_with_powers",
+                    f"g^{alpha} t^{l} g^{beta} t^-{l}",
+                    word_concat(ga, conj), word_concat(conj, ga),
+                )
+            for k in range(0, n - 2):
+                conj = _conjugate(letter("t", k), s)
+                compare(
+                    "commutation_with_powers",
+                    f"g^{alpha} t^{k} s t^-{k}",
+                    word_concat(ga, conj), word_concat(conj, ga),
+                )
+    return IdentityReport(n, tuple(checks))
 
 
 _ORACLE_TOKEN = re.compile(r"\s*(?:(?P<lpar>\()|(?P<rpar>\))|(?P<hat>\^)"
@@ -788,6 +862,14 @@ class TestDerivedIdentities:
         a = verify_derived_identities(5, seed=9)
         b = verify_derived_identities(5, seed=9)
         assert a == b
+
+    def test_matches_the_builder_oracle(self):
+        cases = [(n, seed, draws) for n in range(2, 13) for seed in range(5)
+                 for draws in range(5)]
+        for n, seed, draws in cases + [(80, 0, 16)]:
+            got = verify_derived_identities(n, seed=seed, draws=draws)
+            want = identities_oracle(n, seed=seed, draws=draws)
+            assert got == want, (n, seed, draws)
 
     def test_swap_family_matches_transpositions(self):
         report = verify_derived_identities(6)
