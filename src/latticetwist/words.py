@@ -23,7 +23,9 @@ group.
 Words are evaluated by one kernel, `_eval`, which looks each letter's
 power up in a table the caller holds: a report keeps one table for all
 of its words, and `eval_word` starts from an empty one.  Nothing is
-cached across calls.  `_eval` reads any sequence of letters, normalized
+cached across calls.  A missing entry is written in O(n) by
+`_letter_power`, from the closed form of that power of a generator,
+whatever the exponent.  `_eval` reads any sequence of letters, normalized
 or not, so each side of a derived identity is written once as a literal
 tuple of letters, a straight-line program over the report's table, and
 is never built by `letter`/`word_concat`/`word_power` calls.
@@ -40,14 +42,7 @@ from functools import lru_cache
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from . import limits
-from .semidirect import (
-    SemiElement,
-    _mul,
-    _power,
-    identity_perm,
-    semi_identity,
-    semi_inverse,
-)
+from .semidirect import SemiElement, identity_perm, semi_identity, semi_inverse
 
 Letter = tuple[str, int]
 Word = tuple[Letter, ...]
@@ -247,22 +242,28 @@ def standard_generators(n: int) -> dict[str, SemiElement]:
 @lru_cache(maxsize=16, typed=True)
 def _generators(n: int) -> dict[str, SemiElement]:
     # Shared by every caller for this n: read it, never mutate it.
+    _check_generators_n(n)
+    zero, ident = (0,) * n, identity_perm(n)
+    gens = {}
+    for sym in SYMBOLS:
+        k, r = _letter_power(n, sym, 1)
+        gens[sym] = SemiElement(zero if k is None else k[1:],
+                                ident if r is None else r[1:])
+    return gens
+
+
+def _check_generators_n(n: int) -> None:
     if n < 2:
         raise ValueError(f"generators need n >= 2, got {n}")
     _check_verify_n(n)
-    zero = (0,) * n
-    sigma = SemiElement(zero, (2, 1, *range(3, n + 1)))
-    tau = SemiElement(zero, (n, *range(1, n)))
-    gamma = SemiElement((*((0,) * (n - 1)), 1), identity_perm(n))
-    a = _mul(gamma, tau)
-    return {"s": sigma, "t": tau, "g": gamma, "a": a, "b": sigma}
 
 
 def eval_word(word: Word, n: int) -> SemiElement:
     """Left-to-right product of generator powers in Z^n x| S_n.
 
-    A symbol outside the alphabet raises ValueError, as in normalize_word.
-    Each call starts from an empty table of letter powers (see `_eval`).
+    A symbol outside the alphabet raises ValueError, as in normalize_word,
+    and so does an exponent that is not an int.  Each call starts from an
+    empty table of letter powers (see `_eval`).
     """
     return _eval(word, n, {})
 
@@ -271,7 +272,47 @@ def eval_word(word: Word, n: int) -> SemiElement:
 # (k, r) of the generator with both parts 0-padded for 1-based indexing:
 # k[v] is the translation entry at point v, r[v] the image of v.  k is None
 # when the power does not translate and r is None when it fixes every point.
+# `_letter_power` writes each entry.
 Powers = dict[Letter, tuple]
+
+
+def _letter_power(n: int, sym: str, exp: int) -> tuple:
+    """The table entry of `sym^exp` at this n, from its closed form in O(n).
+
+    Under (z, s) . (k, r) = (z + k o s, r o s) the generators' powers are:
+
+        s, b : the swap of 1 and 2 when exp is odd, else the identity
+        t    : r(v) = 1 + ((v - 1 - exp) mod n)
+        g    : exp at point n, identity permutation
+        a    : r as for t; for exp > 0, k(v) is the number of j in
+               [0, exp) with j = v (mod n), so q + [v mod n < m] with
+               (q, m) = divmod(exp, n); for exp < 0, a^exp inverts
+               a^|exp|, and k(v) = -(q + [(v + |exp|) mod n < m]) with
+               (q, m) = divmod(|exp|, n).
+
+    Raises ValueError for a symbol outside the alphabet or an exponent
+    that is not an int (a bool is one).
+    """
+    if not isinstance(exp, int):
+        raise ValueError(
+            f"letter {sym!r} needs an int exponent, got {exp!r}")
+    if sym == "s" or sym == "b":
+        return None, (0, 2, 1, *range(3, n + 1)) if exp & 1 else None
+    if sym == "g":
+        return ((0,) * n + (exp,) if exp else None), None
+    if sym != "t" and sym != "a":
+        raise ValueError(f"unknown symbol {sym!r}")
+    shift = exp % n
+    # r(v) runs n - shift + 1, .., n, then 1, .., n - shift
+    r = (0, *range(n - shift + 1, n + 1), *range(1, n - shift + 1)) if shift else None
+    if sym == "t" or not exp:
+        return None, r
+    q, m = divmod(abs(exp), n)
+    if exp > 0:
+        k = (0, *[q + (v % n < m) for v in range(1, n + 1)])
+    else:
+        k = (0, *[-q - ((v + m) % n < m) for v in range(1, n + 1)])
+    return k, r
 
 
 def _eval(word: Word, n: int, powers: Powers) -> SemiElement:
@@ -279,28 +320,28 @@ def _eval(word: Word, n: int, powers: Powers) -> SemiElement:
 
     `word` need not be normalized: equal neighbours and zero exponents are
     evaluated as they stand, which is how the derived identities' letter
-    tuples are read.  A letter missing from `powers` is computed once by
-    `_power`, in O(log |exp|) products, and added; the table must only
-    ever be used with this n.  The product is folded into the lists z and s by
+    tuples are read.  n is checked before any letter is read.  A letter
+    missing from `powers` is written once by `_letter_power`, in O(n) for
+    any exponent, and added; the table must only ever be used with this n.
+    An unknown symbol or an exponent that is not an int raises ValueError
+    and adds nothing.  The product is folded into the lists z and s by
 
         (z, s) . (k, r) = (z + k o s, r o s),
 
     skipping the pass over z when k is None and the one over s when r is.
     """
-    gens = _generators(n)
-    ident = identity_perm(n)
+    _check_generators_n(n)
     z = [0] * n
-    s = list(ident)
+    s = list(range(1, n + 1))
     for sym, exp in word:
-        entry = powers.get((sym, exp))
-        if entry is None:
-            g = gens.get(sym)
-            if g is None:
-                raise ValueError(f"unknown symbol {sym!r}")
-            k, r = _power(g, exp)
-            entry = powers[sym, exp] = (
-                (0, *k) if any(k) else None,
-                None if r == ident else (0, *r))
+        try:
+            entry = powers.get((sym, exp))
+        except TypeError:  # unhashable: `_letter_power` refuses it
+            entry = None
+        # 2.0 finds the entry of 2, so any exponent that is not exactly an
+        # int goes to `_letter_power`, which refuses all but a bool
+        if entry is None or type(exp) is not int:
+            entry = powers[sym, exp] = _letter_power(n, sym, exp)
         k, r = entry
         if k is not None:
             z = [a + k[v] for a, v in zip(z, s)]

@@ -9,7 +9,16 @@ child processes and asserts what that step asserts:
   exits 0;
 - "verify-identities json is the text the json module writes": the
   `--json` text equals `json.dumps(json.loads(text), indent=2)` plus a
-  newline.
+  newline;
+- "check-tiling report does not depend on --workers": the `--json` report
+  with `--workers 1` equals the one with `--workers 2`, apart from
+  `elapsed_seconds`;
+- "check-tiling puts every sample in exactly one tile for n = 1..8": each
+  report passes and counts every sample as covered by exactly one tile;
+- "tessellate --out writes the bytes it prints to stdout": the file equals
+  stdout byte for byte;
+- "tessellate json is the text the json module writes": as for
+  verify-identities, on `tessellate -n 4 --radius 1 --format json`.
 
 It needs no pytest.  From the root of a checkout,
 
@@ -25,6 +34,7 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 from concurrent.futures import ThreadPoolExecutor
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -51,11 +61,12 @@ REPORTS = tuple(
        for n in range(4, 9) for preset in ("sn", "three_gen")])
 
 
-def cli(argv) -> subprocess.CompletedProcess:
-    """`python -m latticetwist.cli argv`, importing this checkout's src."""
+def cli(argv, text=True) -> subprocess.CompletedProcess:
+    """`python -m latticetwist.cli argv`, importing this checkout's src;
+    with text=False its output is bytes."""
     return subprocess.run(
         [sys.executable, "-m", "latticetwist.cli", *argv],
-        capture_output=True, text=True, timeout=600,
+        capture_output=True, text=text, timeout=600,
         env={**os.environ, "PYTHONPATH": SRC})
 
 
@@ -67,6 +78,11 @@ def _run_each(argvs) -> list[subprocess.CompletedProcess]:
 
 def _shown(argv) -> str:
     return "latticetwist " + " ".join(argv)
+
+
+def _succeeded(argv, proc) -> None:
+    assert proc.returncode == 0, (
+        f"{_shown(argv)} -> exit {proc.returncode}: {proc.stderr.strip()}")
 
 
 def check_exit_codes() -> str:
@@ -82,8 +98,7 @@ def check_reports_hold() -> str:
     argvs.append(("verify-identities", "-n", "80", "--draws", "16"))
     checks = 0
     for argv, proc in zip(argvs, _run_each(argvs)):
-        assert proc.returncode == 0, (
-            f"{_shown(argv)} -> exit {proc.returncode}: {proc.stderr.strip()}")
+        _succeeded(argv, proc)
         if "--json" in argv:
             doc = json.loads(proc.stdout)
             assert doc["passed"] is True, f"{_shown(argv)}: {doc}"
@@ -91,18 +106,67 @@ def check_reports_hold() -> str:
     return f"{len(argvs)} reports passed, {checks} checks in the json ones"
 
 
-def check_json_text() -> str:
-    argv = ("verify-identities", "-n", "8", "--json")
+def _check_json_text(argv) -> str:
     proc = cli(argv)
-    assert proc.returncode == 0, (
-        f"{_shown(argv)} -> exit {proc.returncode}: {proc.stderr.strip()}")
+    _succeeded(argv, proc)
     text = proc.stdout
     assert text == json.dumps(json.loads(text), indent=2) + "\n", (
         f"{_shown(argv)}: the text differs from json.dumps")
     return f"{len(text)} bytes, as json.dumps writes them"
 
 
-CHECKS = (check_exit_codes, check_reports_hold, check_json_text)
+def check_json_text() -> str:
+    return _check_json_text(("verify-identities", "-n", "8", "--json"))
+
+
+def check_tiling_workers() -> str:
+    argvs = [("check-tiling", "-n", "3", "--box=-2,4", "--samples", "300",
+              "--seed", "4", "--json", "--workers", workers)
+             for workers in ("1", "2")]
+    reports = []
+    for argv, proc in zip(argvs, _run_each(argvs)):
+        _succeeded(argv, proc)
+        doc = json.loads(proc.stdout)
+        doc.pop("elapsed_seconds")
+        reports.append(doc)
+    serial, pooled = reports
+    assert serial == pooled, f"workers 1: {serial}\nworkers 2: {pooled}"
+    return f"workers 1 and 2 gave the same {len(serial)}-key report"
+
+
+def check_tiling_one_tile() -> str:
+    argvs = [("check-tiling", "-n", str(n), "--box", "0,2", "--samples", "500",
+              "--json") for n in range(1, 9)]
+    for argv, proc in zip(argvs, _run_each(argvs)):
+        _succeeded(argv, proc)
+        doc = json.loads(proc.stdout)
+        assert doc["passed"], f"{_shown(argv)}: {doc}"
+        assert doc["covered_count"] == doc["interior_one_count"] == doc["samples"], (
+            f"{_shown(argv)}: {doc}")
+    return "n = 1..8 passed, each sample inside one tile"
+
+
+def check_tessellate_out() -> str:
+    argv = ("tessellate", "-n", "3", "--radius", "2", "--format", "off")
+    with tempfile.TemporaryDirectory() as tmp:
+        out_argv = (*argv, "--out", os.path.join(tmp, "out.off"))
+        printed, written = cli(argv, text=False), cli(out_argv)
+        _succeeded(argv, printed)
+        _succeeded(out_argv, written)
+        with open(out_argv[-1], "rb") as f:
+            data = f.read()
+    assert printed.stdout == data, (
+        f"{_shown(argv)}: --out wrote other bytes than stdout")
+    return f"{len(data.splitlines())} identical lines"
+
+
+def check_tessellate_json_text() -> str:
+    return _check_json_text(("tessellate", "-n", "4", "--radius", "1", "--format", "json"))
+
+
+CHECKS = (check_exit_codes, check_reports_hold, check_json_text,
+          check_tiling_workers, check_tiling_one_tile, check_tessellate_out,
+          check_tessellate_json_text)
 
 
 def main() -> int:

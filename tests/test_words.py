@@ -11,13 +11,14 @@ from unittest import mock
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from latticetwist import limits
+from latticetwist import limits, semidirect, words
 from latticetwist.limits import BudgetExceededError
 from latticetwist.semidirect import (
     SemiElement,
     _inverse,
     _mul,
     _power,
+    identity_perm,
     semi_identity,
     semi_inverse,
     semi_multiply,
@@ -28,6 +29,7 @@ from latticetwist.words import (
     IdentityReport,
     Relation,
     RelationPreset,
+    SYMBOLS,
     WordSyntaxError,
     eval_word,
     generated_closure,
@@ -44,6 +46,7 @@ from latticetwist.words import (
     word_power,
     _IntLattice,
     _eval,
+    _letter_power,
 )
 
 
@@ -425,6 +428,17 @@ def raw_words(n, max_size=12):
     return st.lists(letters, max_size=max_size).map(tuple)
 
 
+def generators_oracle(n):
+    """Oracle for `standard_generators`: the five generators written out as
+    elements, a as the product g . t."""
+    zero = (0,) * n
+    sigma = SemiElement(zero, (2, 1, *range(3, n + 1)))
+    tau = SemiElement(zero, (n, *range(1, n)))
+    gamma = SemiElement((*((0,) * (n - 1)), 1), identity_perm(n))
+    a = _mul(gamma, tau)
+    return {"s": sigma, "t": tau, "g": gamma, "a": a, "b": sigma}
+
+
 def mul_fold_oracle(word, n):
     """Oracle for `eval_word`: the per-letter left fold, each letter's power
     built afresh by `_power` (or `_inverse`) and multiplied in with `_mul`."""
@@ -618,6 +632,27 @@ class TestGenerators:
         with pytest.raises(ValueError):
             eval_word((("s", 1), ("x", -2)), 4)
 
+    def test_matches_the_written_out_generators(self):
+        for n in (*range(2, 13), 80):
+            assert standard_generators(n) == generators_oracle(n)
+
+    def test_exponent_that_is_not_an_int_is_a_value_error(self):
+        for bad in (("t", 1.5), ("t", "2"), ("g", 2.0), ("a", [1])):
+            with pytest.raises(ValueError, match=f"letter {bad[0]!r}"):
+                eval_word((bad,), 4)
+        # 2.0 is refused even where the table already holds g^2
+        with pytest.raises(ValueError, match="letter 'g'"):
+            eval_word((("g", 2), ("g", 2.0)), 4)
+        table = {}
+        _eval((("g", 2),), 4, table)
+        with pytest.raises(ValueError, match="letter 'g'"):
+            _eval((("g", 2.0),), 4, table)
+        assert table == {("g", 2): ((0, 0, 0, 0, 2), None)}
+        # a bool is an int: True is the exponent 1
+        assert eval_word((("g", True),), 4) == standard_generators(4)["g"]
+        assert eval_word((("a", True), ("t", False)), 5) == eval_word(
+            (("a", 1),), 5)
+
     def test_standard_generators_returns_a_fresh_dict(self):
         gens = standard_generators(4)
         gens["s"] = gens["t"]
@@ -679,6 +714,35 @@ class TestEvalKernel:
             eval_word((), 1)
         with pytest.raises(BudgetExceededError):
             eval_word((), cap + 1)
+
+
+class TestLetterPower:
+    def test_matches_square_and_multiply(self):
+        for n in (*range(2, 13), 80):
+            gens = generators_oracle(n)
+            ident = identity_perm(n)
+            exps = (*range(-3 * n, 3 * n + 1), 10**9, -10**9, 10**9 + 7,
+                    -10**9 - 7)
+            for sym in SYMBOLS:
+                for exp in exps:
+                    k, r = _power(gens[sym], exp)
+                    want = ((0, *k) if any(k) else None,
+                            None if r == ident else (0, *r))
+                    assert _letter_power(n, sym, exp) == want, (n, sym, exp)
+
+    def test_evaluation_makes_no_product(self, monkeypatch):
+        word = parse_word("a^-7 b t^9 g^-3 (a b)^3 a^10 s^3")
+        expect = mul_fold_oracle(word, 6)
+
+        def boom(*args):
+            raise AssertionError("word evaluation made a product")
+
+        for module in (semidirect, words):
+            monkeypatch.setattr(module, "_power", boom, raising=False)
+            monkeypatch.setattr(module, "_mul", boom, raising=False)
+        assert eval_word(word, 6) == expect
+        assert verify_derived_identities(7, seed=3).passed
+        assert verify_relations(relation_preset(7, "three_gen")).passed
 
 
 class TestWordLengthCap:
