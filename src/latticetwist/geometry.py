@@ -23,6 +23,11 @@ when every sorted prefix sum meets its bound (Rado 1952); `_prefix_test`
 is that one test, for the classifier and the sampler alike.  A tiling
 sample is tested only against the tiles that its 2n one-coordinate facets
 1 <= x_i <= n allow, about one tile whatever n (`_count_containing`).
+Those windows are the facets of sizes 1 and n-1 themselves (with the
+entries summing to n(n+1)/2, sum_S x >= (n-1)n/2 over |S| = n-1 is
+x_k <= n), so a candidate is tight on one of them exactly when an entry
+sits at an end of its window, and the sampler sorts only for the sizes
+2..n-2 between, that is at n >= 4.
 All predicates and the face order of the exported mesh run in scaled
 integer arithmetic; no floats are involved anywhere.
 
@@ -165,7 +170,8 @@ def _evaluate_scaled(P: Sequence[int], den: int, n: int) -> tuple[str, tuple[str
     n*sum_S(P) - |S|*L >= den*n*B_S after clearing denominators, which
     `_prefix_test` decides on Q = n*P - L.  The sampler's
     `_count_containing` runs the same test, without labels, on each tile
-    left in its facet-derived candidate list.
+    left in its facet-derived candidate list at n >= 4; below that its
+    windows decide every size.
 
     When the inequality of size m holds with equality, the m smallest
     entries are the only tight subset of size m: inside the tile the m-th
@@ -226,6 +232,17 @@ class PrismTile:
                 f"coeffs must be {self.n} integers, got {self.coeffs!r}")
         object.__setattr__(self, "coeffs", ints)
 
+    @classmethod
+    def _of_ints(cls, n: int, coeffs: Vec) -> PrismTile:
+        """The tile of n int coefficients, without the checks above: for
+        `generate_patch`, which makes the coefficients itself.  Fields are
+        set as __init__ sets them: reading `__dict__` would give each tile
+        a dict of its own, about 150 more bytes."""
+        tile = object.__new__(cls)
+        object.__setattr__(tile, "n", n)
+        object.__setattr__(tile, "coeffs", coeffs)
+        return tile
+
     @cached_property
     def offset(self) -> Vec:
         return _lattice_offset(self.coeffs)
@@ -259,7 +276,8 @@ def generate_patch(n: int, radius: int) -> list[PrismTile]:
         raise ValueError(f"radius must be >= 0, got {radius}")
     _check_count((2 * radius + 1) ** n * 2 * factorial(n), "patch vertex rows")
     span = range(-radius, radius + 1)
-    return [PrismTile(n, coeffs) for coeffs in product(span, repeat=n)]
+    of_ints = PrismTile._of_ints
+    return [of_ints(n, coeffs) for coeffs in product(span, repeat=n)]
 
 
 @dataclass(frozen=True)
@@ -373,38 +391,52 @@ def _count_containing(P: Sequence[int], den: int, n: int):
     i < n-1 the window is narrower than the step n*dn, so c_i is its one
     value there, if any.  The entries sum to s exactly when the Q sum to
     dn*n(n+1)/2, as the numerators of any point of a tile do.
+
+    These windows are the permutohedron's facets of sizes 1 and n-1: the
+    smallest Q_i meets the size-1 bound dn exactly when every Q_i >= dn,
+    and with the Q summing to dn*n(n+1)/2 the n-1 smallest meet theirs,
+    dn*(n-1)n/2, exactly when the largest is at most n*dn.  So every
+    candidate meets those two sizes, and is tight on one of them exactly
+    when some Q_i is dn or n*dn; `_prefix_test` runs only for the sizes
+    2..n-2 between, that is for n >= 4.  At n = 1 the cross-section is
+    one point, whose one Q is dn, and only the layers bound the tile.
     """
     dn = den * n
     ndn = n * dn
     target = dn * (n * (n + 1) // 2)
     c_a, L = divmod(sum(P) - den * (n * (n + 1) // 2), dn)
     # the slab 0 <= L <= dn: L on a layer is its top in tile c_a - 1 too
-    slab = ((c_a, L),) if L else ((c_a - 1, dn), (c_a, 0))
+    layer = not L
+    slab = ((c_a - 1, dn), (c_a, 0)) if layer else ((c_a, L),)
+    head = P[:-1]
+    last = n * P[-1] + dn
     interior = []
     for c_a, L in slab:
-        layer = L == 0 or L == dn
-        Y = [n * p - L - dn for p in P[:-1]]
-        R = n * P[-1] - L
-        # shift = dn*s over the s that put Q_last = R - shift in [dn, n*dn]
-        for shift in range(-((ndn - R) // dn) * dn, R - dn + 1, dn):
+        # b = L + dn*(s + 1), so that Q_last = last - b, over the s that put
+        # Q_last in [dn, n*dn]: the b congruent to L mod dn in that window
+        for b in range(last - ndn + (L - last) % dn, last - dn + 1, dn):
             # on i < n-1, the one value of Q_i in [dn, dn + n*dn), if at
-            # most n*dn; c_i is then -((y - shift) // (n*dn))
+            # most n*dn; c_i is then (b - n*P_i) // (n*dn) + 1 once Q_i > dn
             Q = []
-            for y in Y:
-                q = (y - shift) % ndn + dn
+            for p in head:
+                q = (n * p - b) % ndn + dn
                 if q > ndn:
                     break
                 Q.append(q)
             else:
-                Q.append(R - shift)
+                Q.append(last - b)
                 if sum(Q) != target:
                     continue
-                sizes = _prefix_test(Q, dn, n)
-                if sizes is None:
-                    continue
-                if sizes or layer:
+                if n > 3:
+                    sizes = _prefix_test(Q, dn, n)
+                    if sizes is None:
+                        continue
+                    if sizes or layer:
+                        return None
+                # the windows decide sizes 1 and n-1, which n = 1 lacks
+                elif layer or n > 1 and (dn in Q or ndn in Q):
                     return None
-                interior.append((*[-((y - shift) // ndn) for y in Y], c_a))
+                interior.append((*[(b - n * p) // ndn + 1 for p in head], c_a))
     interior.sort()
     return interior
 
@@ -433,16 +465,18 @@ def _tiling_chunk(args) -> dict:
     interior_one = 0
     resamples = 0
     overlaps = []
+    redraws = range(FACET_REDRAWS)
+    coordinates = range(n)
     for index in range(start, start + count):
         if index % SAMPLE_BLOCK == 0:
             block = index // SAMPLE_BLOCK
             key = seed * 1_000_003 + block if seed >= 0 else -seed * 1_000_003 - 1 - block
             getrandbits = random.Random(key).getrandbits
-        for _ in range(FACET_REDRAWS):
+        for _ in redraws:
             # randint(lo_den, hi_den) per coordinate, without its call layers:
             # the same rejection loop over `bits` random bits
             P = []
-            for _ in range(n):
+            for _ in coordinates:
                 r = getrandbits(bits)
                 while r >= width:
                     r = getrandbits(bits)
@@ -517,6 +551,18 @@ def _box_vertex_sets(n: int, lo: int, hi: int):
     return from_tiles, from_residues, tile_count
 
 
+def _integral(value, what: str) -> int:
+    """`value` as an int, when it equals one (2, 2.0, Fraction(2), True);
+    any other value is a ValueError, as for `PrismTile` coefficients."""
+    try:
+        as_int = int(value)
+    except (TypeError, ValueError, OverflowError):
+        as_int = None
+    if as_int is None or as_int != value:
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return as_int
+
+
 def check_tiling(
     n: int,
     box: tuple[int, int],
@@ -532,10 +578,16 @@ def check_tiling(
     blocks of SAMPLE_BLOCK, each from its own seeded stream, and `workers`
     processes split whole blocks, so the report does not depend on
     `workers`.  Also matches the tile-vertex set inside the box against
-    the residue-distinct set, each listed independently.
+    the residue-distinct set, each listed independently.  n, the box ends,
+    `samples`, `seed` and `workers` must be integers; an integral value of
+    another type (4.0, Fraction(4)) is taken as that int.
     """
+    n = _integral(n, "n")
+    lo, hi = _integral(box[0], "box lo"), _integral(box[1], "box hi")
+    samples = _integral(samples, "samples")
+    seed = _integral(seed, "seed")
+    workers = _integral(workers, "workers")
     _check_n(n, limits.MAX_PERMUTOHEDRON_N, "tiling")
-    lo, hi = int(box[0]), int(box[1])
     if lo >= hi:
         raise ValueError(f"box must have lo < hi, got [{lo}, {hi}]")
     if samples < 0:

@@ -19,6 +19,9 @@ child processes and asserts what that step asserts:
   stdout byte for byte;
 - "tessellate json is the text the json module writes": as for
   verify-identities, on `tessellate -n 4 --radius 1 --format json`.
+- "benchmark harness self-check": `python perfbench/run.py --selfcheck`,
+  run from the root of the checkout, exits 0 and its last line reads
+  `selfcheck: ok`.
 
 It needs no pytest.  From the root of a checkout,
 
@@ -37,7 +40,8 @@ import sys
 import tempfile
 from concurrent.futures import ThreadPoolExecutor
 
-SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SRC = os.path.join(ROOT, "src")
 
 # (exit code, argv) of the "entry point exit codes" step
 EXIT_CODES = (
@@ -164,9 +168,20 @@ def check_tessellate_json_text() -> str:
     return _check_json_text(("tessellate", "-n", "4", "--radius", "1", "--format", "json"))
 
 
+def check_bench_selfcheck() -> str:
+    argv = (sys.executable, os.path.join("perfbench", "run.py"), "--selfcheck")
+    proc = subprocess.run(argv, capture_output=True, text=True, timeout=600, cwd=ROOT)
+    lines = proc.stdout.splitlines()
+    assert proc.returncode == 0, (
+        f"perfbench/run.py --selfcheck -> exit {proc.returncode}: "
+        f"{(lines or [''])[-1]} {proc.stderr.strip()}")
+    assert lines and lines[-1] == "selfcheck: ok", f"last line: {lines[-1:]}"
+    return f"{len(lines)} lines, the last 'selfcheck: ok'"
+
+
 CHECKS = (check_exit_codes, check_reports_hold, check_json_text,
           check_tiling_workers, check_tiling_one_tile, check_tessellate_out,
-          check_tessellate_json_text)
+          check_tessellate_json_text, check_bench_selfcheck)
 
 
 def main() -> int:

@@ -3,6 +3,8 @@
 import json
 import math
 import random
+import re
+import tracemalloc
 from fractions import Fraction
 from itertools import combinations, permutations, product
 from math import lcm
@@ -165,6 +167,43 @@ def points_near(draw, offset):
         else:
             point.append(Fraction(num, den))
     return tuple(point)
+
+
+@st.composite
+def points_on_facets(draw):
+    """(P, den, n, kind): P/den in the closure of a random tile, placed by
+    `kind` on a facet of size 1, of size n-1 or of a size between (n >= 4),
+    on a layer, or anywhere.  The cross-section is a positive combination,
+    with weights summing to den, of permutohedron vertices that all lie on
+    the facet (a permutation of 1..m on its m positions), and the height
+    over the bottom layer is h/den."""
+    n = draw(st.integers(1, 8))
+    den = draw(st.sampled_from([1, 2, 3, SAMPLE_DENOMINATOR]))
+    kinds = ["anywhere", "layer"]
+    if n >= 2:
+        kinds += ["size 1", "size n-1"]
+    if n >= 4:
+        kinds.append("middle")
+    kind = draw(st.sampled_from(kinds))
+    m = {"size 1": 1, "size n-1": n - 1}.get(kind, 0)
+    if kind == "middle":
+        m = draw(st.integers(2, n - 2))
+    positions = draw(st.permutations(range(n)))
+    k = draw(st.integers(1, min(den, 3)))
+    cuts = sorted(draw(st.lists(st.integers(1, den - 1), min_size=k - 1,
+                                max_size=k - 1, unique=True))) if k > 1 else []
+    weights = [b - a for a, b in zip([0, *cuts], [*cuts, den])]
+    x = [0] * n
+    for w in weights:
+        # m smallest values on the facet's positions, the rest elsewhere
+        values = (draw(st.permutations(range(1, m + 1)))
+                  + draw(st.permutations(range(m + 1, n + 1))))
+        for i, v in zip(positions, values):
+            x[i] += w * v
+    h = draw(st.sampled_from([0, den]) if kind == "layer" else st.integers(0, den))
+    coeffs = draw(st.lists(st.integers(-4, 4), min_size=n, max_size=n))
+    offset = offset_oracle(coeffs)
+    return [den * o + xi + h for o, xi in zip(offset, x)], den, n, kind
 
 
 def offset_oracle(coeffs):
@@ -485,6 +524,41 @@ class TestTilesAndPatches:
             with pytest.raises(ValueError, match=f"^n must be positive, got {n}$"):
                 PrismTile(n, ())
 
+    def test_patch_tiles_equal_public_tiles(self):
+        for n, radius in [(1, 3), (2, 2), (3, 1), (4, 1)]:
+            tiles = generate_patch(n, radius)
+            assert tiles == [PrismTile(n, t.coeffs) for t in tiles]
+            assert all(vars(t) == vars(PrismTile(n, t.coeffs)) for t in tiles)
+            assert all(type(c) is int for t in tiles for c in t.coeffs + t.offset)
+
+    def test_patch_tiles_take_no_more_memory_than_public_tiles(self):
+        def traced(build):
+            tracemalloc.start()
+            try:
+                tiles = build()  # held while the memory is read
+                return tracemalloc.get_traced_memory()[0]
+            finally:
+                tracemalloc.stop()
+
+        patch = traced(lambda: generate_patch(2, 40))
+        public = traced(lambda: [PrismTile(2, c)
+                                 for c in product(range(-40, 41), repeat=2)])
+        assert patch <= public
+
+    def test_patch_makes_no_public_check(self, monkeypatch):
+        # the patch builds its own integer coefficients, so its tiles skip
+        # the checks; a public tile still makes them all
+        def refuse(tile):
+            raise AssertionError("a patch tile was checked")
+
+        with monkeypatch.context() as mp:
+            mp.setattr(PrismTile, "__post_init__", refuse)
+            assert len(generate_patch(2, 3)) == 49
+        for n, coeffs in [(0, ()), (-1, ()), (3, (0, 0)), (2, (0, 0, 0)),
+                          (2, (0.5, 0)), (2, (0, "1"))]:
+            with pytest.raises(ValueError):
+                PrismTile(n, coeffs)
+
     def test_vertices_lie_on_boundary(self):
         tile = PrismTile(3, (1, 0, 2))
         for v in tile.vertices:
@@ -709,6 +783,40 @@ class TestCheckTiling:
                     layers += (sum(P) - den * n * (n + 1) // 2) % dn == 0
         assert nones > 100 and layers > 50
 
+    @settings(max_examples=400, deadline=None)
+    @given(case=points_on_facets())
+    @example(case=([150], 101, 1, "anywhere"))  # n = 1 has no facet but its layers
+    @example(case=([3, 5], 2, 2, "size 1"))
+    @example(case=([4, 4, 7], 2, 3, "size n-1"))
+    @example(case=([4, 4, 8, 8], 2, 4, "middle"))
+    def test_facet_points_match_window_scan(self, case):
+        P, den, n, kind = case
+        interior, any_tight = window_scan_oracle(P, den, n)
+        if kind != "anywhere":
+            assert any_tight, case
+        expect = None if any_tight else interior
+        assert geometry._count_containing(P, den, n) == expect, case
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_small_n_makes_no_prefix_test(self, monkeypatch, n):
+        # the windows decide the facets of sizes 1 and n-1, which are all
+        # the sizes for n <= 3
+        tested = []
+        prefix_test = geometry._prefix_test
+
+        def counting(Q, dn, n):
+            tested.append(Q)
+            return prefix_test(Q, dn, n)
+
+        monkeypatch.setattr(geometry, "_prefix_test", counting)
+        rng = random.Random(n)
+        den = SAMPLE_DENOMINATOR
+        results = [geometry._count_containing(
+            [rng.randint(-6 * den, 6 * den) for _ in range(n)], den, n)
+            for _ in range(500)]
+        assert len(tested) == 0
+        assert sum(r is not None and len(r) == 1 for r in results) >= 490
+
     def test_few_tiles_are_tested_per_draw(self, monkeypatch):
         # the coefficient box held 12 to 13 tiles per draw at n = 6 and
         # doubled with each n; the facet-derived list holds about one
@@ -807,6 +915,30 @@ class TestCheckTiling:
                                     seed=seed, workers=workers)
                        for workers in range(1, 6)]
         assert all(report == reports[0] for report in reports)
+
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"box": (0.5, 4.9)}, "box lo must be an integer, got 0.5"),
+        ({"box": (0, 4.9)}, "box hi must be an integer, got 4.9"),
+        ({"seed": 1.5}, "seed must be an integer, got 1.5"),
+        ({"samples": 2.5}, "samples must be an integer, got 2.5"),
+        ({"workers": 1.5}, "workers must be an integer, got 1.5"),
+        ({"n": Fraction(5, 2)}, "n must be an integer, got Fraction(5, 2)"),
+        ({"box": (0, "4")}, "box hi must be an integer, got '4'"),
+        ({"seed": None}, "seed must be an integer, got None"),
+        ({"samples": float("inf")}, "samples must be an integer, got inf"),
+    ], ids=["box-lo", "box-hi", "seed", "samples", "workers", "n", "text",
+            "none", "infinity"])
+    def test_non_integer_input_is_a_value_error(self, kwargs, message):
+        args = {"n": 2, "box": (0, 4), "samples": 10, "seed": 0, "workers": 1}
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            check_tiling(**{**args, **kwargs})
+
+    def test_integral_input_is_taken_as_int(self):
+        report = check_tiling(2.0, (Fraction(0), 4.0), samples=64.0, seed=Fraction(7),
+                              workers=1.0)
+        assert report == check_tiling(2, (0, 4), samples=64, seed=7)
+        assert all(type(x) is int for x in (report.n, *report.box, report.samples,
+                                            report.seed))
 
     def test_sampler_that_cannot_avoid_facets_is_a_budget_error(self, monkeypatch):
         monkeypatch.setattr(geometry, "_count_containing",
