@@ -11,6 +11,11 @@ minus); permutations are comma-separated images ("2,3,1" sends 1 to 2,
 Computation commands print bare values and carry no timing, so their
 output is byte-stable; verification commands print a report and include
 elapsed time.
+
+With --json a command prints one payload through one writer,
+`_json_text`, whose text is what `json.dumps(payload, indent=2)` writes.
+A Fraction in a payload is written as its int when it is integral and as
+its "p/q" string otherwise.
 """
 
 from __future__ import annotations
@@ -42,75 +47,53 @@ def _format_vec(v) -> str:
     return ",".join(str(x) for x in v)
 
 
-def _json_default(obj):
-    # Fraction is the one non-JSON type in any payload
-    if isinstance(obj, Fraction):
-        return obj.numerator if obj.denominator == 1 else str(obj)
-    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
-
-
-# JSON text of each scalar type a verify payload holds
+# JSON text of each scalar type a payload holds
 _SCALAR_JSON = {
     str: encode_basestring_ascii,
     int: int.__repr__,
     bool: {False: "false", True: "true"}.__getitem__,
     float: json.dumps,
     type(None): json.dumps,
+    Fraction: lambda f: (repr(f.numerator) if f.denominator == 1
+                         else encode_basestring_ascii(str(f))),
 }
 
 
 def _emit_json(payload) -> None:
-    """Print `json.dumps(payload, indent=2, default=_json_default)`.
+    print(_json_text(payload))
 
-    A verify payload is written by `_verify_json`; any other payload, or
-    one that holds a value of another type, goes through `json.dumps`.
+
+def _json_text(value, indent: str = "") -> str:
+    """`json.dumps(value, indent=2)` text of `value` nested at `indent`.
+
+    A scalar is written by `_SCALAR_JSON`, a dict by filling the template
+    of its keys, and a list or tuple one item a line.  Keys must be str;
+    a value of any other type raises TypeError.
     """
-    text = _verify_json(payload)
-    if text is None:
-        text = json.dumps(payload, indent=2, default=_json_default)
-    print(text)
+    write = _SCALAR_JSON.get(type(value))
+    if write is not None:
+        return write(value)
+    inner = indent + "  "
+    if type(value) is dict:
+        return _object_template(tuple(value), indent) % tuple(
+            [_json_text(item, inner) for item in value.values()])
+    if type(value) is list or type(value) is tuple:
+        if not value:
+            return "[]"
+        items = (",\n" + inner).join([_json_text(item, inner) for item in value])
+        return f"[\n{inner}{items}\n{indent}]"
+    raise TypeError(f"{type(value).__name__} is not JSON serializable")
 
 
-def _verify_json(payload) -> str | None:
-    """The `indent=2` text of a verify payload, or None for another payload.
-
-    A verify payload is a dict of scalars (str, int, bool, float or None)
-    whose "checks" is a list of dicts of scalars.  The payload and each row
-    are written from one %-template made from their keys, once per key
-    order, and every string goes through the C encoder
-    `encode_basestring_ascii`.
-    """
-    if type(payload) is not dict or type(payload.get("checks")) is not list:
-        return None
-    rows = payload["checks"]
-    if any(type(row) is not dict for row in rows):
-        return None
-    templates: dict[tuple, str] = {}
-    texts = []
-    try:
-        for row in rows:
-            keys = tuple(row)
-            template = templates.get(keys)
-            if template is None:
-                template = templates[keys] = _object_template(keys, "    ")
-            texts.append(template % tuple(
-                [_SCALAR_JSON[type(value)](value) for value in row.values()]))
-        checks = "[\n%s\n  ]" % ",\n".join(texts) if texts else "[]"
-        return _object_template(tuple(payload), "") % tuple(
-            [checks if key == "checks" else _SCALAR_JSON[type(value)](value)
-             for key, value in payload.items()])
-    except (KeyError, TypeError):  # a value of another type, a key not a str
-        return None
-
-
+@functools.lru_cache(maxsize=256)
 def _object_template(keys: tuple, indent: str) -> str:
     """%-template of an `indent=2` object at `indent`, one %s a value."""
     if not keys:
-        return indent + "{}"
+        return "{}"
     fields = ",".join(
         f"\n{indent}  {encode_basestring_ascii(key).replace('%', '%%')}: %s"
         for key in keys)
-    return f"{indent}{{{fields}\n{indent}}}"
+    return f"{{{fields}\n{indent}}}"
 
 
 def _action_from_args(args) -> twisted.Action:
@@ -222,21 +205,23 @@ def _cmd_verify_identities(args) -> int:
     return _print_checks(args, {"n": report.n, "seed": args.seed}, rows, start)
 
 
+def _names_in(text: str, gens: dict, what: str) -> list[str]:
+    """The comma-separated names in `text`, each one a key of `gens`."""
+    names = [name.strip() for name in text.split(",") if name.strip()]
+    unknown = [name for name in names if name not in gens]
+    if unknown:
+        raise ValueError(f"unknown {what} names {unknown}; choose from {sorted(gens)}")
+    return names
+
+
 def _cmd_closure(args) -> int:
     start = time.perf_counter()
     gens = words.standard_generators(args.n)
-    names = [g.strip() for g in args.gens.split(",") if g.strip()]
-    unknown = [g for g in names if g not in gens]
-    if unknown:
-        raise ValueError(f"unknown generator names {unknown}; choose from {sorted(gens)}")
+    names = _names_in(args.gens, gens, "generator")
     images = [gens[name] for name in names]
     targets = None
     if args.targets:
-        tnames = [t.strip() for t in args.targets.split(",") if t.strip()]
-        bad = [t for t in tnames if t not in gens]
-        if bad:
-            raise ValueError(f"unknown target names {bad}; choose from {sorted(gens)}")
-        targets = {name: gens[name] for name in tnames}
+        targets = {name: gens[name] for name in _names_in(args.targets, gens, "target")}
     report = words.generated_closure(
         images, budget=args.budget, targets=targets, stop_early=args.stop_early)
     elapsed = time.perf_counter() - start
@@ -254,7 +239,7 @@ def _cmd_closure(args) -> int:
             "translation_count": report.translation_count,
             "translation_rank": report.translation_rank,
             "translations_span_lattice": report.translations_span_lattice,
-            "targets_reached": dict(report.targets_reached),
+            "targets_reached": report.targets_reached,
             "elapsed_seconds": round(elapsed, 6),
         }
         _emit_json(payload)
@@ -300,7 +285,7 @@ def _cmd_check_tiling(args) -> int:
     if args.json:
         payload = {
             "n": report.n,
-            "box": list(report.box),
+            "box": report.box,
             "samples": report.samples,
             "seed": report.seed,
             "denominator": report.denominator,
@@ -338,11 +323,11 @@ def _cmd_product_tile(args) -> int:
     tile = geometry.product_tile_vertices(_parse_perm(args.perm))
     if args.json:
         payload = {
-            "tau": list(tile.tau),
-            "cycles": [list(c) for c in tile.cycles],
+            "tau": tile.tau,
+            "cycles": tile.cycles,
             "shape": tile.description,
             "vertex_count": len(tile.vertices),
-            "vertices": [list(v) for v in tile.vertices],
+            "vertices": tile.vertices,
         }
         _emit_json(payload)
     else:

@@ -578,12 +578,17 @@ def check_tiling(
     blocks of SAMPLE_BLOCK, each from its own seeded stream, and `workers`
     processes split whole blocks, so the report does not depend on
     `workers`.  Also matches the tile-vertex set inside the box against
-    the residue-distinct set, each listed independently.  n, the box ends,
-    `samples`, `seed` and `workers` must be integers; an integral value of
-    another type (4.0, Fraction(4)) is taken as that int.
+    the residue-distinct set, each listed independently.  `box` is a pair
+    (lo, hi).  n, the box ends, `samples`, `seed` and `workers` must be
+    integers; an integral value of another type (4.0, Fraction(4)) is taken
+    as that int.
     """
     n = _integral(n, "n")
-    lo, hi = _integral(box[0], "box lo"), _integral(box[1], "box hi")
+    try:
+        lo, hi = box
+    except (TypeError, ValueError):
+        raise ValueError(f"box must be a pair (lo, hi), got {box!r}") from None
+    lo, hi = _integral(lo, "box lo"), _integral(hi, "box hi")
     samples = _integral(samples, "samples")
     seed = _integral(seed, "seed")
     workers = _integral(workers, "workers")

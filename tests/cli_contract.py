@@ -7,9 +7,9 @@ child processes and asserts what that step asserts:
 - "every relation preset and derived identity holds": each verify report
   exits 0 with `"passed": true`, and `verify-identities -n 80 --draws 16`
   exits 0;
-- "verify-identities json is the text the json module writes": the
-  `--json` text equals `json.dumps(json.loads(text), indent=2)` plus a
-  newline;
+- "every --json report is the text the json module writes": the `--json`
+  text of each command of `JSON_REPORTS` equals
+  `json.dumps(json.loads(text), indent=2)` plus a newline;
 - "check-tiling report does not depend on --workers": the `--json` report
   with `--workers 1` equals the one with `--workers 2`, apart from
   `elapsed_seconds`;
@@ -17,8 +17,8 @@ child processes and asserts what that step asserts:
   report passes and counts every sample as covered by exactly one tile;
 - "tessellate --out writes the bytes it prints to stdout": the file equals
   stdout byte for byte;
-- "tessellate json is the text the json module writes": as for
-  verify-identities, on `tessellate -n 4 --radius 1 --format json`.
+- "tessellate json is the text the json module writes": as for the
+  reports, on `tessellate -n 4 --radius 1 --format json`;
 - "benchmark harness self-check": `python perfbench/run.py --selfcheck`,
   run from the root of the checkout, exits 0 and its last line reads
   `selfcheck: ok`.
@@ -63,6 +63,17 @@ REPORTS = tuple(
         for seed in range(3)]]
     + [("verify-relations", "-n", str(n), "--preset", preset)
        for n in range(4, 9) for preset in ("sn", "three_gen")])
+
+# the commands of the "every --json report is the text the json module
+# writes" step, one of each command with --json
+JSON_REPORTS = (
+    ("verify-identities", "-n", "8", "--json"),
+    ("verify-relations", "-n", "8", "--preset", "three_gen", "--json"),
+    ("closure", "-n", "4", "--gens", "a,b", "--targets", "s,t,g", "--stop-early",
+     "--json"),
+    ("check-tiling", "-n", "3", "--box=-1,3", "--samples", "40", "--json"),
+    ("product-tile", "2,1,4,3", "--json"),
+)
 
 
 def cli(argv, text=True) -> subprocess.CompletedProcess:
@@ -110,17 +121,19 @@ def check_reports_hold() -> str:
     return f"{len(argvs)} reports passed, {checks} checks in the json ones"
 
 
-def _check_json_text(argv) -> str:
-    proc = cli(argv)
+def _json_text_size(argv, proc) -> int:
+    """The size of the stdout of `argv`, which must be json.dumps text."""
     _succeeded(argv, proc)
     text = proc.stdout
     assert text == json.dumps(json.loads(text), indent=2) + "\n", (
         f"{_shown(argv)}: the text differs from json.dumps")
-    return f"{len(text)} bytes, as json.dumps writes them"
+    return len(text)
 
 
 def check_json_text() -> str:
-    return _check_json_text(("verify-identities", "-n", "8", "--json"))
+    sizes = [_json_text_size(argv, proc)
+             for argv, proc in zip(JSON_REPORTS, _run_each(JSON_REPORTS))]
+    return f"{len(sizes)} reports, {sum(sizes)} bytes, as json.dumps writes them"
 
 
 def check_tiling_workers() -> str:
@@ -165,7 +178,8 @@ def check_tessellate_out() -> str:
 
 
 def check_tessellate_json_text() -> str:
-    return _check_json_text(("tessellate", "-n", "4", "--radius", "1", "--format", "json"))
+    argv = ("tessellate", "-n", "4", "--radius", "1", "--format", "json")
+    return f"{_json_text_size(argv, cli(argv))} bytes, as json.dumps writes them"
 
 
 def check_bench_selfcheck() -> str:

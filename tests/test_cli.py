@@ -317,6 +317,30 @@ def verify_payloads(draw):
             "elapsed_seconds": elapsed}
 
 
+def _fraction_rule(obj):
+    """`json.dumps` default of the CLI's rule: an integral Fraction is its
+    int, any other its "p/q" string."""
+    if isinstance(obj, Fraction):
+        return obj.numerator if obj.denominator == 1 else str(obj)
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
+
+
+# Scalars of every type a payload may hold, and payloads of str-keyed
+# dicts, lists and tuples nested up to three deep around them.
+_LEAVES = st.one_of(
+    _SCALARS, st.integers(-10**80, 10**80), st.fractions(),
+    st.integers(-10**30, 10**30).map(Fraction))
+
+
+def _nested(depth):
+    if depth == 0:
+        return _LEAVES
+    inner = _nested(depth - 1)
+    return st.one_of(_LEAVES, st.lists(inner, max_size=4),
+                     st.lists(inner, max_size=4).map(tuple),
+                     st.dictionaries(_TEXTS, inner, max_size=4))
+
+
 def emitted(payload):
     out = io.StringIO()
     with redirect_stdout(out):
@@ -331,9 +355,8 @@ class TestVerifyJsonTemplate:
         {"%s": "%d", '"\\': "\x00", "é": True, "": None, "%(x)s %%": 1e-06}],
         "passed": False, "elapsed_seconds": 0.0})
     def test_matches_json_dumps(self, payload):
-        assert cli._verify_json(payload) is not None
         assert emitted(payload) == json.dumps(
-            payload, indent=2, default=cli._json_default) + "\n"
+            payload, indent=2, default=_fraction_rule) + "\n"
 
     @given(verify_payloads(), st.data())
     def test_rows_of_other_key_orders(self, payload, data):
@@ -342,22 +365,39 @@ class TestVerifyJsonTemplate:
             row.clear()
             row.update(items)
         assert emitted(payload) == json.dumps(
-            payload, indent=2, default=cli._json_default) + "\n"
+            payload, indent=2, default=_fraction_rule) + "\n"
 
     @pytest.mark.parametrize("payload", [
         {"n": 4, "checks": [{"label": "s^2", "holds": Fraction(1, 2)}]},
         {"n": 4, "checks": [{"label": ["s", 2]}], "passed": True},
         {"n": 4, "checks": [["s^2", True]]},
         {"n": 4, "checks": ({"label": "s^2"},)},
-        {4: "n", "checks": []},
-        {"checks": [{1: True}]},
+        {"n": 4, "checks": [{"cycles": ((1, 2), (3,), ())}]},
+        {"box": (Fraction(-1), Fraction(5, 2)), "checks": [{"holds": None}]},
         {"checks": [], "targets": {"s": True}},
         {"checks": [{"holds": True}], "elapsed_seconds": Fraction(3, 1)},
     ])
     def test_other_payloads_take_json_dumps(self, payload):
-        assert cli._verify_json(payload) is None
         assert emitted(payload) == json.dumps(
-            payload, indent=2, default=cli._json_default) + "\n"
+            payload, indent=2, default=_fraction_rule) + "\n"
+
+
+class TestJsonWriter:
+    @settings(max_examples=300)
+    @given(_nested(3))
+    @example([])
+    @example({"": [], "%s": {}, "%(x)s": ()})
+    @example(({"a": [[], (), {}], "%%": [{"": ()}]}, []))
+    @example({"f": [Fraction(3, 1), Fraction(-1, 3), Fraction(0)], "big": 10**40})
+    def test_matches_json_dumps(self, payload):
+        assert emitted(payload) == json.dumps(
+            payload, indent=2, default=_fraction_rule) + "\n"
+
+    @pytest.mark.parametrize("value", [{1, 2}, object()], ids=["set", "object"])
+    def test_other_types_raise_type_error(self, value):
+        message = f"{type(value).__name__} is not JSON serializable"
+        with pytest.raises(TypeError, match=f"^{message}$"):
+            emitted({"checks": [{"holds": value}]})
 
 
 class TestFailingReports:
@@ -520,6 +560,14 @@ class TestExitCodes:
         assert invoke(capsys, "iso-back", "1,1", "1,2,3")[0] == 2
         assert invoke(capsys, "decompose", "-x")[0] == 2
         assert invoke(capsys, "check-tiling", "-n", "3", "--box", "-2")[0] == 2
+
+    def test_unknown_closure_names(self, capsys):
+        choices = "choose from ['a', 'b', 'g', 's', 't']"
+        assert invoke(capsys, "closure", "-n", "3", "--gens", "a, q,,r") == (
+            2, "", f"error: unknown generator names ['q', 'r']; {choices}\n")
+        assert invoke(capsys, "closure", "-n", "3", "--gens", "a,b",
+                      "--targets", "s,x") == (
+            2, "", f"error: unknown target names ['x']; {choices}\n")
 
     def test_budget_errors(self, capsys):
         assert invoke(capsys, "enumerate", "-n", "9")[0] == 3

@@ -933,6 +933,13 @@ class TestCheckTiling:
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             check_tiling(**{**args, **kwargs})
 
+    @pytest.mark.parametrize("box", [(0, 4, 99), 5, (3,), ()],
+                             ids=["three-ends", "int", "one-end", "empty"])
+    def test_box_that_is_not_a_pair_is_a_value_error(self, box):
+        message = f"box must be a pair (lo, hi), got {box!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            check_tiling(2, box, samples=10)
+
     def test_integral_input_is_taken_as_int(self):
         report = check_tiling(2.0, (Fraction(0), 4.0), samples=64.0, seed=Fraction(7),
                               workers=1.0)
