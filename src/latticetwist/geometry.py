@@ -53,7 +53,7 @@ from typing import Iterator, NamedTuple, Sequence
 
 from . import limits
 from .semidirect import CycleStructure
-from .twisted import Vec, as_vector, check_permutation, ordered_cycles
+from .twisted import Vec, _as_int, as_vector, check_permutation, ordered_cycles
 
 SAMPLE_DENOMINATOR = 101
 FACET_REDRAWS = 64       # draws per sample before check_tiling gives up
@@ -225,12 +225,12 @@ class PrismTile:
     def __post_init__(self) -> None:
         if self.n < 1:
             raise ValueError(f"n must be positive, got {self.n}")
-        coeffs = tuple(self.coeffs)
-        ints = tuple(map(int, coeffs))
-        if len(ints) != self.n or ints != coeffs:
+        try:
+            coeffs = as_vector(self.coeffs, self.n)
+        except ValueError:
             raise ValueError(
-                f"coeffs must be {self.n} integers, got {self.coeffs!r}")
-        object.__setattr__(self, "coeffs", ints)
+                f"coeffs must be {self.n} integers, got {self.coeffs!r}") from None
+        object.__setattr__(self, "coeffs", coeffs)
 
     @classmethod
     def _of_ints(cls, n: int, coeffs: Vec) -> PrismTile:
@@ -551,18 +551,6 @@ def _box_vertex_sets(n: int, lo: int, hi: int):
     return from_tiles, from_residues, tile_count
 
 
-def _integral(value, what: str) -> int:
-    """`value` as an int, when it equals one (2, 2.0, Fraction(2), True);
-    any other value is a ValueError, as for `PrismTile` coefficients."""
-    try:
-        as_int = int(value)
-    except (TypeError, ValueError, OverflowError):
-        as_int = None
-    if as_int is None or as_int != value:
-        raise ValueError(f"{what} must be an integer, got {value!r}")
-    return as_int
-
-
 def check_tiling(
     n: int,
     box: tuple[int, int],
@@ -579,19 +567,19 @@ def check_tiling(
     processes split whole blocks, so the report does not depend on
     `workers`.  Also matches the tile-vertex set inside the box against
     the residue-distinct set, each listed independently.  `box` is a pair
-    (lo, hi).  n, the box ends, `samples`, `seed` and `workers` must be
-    integers; an integral value of another type (4.0, Fraction(4)) is taken
-    as that int.
+    (lo, hi).  n, the box ends, `samples`, `seed` and `workers` are read
+    by the integer rule of `twisted.as_vector`: 4.0 or Fraction(4) is the
+    int 4, and 4.5 or "4" is a ValueError.
     """
-    n = _integral(n, "n")
+    n = _as_int(n, "n")
     try:
         lo, hi = box
     except (TypeError, ValueError):
         raise ValueError(f"box must be a pair (lo, hi), got {box!r}") from None
-    lo, hi = _integral(lo, "box lo"), _integral(hi, "box hi")
-    samples = _integral(samples, "samples")
-    seed = _integral(seed, "seed")
-    workers = _integral(workers, "workers")
+    lo, hi = _as_int(lo, "box lo"), _as_int(hi, "box hi")
+    samples = _as_int(samples, "samples")
+    seed = _as_int(seed, "seed")
+    workers = _as_int(workers, "workers")
     _check_n(n, limits.MAX_PERMUTOHEDRON_N, "tiling")
     if lo >= hi:
         raise ValueError(f"box must have lo < hi, got [{lo}, {hi}]")

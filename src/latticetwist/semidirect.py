@@ -77,13 +77,13 @@ def semi_power(g: SemiElement, k: int) -> SemiElement:
     return _power(_checked(g), k)
 
 
-def _checked(g: SemiElement) -> tuple[Sequence[int], Permutation]:
-    """Unpack g, validating its permutation and the lengths of both parts."""
+def _checked(g: SemiElement) -> tuple[Vec, Permutation]:
+    """Unpack g as (z, s): a permutation s and a vector z of ints as long."""
     z, s = g
     s = check_permutation(s)
     if len(z) != len(s):
         raise ValueError(f"length mismatch: {len(z)} vs {len(s)}")
-    return z, s
+    return as_vector(z), s
 
 
 # The kernels below take pairs that are already valid: s a permutation of
@@ -144,7 +144,7 @@ def phi_backward(g: SemiElement) -> Vec:
     """Inverse of phi_forward: x_i = n*z_i + ((1 - s(i)) mod n)."""
     z, s = _checked(g)
     n = len(s)
-    return tuple(n * m + ((1 - v) % n) for m, v in zip(as_vector(z), s))
+    return tuple(n * m + ((1 - v) % n) for m, v in zip(z, s))
 
 
 def general_is_unit(x: Sequence[int], tau: Sequence[int]) -> bool:
@@ -175,8 +175,8 @@ def assemble_from_factors(parts: Sequence[Sequence[int]], cycles: CycleStructure
         if len(part) != len(cycle):
             raise ValueError(f"part length {len(part)} != cycle length {len(cycle)}")
         for value, w in zip(part, cycle):
-            out[w - 1] = int(value)
-    return tuple(out)
+            out[w - 1] = value
+    return as_vector(out)
 
 
 def _check_cycles(cycles: CycleStructure, n: int) -> None:

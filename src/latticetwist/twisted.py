@@ -44,10 +44,14 @@ class NotInvertibleError(ValueError):
 
 
 def check_permutation(images: Sequence[int]) -> tuple[int, ...]:
-    """Validate one-line notation (1-based images) and return it as a tuple."""
-    tau = tuple(map(int, images))
-    if sorted(tau) != list(range(1, len(tau) + 1)):
-        raise ValueError(f"not a permutation of 1..{len(tau)}: {tau!r}")
+    """Validate one-line notation (1-based images), read as `as_vector` reads."""
+    raw = tuple(images)
+    try:
+        tau = tuple(map(int, raw))
+    except (TypeError, ValueError, OverflowError):
+        tau = None
+    if tau != raw or sorted(tau) != list(range(1, len(tau) + 1)):
+        raise ValueError(f"not a permutation of 1..{len(raw)}: {raw!r}")
     return tau
 
 
@@ -124,12 +128,31 @@ class Action:
 
 
 def as_vector(values: Sequence[int], n: int | None = None) -> Vec:
-    vec = tuple(map(int, values))
+    """`values` as a nonempty tuple of ints, of length n when n is given.
+
+    Every integer input is read by this rule: an entry equal to an int
+    (3, 3.0, Fraction(3), True) is that int, and any other (1.5, "3", nan,
+    inf, None) is a ValueError.  `_as_int` reads one value by it."""
+    raw = tuple(values)
+    try:
+        vec = tuple(map(int, raw))
+    except (TypeError, ValueError, OverflowError):
+        vec = None
+    if vec != raw:
+        raise ValueError(f"vector is not integral: {raw!r}")
     if not vec:
         raise ValueError("empty vector")
     if n is not None and len(vec) != n:
         raise ValueError(f"expected length {n}, got {len(vec)}")
     return vec
+
+
+def _as_int(value, what: str) -> int:
+    """One value as an int by the rule of `as_vector`; `what` names it."""
+    try:
+        return as_vector((value,))[0]
+    except ValueError:
+        raise ValueError(f"{what} must be an integer, got {value!r}") from None
 
 
 def identity_element(action: Action) -> Vec:
@@ -139,7 +162,7 @@ def identity_element(action: Action) -> Vec:
 
 def embed_constant(g: int, action: Action) -> Vec:
     """Constant vector with value g; constants embed Z homomorphically."""
-    return (int(g),) * action.n
+    return (_as_int(g, "g"),) * action.n
 
 
 def star_multiply(a: Sequence[int], b: Sequence[int], action: Action) -> Vec:

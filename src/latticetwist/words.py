@@ -42,7 +42,8 @@ from functools import lru_cache
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from . import limits
-from .semidirect import SemiElement, identity_perm, semi_identity, semi_inverse
+from .semidirect import SemiElement, _checked, _inverse, identity_perm, semi_identity
+from .twisted import _as_int
 
 Letter = tuple[str, int]
 Word = tuple[Letter, ...]
@@ -64,7 +65,8 @@ def normalize_word(letters: Iterable[Letter]) -> Word:
     for sym, exp in letters:
         if sym not in SYMBOLS:
             raise ValueError(f"unknown symbol {sym!r}")
-        exp = int(exp)
+        if type(exp) is not int:
+            exp = _as_int(exp, f"exponent of {sym!r}")
         if exp == 0:
             continue
         if out and out[-1][0] == sym:
@@ -90,6 +92,7 @@ def word_inverse(word: Word) -> Word:
 
 
 def word_power(word: Word, k: int) -> Word:
+    k = _as_int(k, "power")
     if k == 0 or not word:
         return ()
     if k < 0:
@@ -634,17 +637,12 @@ def generated_closure(
             f"budget {budget} exceeds cap {limits.MAX_CLOSURE_BUDGET}")
     n = len(images[0].z)
     _check_verify_n(n)
+    gens: list[SemiElement] = []
     for img in images:
         if len(img.z) != n or len(img.s) != n:
             raise ValueError("generator images have mismatched sizes")
-        if any(x != int(x) for x in img.z):
-            raise ValueError(f"generator translation is not integral: {img.z!r}")
-
-    gens: list[SemiElement] = []
-    for z, s in images:
-        # The walk shifts translation entries, so 1.0 must become 1.
-        img = SemiElement(tuple(map(int, z)), s)
-        for candidate in (img, semi_inverse(img)):
+        img = SemiElement(*_checked(img))
+        for candidate in (img, _inverse(img)):
             if candidate not in gens:
                 gens.append(candidate)
 

@@ -1,10 +1,34 @@
 """The twisted product: closed form, transport maps, inverses."""
 
+import math
+from fractions import Fraction
 from itertools import product
 
 import pytest
 from hypothesis import given, strategies as st
 
+from latticetwist.geometry import PrismTile, decompose_point
+from latticetwist.semidirect import (
+    SemiElement,
+    assemble_from_factors,
+    general_is_unit,
+    perm_inverse,
+    phi_backward,
+    phi_forward,
+    semi_identity,
+    semi_inverse,
+    semi_multiply,
+    semi_power,
+    split_to_factors,
+)
+from latticetwist.units import (
+    cyclic_action,
+    deformed_inverse,
+    deformed_multiply,
+    is_residue_distinct,
+    is_unit_member,
+)
+from latticetwist.words import generated_closure, normalize_word, word_power
 from latticetwist.twisted import (
     Action,
     NotBijective,
@@ -268,3 +292,59 @@ class TestAsVector:
         with pytest.raises(ValueError):
             as_vector((1, 2), 3)
         assert as_vector([1, 2], 2) == (1, 2)
+
+
+def _perm(x):
+    """The identity permutation of 1..3 with x in the place of 1 when x
+    equals 1, else in the place of 3."""
+    return (x, 2, 3) if x == 1 else (1, 2, x)
+
+
+# Each public reader with x as one integer input; every call is valid when
+# x is the int 1 or 3.
+_A3 = cyclic_action(3)
+INTEGER_READERS = {
+    "star_multiply left": lambda x: star_multiply((x, 0, 2), (0, 0, 0), _A3),
+    "star_multiply right": lambda x: star_multiply((0, 0, 0), (x, 0, 2), _A3),
+    "transport_permutation": lambda x: transport_permutation((x, 0, 0), _A3),
+    "invert": lambda x: invert((x, x, x), _A3),
+    "embed_constant": lambda x: embed_constant(x, _A3),
+    "deformed_multiply": lambda x: deformed_multiply((x, 0), (0, x)),
+    "deformed_inverse": lambda x: deformed_inverse((x, 0)),
+    "is_residue_distinct": lambda x: is_residue_distinct((x, 0)),
+    "is_unit_member": lambda x: is_unit_member((x, 0, 0)),
+    "phi_forward": lambda x: phi_forward((x, 0)),
+    "phi_backward z": lambda x: phi_backward(SemiElement((x, 0), (2, 1))),
+    "phi_backward s": lambda x: phi_backward(SemiElement((0, 0, 0), _perm(x))),
+    "general_is_unit x": lambda x: general_is_unit((x, 0, 0), (2, 3, 1)),
+    "general_is_unit tau": lambda x: general_is_unit((0, 0, 0), _perm(x)),
+    "check_permutation": lambda x: check_permutation(_perm(x)),
+    "perm_inverse": lambda x: perm_inverse(_perm(x)),
+    "semi_multiply s": lambda x: semi_multiply(
+        SemiElement((0, 0, 0), _perm(x)), semi_identity(3)),
+    "decompose_point": lambda x: decompose_point((x, 0, 2)),
+    "split_to_factors": lambda x: split_to_factors((x, 0, 2), ((1, 2), (3,))),
+    "assemble_from_factors": lambda x: assemble_from_factors(
+        [(x, 0), (2,)], ((1, 2), (3,))),
+    "PrismTile": lambda x: PrismTile(3, (x, 0, 2)),
+    "generated_closure": lambda x: generated_closure(
+        [SemiElement((x, 0), (2, 1))], budget=20),
+    "semi_inverse z": lambda x: semi_inverse(SemiElement((x, 0), (2, 1))),
+    "semi_inverse s": lambda x: semi_inverse(SemiElement((0, 0, 0), _perm(x))),
+    "semi_power": lambda x: semi_power(SemiElement((x, 0), (2, 1)), 3),
+    "normalize_word": lambda x: normalize_word([("t", x), ("g", 1)]),
+    "word_power": lambda x: word_power((("t", 1),), x),
+}
+
+
+@pytest.mark.parametrize("reader", sorted(INTEGER_READERS))
+def test_every_reader_reads_integers_by_one_rule(reader):
+    """An input equal to an int is that int; any other is a ValueError."""
+    call = INTEGER_READERS[reader]
+    for bad in (1.5, "3", math.nan, math.inf):
+        with pytest.raises(ValueError):
+            call(bad)
+    for good in (3.0, Fraction(3), True):
+        # repr tells 3 from 3.0, Fraction(3) and True, so equal reprs
+        # mean an int-typed result
+        assert repr(call(good)) == repr(call(int(good)))
