@@ -60,13 +60,6 @@ FACET_REDRAWS = 64       # draws per sample before check_tiling gives up
 SAMPLE_BLOCK = 64        # consecutive samples drawn from one seeded stream
 
 
-def _check_n(n: int, cap: int, what: str) -> None:
-    if n < 1:
-        raise ValueError(f"n must be positive, got {n}")
-    if n > cap:
-        raise limits.BudgetExceededError(f"n={n} exceeds {what} cap {cap}")
-
-
 def _check_count(count: int, what: str) -> None:
     if count > limits.MAX_BOX_POINTS:
         raise limits.BudgetExceededError(
@@ -75,14 +68,13 @@ def _check_count(count: int, what: str) -> None:
 
 def permutohedron_vertices(n: int) -> list[Vec]:
     """All permutations of (1..n); they share coordinate sum n(n+1)/2."""
-    _check_n(n, limits.MAX_PERMUTOHEDRON_N, "permutohedron")
+    n = _as_int(n, "n", 1, limits.MAX_PERMUTOHEDRON_N)
     return [tuple(p) for p in permutations(range(1, n + 1))]
 
 
 def coordinate_matrices(n: int) -> tuple[Vec, ...]:
     """C, row by row: its columns are e_1..e_{n-1}, a."""
-    if n < 1:
-        raise ValueError(f"n must be positive, got {n}")
+    n = _as_int(n, "n", 1)
     _check_count(n * n, "matrix entries")
     rows = [
         tuple(-(n - 1) if j == i else 1 for j in range(n)) for i in range(n - 1)
@@ -223,13 +215,13 @@ class PrismTile:
     coeffs: Vec
 
     def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError(f"n must be positive, got {self.n}")
+        n = _as_int(self.n, "n", 1)
         try:
-            coeffs = as_vector(self.coeffs, self.n)
+            coeffs = as_vector(self.coeffs, n)
         except ValueError:
             raise ValueError(
-                f"coeffs must be {self.n} integers, got {self.coeffs!r}") from None
+                f"coeffs must be {n} integers, got {self.coeffs!r}") from None
+        object.__setattr__(self, "n", n)
         object.__setattr__(self, "coeffs", coeffs)
 
     @classmethod
@@ -271,9 +263,8 @@ def generate_patch(n: int, radius: int) -> list[PrismTile]:
     Refused when the exported mesh would have more than
     `limits.MAX_BOX_POINTS` vertex rows, (2r+1)^n tiles of 2*n! each.
     """
-    _check_n(n, limits.MAX_PERMUTOHEDRON_N, "patch")
-    if radius < 0:
-        raise ValueError(f"radius must be >= 0, got {radius}")
+    n = _as_int(n, "n", 1, limits.MAX_PERMUTOHEDRON_N)
+    radius = _as_int(radius, "radius", 0)
     _check_count((2 * radius + 1) ** n * 2 * factorial(n), "patch vertex rows")
     span = range(-radius, radius + 1)
     of_ints = PrismTile._of_ints
@@ -308,8 +299,8 @@ def product_tile_vertices(tau: Sequence[int]) -> ProductTile:
     n = len(tau)
     # every cycle length before any factorial, then the vertex count
     # prod 2*|c|!, stopping as soon as it passes the cap
-    _check_n(max(map(len, cycles), default=0), limits.MAX_PERMUTOHEDRON_N,
-             "product tile cycle")
+    _as_int(max(map(len, cycles), default=0), "cycle length", 1,
+            limits.MAX_PERMUTOHEDRON_N)
     count = 1
     for cycle in cycles:
         count *= 2 * factorial(len(cycle))
@@ -571,26 +562,18 @@ def check_tiling(
     by the integer rule of `twisted.as_vector`: 4.0 or Fraction(4) is the
     int 4, and 4.5 or "4" is a ValueError.
     """
-    n = _as_int(n, "n")
+    n = _as_int(n, "n", 1, limits.MAX_PERMUTOHEDRON_N)
     try:
         lo, hi = box
     except (TypeError, ValueError):
         raise ValueError(f"box must be a pair (lo, hi), got {box!r}") from None
     lo, hi = _as_int(lo, "box lo"), _as_int(hi, "box hi")
-    samples = _as_int(samples, "samples")
-    seed = _as_int(seed, "seed")
-    workers = _as_int(workers, "workers")
-    _check_n(n, limits.MAX_PERMUTOHEDRON_N, "tiling")
     if lo >= hi:
         raise ValueError(f"box must have lo < hi, got [{lo}, {hi}]")
-    if samples < 0:
-        raise ValueError(f"samples must be >= 0, got {samples}")
+    samples = _as_int(samples, "samples", 0)
     _check_count(samples, "samples")
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
-    if workers > limits.MAX_WORKERS:
-        raise limits.BudgetExceededError(
-            f"{workers} workers exceed the cap {limits.MAX_WORKERS}")
+    seed = _as_int(seed, "seed")
+    workers = _as_int(workers, "workers", 1, limits.MAX_WORKERS)
 
     from_tiles, from_residues, tile_count = _box_vertex_sets(n, lo, hi)
     mismatches = tuple(sorted(from_tiles ^ from_residues))[:8]

@@ -9,6 +9,13 @@ vertices and tile-side pairs of a tiling check, exported patch rows,
 product-tile vertices, entries of the basis matrix) and the tiling sample
 count all stay within `MAX_BOX_POINTS`.  Callers that need more should
 precompute offline.
+
+The caps on a size argument (`MAX_PERMUTOHEDRON_N`, `MAX_VERIFY_N`,
+`MAX_CLOSURE_BUDGET`, `MAX_IDENTITY_DRAWS`, `MAX_WORKERS`) are enforced
+by `twisted._as_int`, which each public reader calls with the cap as it
+stands at the time of the call; the geometry counts are enforced by
+`geometry._check_count`, and the word-letter cap by `words._check_letters`
+and `words._tokens`.
 """
 
 MAX_PERMUTOHEDRON_N = 8          # n! permutations listed

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from typing import NamedTuple, Sequence
 
-from .twisted import Vec, _is_unit, as_vector, check_permutation, ordered_cycles
+from .twisted import Vec, _as_int, _is_unit, as_vector, check_permutation, ordered_cycles
 from .units import _require_residue_distinct
 
 Permutation = tuple[int, ...]
@@ -72,6 +72,7 @@ def semi_inverse(g: SemiElement) -> SemiElement:
 
 def semi_power(g: SemiElement, k: int) -> SemiElement:
     """g^k by square-and-multiply; negative k goes through the inverse."""
+    k = _as_int(k, "k")
     if k == 0:
         return semi_identity(len(g.z))
     return _power(_checked(g), k)

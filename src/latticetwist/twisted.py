@@ -20,6 +20,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
 
+from . import limits
+
 Vec = tuple[int, ...]
 
 
@@ -99,15 +101,12 @@ class Action:
     @classmethod
     def cyclic(cls, n: int) -> "Action":
         """The action with tau(v) = v - 1 and tau(1) = n."""
-        if n < 1:
-            raise ValueError(f"n must be positive, got {n}")
+        n = _as_int(n, "n", 1)
         return cls.from_permutation((n, *range(1, n)))
 
     @classmethod
     def trivial(cls, n: int) -> "Action":
-        if n < 1:
-            raise ValueError(f"n must be positive, got {n}")
-        return cls.from_permutation(range(1, n + 1))
+        return cls.from_permutation(range(1, _as_int(n, "n", 1) + 1))
 
     @cached_property
     def _position(self) -> tuple:
@@ -147,12 +146,23 @@ def as_vector(values: Sequence[int], n: int | None = None) -> Vec:
     return vec
 
 
-def _as_int(value, what: str) -> int:
-    """One value as an int by the rule of `as_vector`; `what` names it."""
-    try:
-        return as_vector((value,))[0]
-    except ValueError:
-        raise ValueError(f"{what} must be an integer, got {value!r}") from None
+def _as_int(value, what: str, least: int | None = None,
+            cap: int | None = None) -> int:
+    """One value as an int by the rule of `as_vector`; `what` names it.
+
+    Every size argument (n, a radius, box ends, counts, a seed, a budget)
+    is read here: below `least` it is a ValueError, and above `cap`, one
+    of the caps in `limits`, a `limits.BudgetExceededError`."""
+    if type(value) is not int:
+        try:
+            value = as_vector((value,))[0]
+        except ValueError:
+            raise ValueError(f"{what} must be an integer, got {value!r}") from None
+    if least is not None and value < least:
+        raise ValueError(f"{what} must be >= {least}, got {value}")
+    if cap is not None and value > cap:
+        raise limits.BudgetExceededError(f"{what}={value} exceeds the cap {cap}")
+    return value
 
 
 def identity_element(action: Action) -> Vec:

@@ -19,7 +19,7 @@ from operator import add, sub
 from typing import Sequence
 
 from . import limits
-from .twisted import Action, Vec, _invert, _is_unit, as_vector
+from .twisted import Action, Vec, _as_int, _invert, _is_unit, as_vector
 
 
 @lru_cache(maxsize=16, typed=True)
@@ -29,9 +29,7 @@ def cyclic_action(n: int) -> Action:
 
 def shift_vector(n: int) -> Vec:
     """(0, n-1, n-2, ..., 2, 1): identity of the deformed addition."""
-    if n < 1:
-        raise ValueError(f"n must be positive, got {n}")
-    return (0, *range(n - 1, 0, -1))
+    return (0, *range(_as_int(n, "n", 1) - 1, 0, -1))
 
 
 def is_unit_member(x: Sequence[int]) -> bool:
@@ -80,10 +78,5 @@ def deformed_inverse(x: Sequence[int]) -> Vec:
 
 def enumerate_residue_classes(n: int) -> list[Vec]:
     """All residue-distinct vectors in [0, n-1]^n: the n! class representatives."""
-    if n < 1:
-        raise ValueError(f"n must be positive, got {n}")
-    if n > limits.MAX_PERMUTOHEDRON_N:
-        raise limits.BudgetExceededError(
-            f"n={n} exceeds enumeration cap {limits.MAX_PERMUTOHEDRON_N}"
-        )
+    n = _as_int(n, "n", 1, limits.MAX_PERMUTOHEDRON_N)
     return [tuple(p) for p in permutations(range(n))]

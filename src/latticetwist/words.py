@@ -239,13 +239,12 @@ def _expand(terms: list) -> list[Letter]:
 
 def standard_generators(n: int) -> dict[str, SemiElement]:
     """The five named generators as concrete elements of Z^n x| S_n."""
-    return dict(_generators(n))
+    return dict(_generators(_as_int(n, "n", 2, limits.MAX_VERIFY_N)))
 
 
 @lru_cache(maxsize=16, typed=True)
 def _generators(n: int) -> dict[str, SemiElement]:
     # Shared by every caller for this n: read it, never mutate it.
-    _check_generators_n(n)
     zero, ident = (0,) * n, identity_perm(n)
     gens = {}
     for sym in SYMBOLS:
@@ -253,12 +252,6 @@ def _generators(n: int) -> dict[str, SemiElement]:
         gens[sym] = SemiElement(zero if k is None else k[1:],
                                 ident if r is None else r[1:])
     return gens
-
-
-def _check_generators_n(n: int) -> None:
-    if n < 2:
-        raise ValueError(f"generators need n >= 2, got {n}")
-    _check_verify_n(n)
 
 
 def eval_word(word: Word, n: int) -> SemiElement:
@@ -333,7 +326,7 @@ def _eval(word: Word, n: int, powers: Powers) -> SemiElement:
 
     skipping the pass over z when k is None and the one over s when r is.
     """
-    _check_generators_n(n)
+    n = _as_int(n, "n", 2, limits.MAX_VERIFY_N)
     z = [0] * n
     s = list(range(1, n + 1))
     for sym, exp in word:
@@ -365,12 +358,6 @@ class RelationPreset:
     relations: tuple[Relation, ...]
 
 
-def _check_verify_n(n: int) -> None:
-    if n > limits.MAX_VERIFY_N:
-        raise limits.BudgetExceededError(
-            f"n={n} exceeds the verification cap {limits.MAX_VERIFY_N}")
-
-
 _PRESET_MIN_N = {"sn": 4, "three_gen": 4, "two_gen": 2}
 
 
@@ -380,7 +367,7 @@ def relation_preset(n: int, name: str) -> RelationPreset:
     Each relation is its label text, an L R^-1 word, parsed by `parse_word`:
     the text that `verify-relations` prints is the word it evaluates.
     """
-    _check_verify_n(n)
+    n = _as_int(n, "n", cap=limits.MAX_VERIFY_N)
     key = name.replace("-", "_").lower()
     least = _PRESET_MIN_N.get(key)
     if least is None:
@@ -469,14 +456,9 @@ def verify_derived_identities(n: int, seed: int = 0, draws: int = 4) -> Identity
     deterministically from `seed`.  Each side is a tuple of letters that
     `_eval` reads as written, with the report's one table of powers.
     """
-    if n < 2:
-        raise ValueError(f"identities need n >= 2, got {n}")
-    _check_verify_n(n)
-    if draws < 0:
-        raise ValueError(f"draws must be >= 0, got {draws}")
-    if draws > limits.MAX_IDENTITY_DRAWS:
-        raise limits.BudgetExceededError(
-            f"{draws} draws exceed the cap {limits.MAX_IDENTITY_DRAWS}")
+    n = _as_int(n, "n", 2, limits.MAX_VERIFY_N)
+    seed = _as_int(seed, "seed")
+    draws = _as_int(draws, "draws", 0, limits.MAX_IDENTITY_DRAWS)
     checks: list[IdentityCheck] = []
     powers: Powers = {}
 
@@ -628,15 +610,9 @@ def generated_closure(
     """
     if not images:
         raise ValueError("need at least one generator image")
-    if budget is None:
-        budget = limits.MAX_CLOSURE_BUDGET
-    if budget < 1:
-        raise ValueError(f"budget must be positive, got {budget}")
-    if budget > limits.MAX_CLOSURE_BUDGET:
-        raise limits.BudgetExceededError(
-            f"budget {budget} exceeds cap {limits.MAX_CLOSURE_BUDGET}")
-    n = len(images[0].z)
-    _check_verify_n(n)
+    budget = _as_int(limits.MAX_CLOSURE_BUDGET if budget is None else budget,
+                     "budget", 1, limits.MAX_CLOSURE_BUDGET)
+    n = _as_int(len(images[0].z), "n", cap=limits.MAX_VERIFY_N)
     gens: list[SemiElement] = []
     for img in images:
         if len(img.z) != n or len(img.s) != n:
@@ -673,10 +649,10 @@ def generated_closure(
     # Field width: a step changes z_i by an entry of a generator translation,
     # so by at most M = max |k_i|.  Every visited element, and every
     # candidate step from one, is at most `budget` steps from the identity,
-    # so |z_i| <= ceil(budget) * M = bias.  A field then holds a value in
+    # so |z_i| <= budget * M = bias.  A field then holds a value in
     # [0, 2 * bias], which fits in w = (2 * bias).bit_length() bits; no field
     # carries into the next and the addition is exact.
-    bias = math.ceil(budget) * max((abs(x) for k, _ in gens for x in k), default=0)
+    bias = budget * max((abs(x) for k, _ in gens for x in k), default=0)
     w = (2 * bias).bit_length()
     shifts = tuple(w * i for i in range(n))
     top = w * n

@@ -651,7 +651,7 @@ class TestParserReuse:
         assert run(argv) == 3
         assert json.loads(capsys.readouterr().out)["budget"] == 5
         assert run(argv + ["--budget", "6"]) == 3
-        assert "exceeds cap 5" in capsys.readouterr().err
+        assert capsys.readouterr().err == "error: budget=6 exceeds the cap 5\n"
         assert run(argv + ["--budget", "0"]) == 2
 
     def test_build_parser_returns_a_fresh_parser(self):

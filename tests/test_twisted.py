@@ -7,7 +7,13 @@ from itertools import product
 import pytest
 from hypothesis import given, strategies as st
 
-from latticetwist.geometry import PrismTile, decompose_point
+from latticetwist.geometry import (
+    PrismTile,
+    coordinate_matrices,
+    decompose_point,
+    generate_patch,
+    permutohedron_vertices,
+)
 from latticetwist.semidirect import (
     SemiElement,
     assemble_from_factors,
@@ -25,10 +31,21 @@ from latticetwist.units import (
     cyclic_action,
     deformed_inverse,
     deformed_multiply,
+    enumerate_residue_classes,
     is_residue_distinct,
     is_unit_member,
+    shift_vector,
 )
-from latticetwist.words import generated_closure, normalize_word, word_power
+from latticetwist.words import (
+    eval_word,
+    generated_closure,
+    normalize_word,
+    parse_word,
+    relation_preset,
+    standard_generators,
+    verify_derived_identities,
+    word_power,
+)
 from latticetwist.twisted import (
     Action,
     NotBijective,
@@ -300,6 +317,12 @@ def _perm(x):
     return (x, 2, 3) if x == 1 else (1, 2, x)
 
 
+def _zeros(x):
+    """The zero coefficients of a tile of size 1 when x equals 1, else of
+    size 3."""
+    return (0,) if x == 1 else (0, 0, 0)
+
+
 # Each public reader with x as one integer input; every call is valid when
 # x is the int 1 or 3.
 _A3 = cyclic_action(3)
@@ -334,17 +357,50 @@ INTEGER_READERS = {
     "semi_power": lambda x: semi_power(SemiElement((x, 0), (2, 1)), 3),
     "normalize_word": lambda x: normalize_word([("t", x), ("g", 1)]),
     "word_power": lambda x: word_power((("t", 1),), x),
+    # size arguments
+    "Action.cyclic": lambda x: Action.cyclic(x),
+    "Action.trivial": lambda x: Action.trivial(x),
+    "cyclic_action": lambda x: cyclic_action(x),
+    "shift_vector": lambda x: shift_vector(x),
+    "enumerate_residue_classes": lambda x: enumerate_residue_classes(x),
+    "permutohedron_vertices": lambda x: permutohedron_vertices(x),
+    "coordinate_matrices": lambda x: coordinate_matrices(x),
+    "PrismTile n": lambda x: PrismTile(x, _zeros(x)),
+    "generate_patch n": lambda x: generate_patch(x, 0),
+    "generate_patch radius": lambda x: generate_patch(2, x),
+    "verify_derived_identities seed": lambda x: verify_derived_identities(4, seed=x),
+    "verify_derived_identities draws": lambda x: verify_derived_identities(4, draws=x),
+    "generated_closure budget": lambda x: generated_closure(
+        [SemiElement((1, 0), (2, 1))], budget=x),
+    "semi_power k": lambda x: semi_power(SemiElement((1, 0), (2, 1)), x),
 }
+
+# Readers of an n that must be at least 2: each call is valid when x is 4,
+# and True, read as 1, is not.
+SIZE_READERS_FROM_2 = {
+    "standard_generators": lambda x: standard_generators(x),
+    "eval_word n": lambda x: eval_word(parse_word("s t a g^-1"), x),
+    "relation_preset n": lambda x: relation_preset(x, "sn"),
+    "verify_derived_identities n": lambda x: verify_derived_identities(x),
+}
+
+
+def _reads_by_one_rule(call, goods):
+    """An input equal to an int is that int; any other is a ValueError."""
+    for bad in (1.5, "3", math.nan, math.inf):
+        with pytest.raises(ValueError):
+            call(bad)
+    for good in goods:
+        # repr tells 3 from 3.0, Fraction(3) and True, so equal reprs
+        # mean an int-typed result
+        assert repr(call(good)) == repr(call(int(good)))
 
 
 @pytest.mark.parametrize("reader", sorted(INTEGER_READERS))
 def test_every_reader_reads_integers_by_one_rule(reader):
-    """An input equal to an int is that int; any other is a ValueError."""
-    call = INTEGER_READERS[reader]
-    for bad in (1.5, "3", math.nan, math.inf):
-        with pytest.raises(ValueError):
-            call(bad)
-    for good in (3.0, Fraction(3), True):
-        # repr tells 3 from 3.0, Fraction(3) and True, so equal reprs
-        # mean an int-typed result
-        assert repr(call(good)) == repr(call(int(good)))
+    _reads_by_one_rule(INTEGER_READERS[reader], (3.0, Fraction(3), True))
+
+
+@pytest.mark.parametrize("reader", sorted(SIZE_READERS_FROM_2))
+def test_every_n_from_2_is_read_by_one_rule(reader):
+    _reads_by_one_rule(SIZE_READERS_FROM_2[reader], (4.0, Fraction(4)))

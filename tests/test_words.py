@@ -206,8 +206,7 @@ def preset_oracle(n, name):
     """Reference relation presets, each word built by concatenation and
     powers rather than parsed from its label."""
     if n > limits.MAX_VERIFY_N:
-        raise BudgetExceededError(
-            f"n={n} exceeds the verification cap {limits.MAX_VERIFY_N}")
+        raise BudgetExceededError(f"n={n} exceeds the cap {limits.MAX_VERIFY_N}")
     key = name.replace("-", "_").lower()
     if key == "sn":
         return RelationPreset("sn", n, _sn_relations(n))
@@ -706,11 +705,11 @@ class TestEvalKernel:
     def test_n_is_checked_as_before(self):
         cap = limits.MAX_VERIFY_N
         for table in ({}, {("s", 1): (None, (0, 2, 1))}):
-            with pytest.raises(ValueError, match="n >= 2"):
+            with pytest.raises(ValueError, match="^n must be >= 2, got 1$"):
                 _eval((("s", 1),), 1, table)
             with pytest.raises(BudgetExceededError):
                 _eval((), cap + 1, table)
-        with pytest.raises(ValueError, match="n >= 2"):
+        with pytest.raises(ValueError, match="^n must be >= 2, got 1$"):
             eval_word((), 1)
         with pytest.raises(BudgetExceededError):
             eval_word((), cap + 1)
@@ -1016,9 +1015,10 @@ class TestClosure:
         assert (generated_closure(floats, 500, *args)
                 == generated_closure(images, 500, *args)
                 == closure_oracle(floats, 500, *args))
-        for budget in (20.0, 20.5):
-            assert (generated_closure(images, budget)
-                    == closure_oracle(images, budget))
+        assert (generated_closure(images, 20.0) == generated_closure(images, 20)
+                == closure_oracle(images, 20))
+        with pytest.raises(ValueError, match="^budget must be an integer, got 20.5$"):
+            generated_closure(images, 20.5)
 
     def test_matches_oracle_on_benchmark_shapes(self):
         cases = [(5, "s t", None, False, 10**6), (4, "a b", "s t g", True, 10**6),
