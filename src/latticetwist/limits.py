@@ -22,7 +22,8 @@ MAX_PERMUTOHEDRON_N = 8          # n! permutations listed
 MAX_CLOSURE_BUDGET = 1_000_000   # visited elements in a closure search
 MAX_BOX_POINTS = 1_000_000       # vertices, pairs, rows, samples, entries in geometry
 MAX_WORD_LETTERS = 1_000_000     # letters of a word after expanding powers
-MAX_VERIFY_N = 80                # generators, closures; relation checks cost ~n^3
+MAX_VERIFY_N = 80                # generators, closures; relation checks cost ~n^3;
+                                 # at most 255: closure permutations are bytes
 MAX_IDENTITY_DRAWS = 16          # exponent draws, about n^2 evaluations each
 MAX_WORKERS = 32                 # sampling processes in one tiling check
 

@@ -35,7 +35,7 @@ class SemiElement(NamedTuple):
 
 
 def identity_perm(n: int) -> Permutation:
-    return tuple(range(1, n + 1))
+    return tuple(range(1, _as_int(n, "n", 1) + 1))
 
 
 def perm_compose(p2: Sequence[int], p1: Sequence[int]) -> Permutation:
@@ -52,7 +52,8 @@ def perm_inverse(p: Sequence[int]) -> Permutation:
 
 
 def semi_identity(n: int) -> SemiElement:
-    return SemiElement((0,) * n, identity_perm(n))
+    s = identity_perm(n)
+    return SemiElement((0,) * len(s), s)
 
 
 def semi_multiply(left: SemiElement, right: SemiElement) -> SemiElement:

@@ -43,7 +43,7 @@ from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from . import limits
 from .semidirect import SemiElement, _checked, _inverse, identity_perm, semi_identity
-from .twisted import _as_int
+from .twisted import _as_int, check_permutation
 
 Letter = tuple[str, int]
 Word = tuple[Letter, ...]
@@ -626,11 +626,17 @@ def generated_closure(
     target_items = dict(targets or {})
     reached = {name: el == ident for name, el in target_items.items()}
     # Unreached targets wait here by permutation until the walk interns it,
-    # then move to target_keys under their key (below).
-    pending_targets: dict[tuple, list[tuple[Sequence, str]]] = {}
+    # then move to target_keys under their key (below).  A target whose s is
+    # not a permutation of 1..n waits under no key, or under one the walk
+    # never interns, so it stays unreached.
+    pending_targets: dict[bytes, list[tuple[Sequence, str]]] = {}
     for name, (z, s) in target_items.items():
         if not reached[name]:
-            pending_targets.setdefault(tuple(s), []).append((z, name))
+            try:
+                perm = bytes(check_permutation(s))
+            except ValueError:
+                continue
+            pending_targets.setdefault(perm, []).append((z, name))
     target_keys: dict[int, list[str]] = {}
     lattice = _IntLattice(n)
 
@@ -658,9 +664,14 @@ def generated_closure(
     top = w * n
     pure = 1 << top
     mask = (1 << w) - 1
-    # Per generator: r as a lookup rr[v] = r(v), and k as kk[v] = k_v when
-    # the generator translates at all.
-    tables = [((0, *r), (0, *k) if any(k) else None) for k, r in gens]
+    # A permutation s is stored as the bytes of its images s(1) .. s(n),
+    # which fit since n <= MAX_VERIFY_N < 256.  Per generator (k, r): r as a
+    # 256-byte table with table[v] = r(v), so r o s is s.translate(table),
+    # and the nonzero entries (v, k_v) of k.  Field i of k o s is k_{s(i)},
+    # so entry (v, k_v) lands in field s.index(v).
+    tables = [(bytes((0, *r)).ljust(256, b"\0"),
+               [(v, x) for v, x in enumerate(k, start=1) if x])
+              for k, r in gens]
 
     def pack(z: Sequence) -> int | None:
         """The fields of z, or None when no element of the walk has this z."""
@@ -673,13 +684,13 @@ def generated_closure(
             key += (int(x) + bias) << sh
         return key
 
-    perms: list[tuple] = []
-    perm_ids: dict[tuple, int] = {}
+    perms: list[bytes] = []
+    perm_ids: dict[bytes, int] = {}
     steps: list[list] = []
     visited: set[int] = set()
     interned_at = 0  # len(visited) when the last permutation was interned
 
-    def intern(perm: tuple) -> int:
+    def intern(perm: bytes) -> int:
         nonlocal interned_at
         pid = perm_ids.get(perm)
         if pid is None:
@@ -695,10 +706,10 @@ def generated_closure(
 
     def step(pid: int, j: int) -> int:
         s = perms[pid]
-        rr, kk = tables[j]
-        delta = (intern(tuple([rr[v] for v in s])) - pid) << top
-        if kk is not None:
-            delta += sum([kk[v] << sh for v, sh in zip(s, shifts)])
+        table, moves = tables[j]
+        delta = (intern(s.translate(table)) - pid) << top
+        for v, x in moves:
+            delta += x << shifts[s.index(v)]
         return delta
 
     def goal_met() -> bool:
@@ -709,7 +720,7 @@ def generated_closure(
             and lattice.rank == n
         )
 
-    intern(ident.s)
+    intern(bytes(ident.s))
     start = pack(ident.z)
     visited.add(start)
     queue = deque([start])

@@ -50,3 +50,11 @@ def test_size_caps_are_read_only_by_the_one_reader():
                 stray.append((path.name, node.lineno, node.attr))
     assert SIZE_CAPS <= set(vars(limits))
     assert not stray, f"size caps read outside _as_int: {stray}"
+
+
+def test_verify_cap_fits_a_byte():
+    # generated_closure stores each permutation as a byte string of its
+    # images 1..n and composes with bytes.translate, so n must stay below 256.
+    assert limits.MAX_VERIFY_N <= 255, (
+        "MAX_VERIFY_N above 255 breaks the byte-string permutations of "
+        "words.generated_closure")

@@ -125,6 +125,14 @@ class TestSemidirectGroup:
     def test_power_zero_skips_validation(self):
         assert semi_power(SemiElement((5, 5), (1, 1)), 0) == semi_identity(2)
 
+    def test_identity_needs_n_at_least_1(self):
+        with pytest.raises(ValueError, match="^n must be >= 1, got 0$"):
+            semi_identity(0)
+        with pytest.raises(ValueError, match="^n must be >= 1, got -2$"):
+            identity_perm(-2)
+        with pytest.raises(ValueError, match="^n must be >= 1, got 0$"):
+            semi_power(SemiElement((), ()), 0)
+
 
 def _old_multiply(left, right):
     # The product before validation moved ahead of a trusted kernel.

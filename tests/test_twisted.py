@@ -18,6 +18,7 @@ from latticetwist.semidirect import (
     SemiElement,
     assemble_from_factors,
     general_is_unit,
+    identity_perm,
     perm_inverse,
     phi_backward,
     phi_forward,
@@ -373,6 +374,8 @@ INTEGER_READERS = {
     "generated_closure budget": lambda x: generated_closure(
         [SemiElement((1, 0), (2, 1))], budget=x),
     "semi_power k": lambda x: semi_power(SemiElement((1, 0), (2, 1)), x),
+    "identity_perm": lambda x: identity_perm(x),
+    "semi_identity": lambda x: semi_identity(x),
 }
 
 # Readers of an n that must be at least 2: each call is valid when x is 4,

@@ -6,6 +6,7 @@ import re
 import time
 import tracemalloc
 from collections import deque
+from fractions import Fraction
 from unittest import mock
 
 import pytest
@@ -1025,7 +1026,10 @@ class TestClosure:
                  (3, "a b", None, False, 1000), (4, "s t g", None, False, 3000),
                  (5, "a b", "s t g", True, 10**6), (5, "s t g", "t", True, 500),
                  # spans Z^3 early, then walks on through pure translations
-                 (3, "a b", None, False, 10**4)]
+                 (3, "a b", None, False, 10**4),
+                 # n at the cap: images up to 80 in the byte-string permutations
+                 (limits.MAX_VERIFY_N, "s t", None, False, 300),
+                 (limits.MAX_VERIFY_N, "a b g", "s t", True, 300)]
         for n, names, target_names, stop_early, budget in cases:
             gens = standard_generators(n)
             images = [gens[x] for x in names.split()]
@@ -1033,6 +1037,11 @@ class TestClosure:
                        if target_names else None)
             args = (images, budget, targets, stop_early)
             assert generated_closure(*args) == closure_oracle(*args), names
+        # n = 1: the one-byte permutation (1,) and a pure translation
+        for stop_early in (False, True):
+            args = ([SemiElement((1,), (1,))], 100,
+                    {"far": SemiElement((-7,), (1,))}, stop_early)
+            assert generated_closure(*args) == closure_oracle(*args)
 
     @settings(max_examples=150)
     @given(st.data())
@@ -1105,6 +1114,31 @@ class TestClosure:
             assert report == closure_oracle(*args)
             assert [name for name, hit in report.targets_reached.items()
                     if hit] == ["float", "g"]
+
+    def test_target_permutations_are_read_by_the_integer_rule(self):
+        gens = standard_generators(3)
+        images = [gens["a"], gens["b"]]
+        z, s = _product([gens["a"], gens["b"], gens["a"]], 3)
+        assert s == (2, 1, 3) and any(z)
+        targets = {
+            "int": SemiElement(z, s),
+            "float": SemiElement(z, tuple(map(float, s))),
+            "fraction": SemiElement(z, tuple(map(Fraction, s))),
+            "true": SemiElement(z, (2, True, 3)),
+            "str": SemiElement(z, "213"),
+            "300": SemiElement(z, (2, 300, 3)),
+            "-1": SemiElement(z, (2, -1, 3)),
+            "nan": SemiElement(z, (2, math.nan, 3)),
+            "short": SemiElement(z, (2, 1)),
+            "long": SemiElement(z, (2, 1, 3, 4)),
+            "past a byte": SemiElement(z, tuple(range(1, 301))),
+        }
+        for stop_early in (False, True):
+            args = (images, 2000, targets, stop_early)
+            report = generated_closure(*args)
+            assert report == closure_oracle(*args)
+            assert [name for name, hit in report.targets_reached.items()
+                    if hit] == ["int", "float", "fraction", "true"]
 
     def test_budget_hit_on_a_step_that_interns_a_permutation(self):
         gens = standard_generators(4)
