@@ -147,8 +147,6 @@ def _cmd_iso(args) -> int:
 def _cmd_iso_back(args) -> int:
     z = _parse_vec(args.z)
     s = _parse_perm(args.s)
-    if len(z) != len(s):
-        raise ValueError(f"z has length {len(z)} but s has length {len(s)}")
     print(_format_vec(semidirect.phi_backward(semidirect.SemiElement(z, s))))
     return 0
 

@@ -41,9 +41,7 @@ def identity_perm(n: int) -> Permutation:
 def perm_compose(p2: Sequence[int], p1: Sequence[int]) -> Permutation:
     """(p2 o p1)(i) = p2(p1(i))."""
     q2 = check_permutation(p2)
-    q1 = check_permutation(p1)
-    if len(q2) != len(q1):
-        raise ValueError(f"length mismatch: {len(q2)} vs {len(q1)}")
+    q1 = check_permutation(p1, len(q2))
     return tuple(q2[v - 1] for v in q1)
 
 
@@ -79,13 +77,12 @@ def semi_power(g: SemiElement, k: int) -> SemiElement:
     return _power(_checked(g), k)
 
 
-def _checked(g: SemiElement) -> tuple[Vec, Permutation]:
-    """Unpack g as (z, s): a permutation s and a vector z of ints as long."""
+def _checked(g: SemiElement, n: int | None = None) -> tuple[Vec, Permutation]:
+    """Unpack g as (z, s): a permutation s, of length n when n is given, and
+    a vector z of ints as long."""
     z, s = g
-    s = check_permutation(s)
-    if len(z) != len(s):
-        raise ValueError(f"length mismatch: {len(z)} vs {len(s)}")
-    return as_vector(z), s
+    s = check_permutation(s, n)
+    return as_vector(z, len(s)), s
 
 
 # The kernels below take pairs that are already valid: s a permutation of

@@ -45,15 +45,18 @@ class NotInvertibleError(ValueError):
         )
 
 
-def check_permutation(images: Sequence[int]) -> tuple[int, ...]:
-    """Validate one-line notation (1-based images), read as `as_vector` reads."""
-    raw = tuple(images)
+def check_permutation(images: Sequence[int], n: int | None = None) -> tuple[int, ...]:
+    """Validate one-line notation (1-based images), read as `as_vector` reads,
+    of length n when n is given."""
     try:
+        raw = tuple(images)
         tau = tuple(map(int, raw))
     except (TypeError, ValueError, OverflowError):
         tau = None
-    if tau != raw or sorted(tau) != list(range(1, len(tau) + 1)):
-        raise ValueError(f"not a permutation of 1..{len(raw)}: {raw!r}")
+    if tau is None or tau != raw or sorted(tau) != list(range(1, len(tau) + 1)):
+        raise ValueError(f"not a permutation: {images!r}")
+    if n is not None and len(tau) != n:
+        raise ValueError(f"expected length {n}, got {len(tau)}")
     return tau
 
 
@@ -132,13 +135,13 @@ def as_vector(values: Sequence[int], n: int | None = None) -> Vec:
     Every integer input is read by this rule: an entry equal to an int
     (3, 3.0, Fraction(3), True) is that int, and any other (1.5, "3", nan,
     inf, None) is a ValueError.  `_as_int` reads one value by it."""
-    raw = tuple(values)
     try:
+        raw = tuple(values)
         vec = tuple(map(int, raw))
     except (TypeError, ValueError, OverflowError):
         vec = None
-    if vec != raw:
-        raise ValueError(f"vector is not integral: {raw!r}")
+    if vec is None or vec != raw:
+        raise ValueError(f"vector is not integral: {values!r}")
     if not vec:
         raise ValueError("empty vector")
     if n is not None and len(vec) != n:

@@ -50,8 +50,8 @@ def _residue_distinct(xv: Sequence[int]) -> bool:
     return len({e % n for e in xv}) == n
 
 
-def _require_residue_distinct(x: Sequence[int]) -> Vec:
-    xv = as_vector(x)
+def _require_residue_distinct(x: Sequence[int], n: int | None = None) -> Vec:
+    xv = as_vector(x, n)
     if not _residue_distinct(xv):
         raise ValueError(f"entries not pairwise distinct mod {len(xv)}: {xv!r}")
     return xv
@@ -60,10 +60,8 @@ def _require_residue_distinct(x: Sequence[int]) -> Vec:
 def deformed_multiply(x: Sequence[int], y: Sequence[int]) -> Vec:
     """Deformed addition of residue-distinct vectors (closed form)."""
     xv = _require_residue_distinct(x)
-    yv = _require_residue_distinct(y)
     n = len(xv)
-    if len(yv) != n:
-        raise ValueError(f"length mismatch: {n} vs {len(yv)}")
+    yv = _require_residue_distinct(y, n)
     return tuple(n * (xv[i] // n) + yv[(-xv[i]) % n] for i in range(n))
 
 

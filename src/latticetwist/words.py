@@ -258,7 +258,8 @@ def eval_word(word: Word, n: int) -> SemiElement:
     """Left-to-right product of generator powers in Z^n x| S_n.
 
     A symbol outside the alphabet raises ValueError, as in normalize_word,
-    and so does an exponent that is not an int.  Each call starts from an
+    and an exponent is read by the integer rule of `twisted._as_int`, as
+    there too: 2.0 is 2 and 1.5 a ValueError.  Each call starts from an
     empty table of letter powers (see `_eval`).
     """
     return _eval(word, n, {})
@@ -286,12 +287,8 @@ def _letter_power(n: int, sym: str, exp: int) -> tuple:
                a^|exp|, and k(v) = -(q + [(v + |exp|) mod n < m]) with
                (q, m) = divmod(|exp|, n).
 
-    Raises ValueError for a symbol outside the alphabet or an exponent
-    that is not an int (a bool is one).
+    Raises ValueError for a symbol outside the alphabet.
     """
-    if not isinstance(exp, int):
-        raise ValueError(
-            f"letter {sym!r} needs an int exponent, got {exp!r}")
     if sym == "s" or sym == "b":
         return None, (0, 2, 1, *range(3, n + 1)) if exp & 1 else None
     if sym == "g":
@@ -319,8 +316,10 @@ def _eval(word: Word, n: int, powers: Powers) -> SemiElement:
     tuples are read.  n is checked before any letter is read.  A letter
     missing from `powers` is written once by `_letter_power`, in O(n) for
     any exponent, and added; the table must only ever be used with this n.
-    An unknown symbol or an exponent that is not an int raises ValueError
-    and adds nothing.  The product is folded into the lists z and s by
+    An exponent is read by the integer rule, so the table holds int
+    exponents only; an unknown symbol or an exponent that is not an integer
+    raises ValueError and adds nothing.  The product is folded into the
+    lists z and s by
 
         (z, s) . (k, r) = (z + k o s, r o s),
 
@@ -330,13 +329,13 @@ def _eval(word: Word, n: int, powers: Powers) -> SemiElement:
     z = [0] * n
     s = list(range(1, n + 1))
     for sym, exp in word:
+        if type(exp) is not int:
+            exp = _as_int(exp, f"exponent of {sym!r}")
         try:
             entry = powers.get((sym, exp))
-        except TypeError:  # unhashable: `_letter_power` refuses it
+        except TypeError:  # an unhashable symbol: `_letter_power` refuses it
             entry = None
-        # 2.0 finds the entry of 2, so any exponent that is not exactly an
-        # int goes to `_letter_power`, which refuses all but a bool
-        if entry is None or type(exp) is not int:
+        if entry is None:
             entry = powers[sym, exp] = _letter_power(n, sym, exp)
         k, r = entry
         if k is not None:
@@ -615,9 +614,7 @@ def generated_closure(
     n = _as_int(len(images[0].z), "n", cap=limits.MAX_VERIFY_N)
     gens: list[SemiElement] = []
     for img in images:
-        if len(img.z) != n or len(img.s) != n:
-            raise ValueError("generator images have mismatched sizes")
-        img = SemiElement(*_checked(img))
+        img = SemiElement(*_checked(img, n))
         for candidate in (img, _inverse(img)):
             if candidate not in gens:
                 gens.append(candidate)

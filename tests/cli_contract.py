@@ -1,34 +1,34 @@
-"""The CLI contract of the CI workflow, run through `python -m latticetwist.cli`.
+"""The CLI contract of latticetwist, run through `python -m latticetwist.cli`.
 
-Each check runs the commands of one step of .github/workflows/tests.yml in
-child processes and asserts what that step asserts:
+This module is the contract: CI runs it only through the tier-1 suite
+(tests/test_cli_contract.py), and no workflow repeats it.  Each check
+runs its commands in child processes and asserts:
 
-- "entry point exit codes": each command's exit code;
-- "every relation preset and derived identity holds": each verify report
-  exits 0 with `"passed": true`, and `verify-identities -n 80 --draws 16`
-  exits 0;
-- "every --json report is the text the json module writes": the `--json`
-  text of each command of `JSON_REPORTS` equals
-  `json.dumps(json.loads(text), indent=2)` plus a newline;
-- "check-tiling report does not depend on --workers": the `--json` report
-  with `--workers 1` equals the one with `--workers 2`, apart from
+- `check_exit_codes`: each command of `EXIT_CODES` gives its exit code
+  (0 success, 1 mathematical failure, 2 usage error, 3 budget exceeded);
+- `check_reports_hold`: each verify report of `REPORTS` (every relation
+  preset and derived identity for n = 2..8) exits 0 with
+  `"passed": true`, and `verify-identities -n 80 --draws 16` exits 0;
+- `check_json_text`: the `--json` text of each command of `JSON_REPORTS`
+  equals `json.dumps(json.loads(text), indent=2)` plus a newline;
+- `check_tiling_workers`: the check-tiling `--json` report with
+  `--workers 1` equals the one with `--workers 2`, apart from
   `elapsed_seconds`;
-- "check-tiling puts every sample in exactly one tile for n = 1..8": each
-  report passes and counts every sample as covered by exactly one tile;
-- "tessellate --out writes the bytes it prints to stdout": the file equals
+- `check_tiling_one_tile`: for n = 1..8 each check-tiling report passes
+  and counts every sample as covered by exactly one tile;
+- `check_tessellate_out`: the file `tessellate --out` writes equals its
   stdout byte for byte;
-- "tessellate json is the text the json module writes": as for the
-  reports, on `tessellate -n 4 --radius 1 --format json`;
-- "benchmark harness self-check": `python perfbench/run.py --selfcheck`,
-  run from the root of the checkout, exits 0 and its last line reads
+- `check_tessellate_json_text`: as `check_json_text`, on
+  `tessellate -n 4 --radius 1 --format json`;
+- `check_bench_selfcheck`: `python perfbench/run.py --selfcheck`, run from
+  the root of the checkout, exits 0 and its last line reads
   `selfcheck: ok`.
 
 It needs no pytest.  From the root of a checkout,
 
     python -m tests.cli_contract
 
-runs every check with that interpreter and exits 1 if any fails;
-tests/test_cli_contract.py runs the same checks in the test suite.
+runs every check with that interpreter and exits 1 if any fails.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ from concurrent.futures import ThreadPoolExecutor
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SRC = os.path.join(ROOT, "src")
 
-# (exit code, argv) of the "entry point exit codes" step
+# (exit code, argv) of `check_exit_codes`
 EXIT_CODES = (
     (0, ("enumerate", "-n", "3")),
     (1, ("inv", "1,1,0")),
@@ -55,7 +55,7 @@ EXIT_CODES = (
     (3, ("verify-relations", "-n", "81", "--preset", "two_gen")),
 )
 
-# the reports of the "every relation preset and derived identity holds" step
+# the verify reports of `check_reports_hold`
 REPORTS = tuple(
     [argv for n in range(2, 9) for argv in
      [("verify-relations", "-n", str(n), "--preset", "two_gen")]
@@ -64,8 +64,7 @@ REPORTS = tuple(
     + [("verify-relations", "-n", str(n), "--preset", preset)
        for n in range(4, 9) for preset in ("sn", "three_gen")])
 
-# the commands of the "every --json report is the text the json module
-# writes" step, one of each command with --json
+# the commands of `check_json_text`, one of each command with --json
 JSON_REPORTS = (
     ("verify-identities", "-n", "8", "--json"),
     ("verify-relations", "-n", "8", "--preset", "three_gen", "--json"),

@@ -226,8 +226,9 @@ class TestReports:
         assert doc["shape"] == "P1 x P1 x I^2"
 
 
-# Every verify report of the ranges the CI step runs, and the sha256 of
-# their --json payloads without `elapsed_seconds`, one sorted-key line each.
+# Every verify report of the ranges `cli_contract.REPORTS` runs, and the
+# sha256 of their --json payloads without `elapsed_seconds`, one sorted-key
+# line each.
 GOLDEN_VERIFY_ARGV = (
     [("verify-relations", "-n", str(n), "--preset", "two_gen") for n in range(2, 9)]
     + [("verify-relations", "-n", str(n), "--preset", preset)

@@ -244,7 +244,7 @@ class TestIsomorphism:
             phi_backward(SemiElement(("a", "b"), (2, 1)))
         with pytest.raises(ValueError):
             phi_backward(SemiElement((), ()))
-        with pytest.raises(ValueError, match="length mismatch: 2 vs 3"):
+        with pytest.raises(ValueError, match="expected length 3, got 2"):
             phi_backward(SemiElement((0, 0), (1, 2, 3)))
 
     @given(st.data())

@@ -311,6 +311,23 @@ class TestAsVector:
             as_vector((1, 2), 3)
         assert as_vector([1, 2], 2) == (1, 2)
 
+    def test_permutation_length_check(self):
+        with pytest.raises(ValueError, match="expected length 3, got 2"):
+            check_permutation((2, 1), 3)
+        assert check_permutation([2, 1], 2) == (2, 1)
+
+
+# Each reader of a whole sequence: a value that is not iterable is a
+# ValueError, as any other input that is not a vector or permutation.
+SEQUENCE_READERS = {"as_vector": as_vector, "check_permutation": check_permutation}
+
+
+@pytest.mark.parametrize("reader", sorted(SEQUENCE_READERS))
+@pytest.mark.parametrize("value", [None, 5])
+def test_a_value_that_is_not_iterable_is_a_value_error(reader, value):
+    with pytest.raises(ValueError):
+        SEQUENCE_READERS[reader](value)
+
 
 def _perm(x):
     """The identity permutation of 1..3 with x in the place of 1 when x
@@ -358,6 +375,7 @@ INTEGER_READERS = {
     "semi_power": lambda x: semi_power(SemiElement((x, 0), (2, 1)), 3),
     "normalize_word": lambda x: normalize_word([("t", x), ("g", 1)]),
     "word_power": lambda x: word_power((("t", 1),), x),
+    "eval_word exponent": lambda x: eval_word((("g", x),), 4),
     # size arguments
     "Action.cyclic": lambda x: Action.cyclic(x),
     "Action.trivial": lambda x: Action.trivial(x),
