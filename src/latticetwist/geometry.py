@@ -27,7 +27,12 @@ Those windows are the facets of sizes 1 and n-1 themselves (with the
 entries summing to n(n+1)/2, sum_S x >= (n-1)n/2 over |S| = n-1 is
 x_k <= n), so a candidate is tight on one of them exactly when an entry
 sits at an end of its window, and the sampler sorts only for the sizes
-2..n-2 between, that is at n >= 4.
+2..n-2 between, that is at n >= 4.  The sampler names each tile that
+holds a sample by the pair (c_a, b) its windows fix, and spells out the
+coefficients (`_interior_coeffs`) only for an overlap witness, a sample
+in two tiles, which the tiling never has.  The json mesh of a tile is
+joined from a table of its n(n+1) distinct entry strings
+(`_json_chunks`), as every row entry is an offset entry plus 1..n+1.
 All predicates and the face order of the exported mesh run in scaled
 integer arithmetic; no floats are involved anywhere.
 
@@ -48,7 +53,7 @@ from fractions import Fraction
 from functools import cached_property, cmp_to_key, lru_cache
 from itertools import permutations, product
 from math import factorial, lcm, prod
-from operator import add, mul
+from operator import add, itemgetter, mul
 from typing import Iterator, NamedTuple, Sequence
 
 from . import limits
@@ -364,8 +369,11 @@ def _ceil_div(a: int, b: int) -> int:
 
 
 def _count_containing(P: Sequence[int], den: int, n: int):
-    """Coefficients of the tiles with P/den in their interior, in
-    lexicographic order, or None when one tile has it on its boundary.
+    """The tiles with P/den in their interior, as pairs (c_a, b) in the
+    order they are found, or None when one tile has it on its boundary.
+    b = L + dn*(s + 1) fixes the tile's coefficient sum s (below).  The
+    sampler reads only how many pairs there are, and `_interior_coeffs`
+    turns them into coefficients for an overlap witness.
 
     Only the tiles that the 2n one-coordinate facets 1 <= x_i <= n of the
     cross-section x allow are tested.  With s the coefficient sum and c_a
@@ -407,7 +415,7 @@ def _count_containing(P: Sequence[int], den: int, n: int):
         # Q_last in [dn, n*dn]: the b congruent to L mod dn in that window
         for b in range(last - ndn + (L - last) % dn, last - dn + 1, dn):
             # on i < n-1, the one value of Q_i in [dn, dn + n*dn), if at
-            # most n*dn; c_i is then (b - n*P_i) // (n*dn) + 1 once Q_i > dn
+            # most n*dn; b and c_a then fix c_i (`_interior_coeffs`)
             Q = []
             for p in head:
                 q = (n * p - b) % ndn + dn
@@ -427,9 +435,19 @@ def _count_containing(P: Sequence[int], den: int, n: int):
                 # the windows decide sizes 1 and n-1, which n = 1 lacks
                 elif layer or n > 1 and (dn in Q or ndn in Q):
                     return None
-                interior.append((*[(b - n * p) // ndn + 1 for p in head], c_a))
-    interior.sort()
+                interior.append((c_a, b))
     return interior
+
+
+def _interior_coeffs(P: Sequence[int], den: int, n: int, pairs) -> list[Vec]:
+    """The coefficients of the tiles that `_count_containing` returned as
+    (c_a, b) pairs for P/den, in lexicographic order: c_i is
+    (b - n*P_i) // (n*dn) + 1 on i < n-1, as Q_i > dn in an interior
+    tile, then c_a."""
+    ndn = n * n * den
+    head = P[:-1]
+    return sorted([(*[(b - n * p) // ndn + 1 for p in head], c_a)
+                   for c_a, b in pairs])
 
 
 def _tiling_chunk(args) -> dict:
@@ -486,7 +504,7 @@ def _tiling_chunk(args) -> dict:
             interior_one += 1
         elif len(interior) >= 2:
             point = tuple(Fraction(p, den) for p in P)
-            overlaps.append((point, tuple(interior)))
+            overlaps.append((point, tuple(_interior_coeffs(P, den, n, interior))))
     return {
         "covered": covered,
         "interior_one": interior_one,
@@ -695,24 +713,29 @@ def _json_chunks(tiles: Sequence[PrismTile], n: int) -> Iterator[str]:
     {"n": n, "tiles": [{"t": coeffs, "vertices": [[...], ...]}, ...]}.
 
     With `indent`, json.dumps runs its pure-Python encoder over one small
-    list per vertex.  The layout here is fixed, so one %-template of a
-    whole tile, its header and all 2*n! vertex lists, gives the same bytes
-    for integer entries.  Each tile fills it in one call, with its
-    coefficients and the base rows plus its offset.
+    list per vertex.  The layout here is fixed.  Entry j of a vertex row
+    is o_j + w for the tile's offset o and a base entry w in 1..n+1, and
+    its text, with the indent and brackets around column j, is one of
+    n*(n+1) strings, formatted once per tile.  `idx` picks every entry's
+    string out of that table, in the order of the base rows, and
+    ",\n" joins them; the coefficient header is a small %-template.
     """
-    def entries(indent: str) -> str:
-        return ",\n".join([indent + "%d"] * n)
-
-    rows, count = _base_rows(n)
-    vertex = "        [\n" + entries(" " * 10) + "\n        ]"
-    later = (',\n    {\n      "t": [\n' + entries(" " * 8)
-             + '\n      ],\n      "vertices": [\n'
-             + ",\n".join([vertex] * count) + "\n      ]\n    }")
+    rows, _ = _base_rows(n)
+    idx = itemgetter(*[i % n * (n + 1) + w - 1 for i, w in enumerate(rows)])
+    around = list(zip(["        [\n" + " " * 10] + [" " * 10] * (n - 1),
+                      [""] * (n - 1) + ["\n        ]"]))
+    later = (',\n    {\n      "t": [\n'
+             + ",\n".join([" " * 8 + "%d"] * n)
+             + '\n      ],\n      "vertices": [\n')
     first = later[2:]
+    values = range(1, n + 2)
     yield '{\n  "n": %d,\n  "tiles": [\n' % n
     for i, t in enumerate(tiles):
-        yield (later if i else first) % (
-            *t.coeffs, *map(add, rows, _lattice_offset(t.coeffs) * count))
+        table = [p + str(o + w) + q
+                 for (p, q), o in zip(around, _lattice_offset(t.coeffs))
+                 for w in values]
+        yield "".join(((later if i else first) % t.coeffs,
+                       ",\n".join(idx(table)), "\n      ]\n    }"))
     yield "\n  ]\n}\n"
 
 

@@ -60,8 +60,14 @@ def semi_multiply(left: SemiElement, right: SemiElement) -> SemiElement:
     k, r = right
     s = check_permutation(s)
     r = check_permutation(r)
-    if not len(z) == len(s) == len(k) == len(r):
-        raise ValueError(f"length mismatch: {len(z)}, {len(s)} vs {len(k)}, {len(r)}")
+    try:
+        if not len(z) == len(s) == len(k) == len(r):
+            raise ValueError(
+                f"length mismatch: {len(z)}, {len(s)} vs {len(k)}, {len(r)}")
+    except TypeError:
+        # z or k has no length; s and r are tuples by now
+        raise ValueError(
+            f"translations must be sequences, got {z!r} and {k!r}") from None
     return _mul((z, s), (k, r))
 
 

@@ -611,7 +611,7 @@ def generated_closure(
         raise ValueError("need at least one generator image")
     budget = _as_int(limits.MAX_CLOSURE_BUDGET if budget is None else budget,
                      "budget", 1, limits.MAX_CLOSURE_BUDGET)
-    n = _as_int(len(images[0].z), "n", cap=limits.MAX_VERIFY_N)
+    n = _as_int(len(_checked(images[0])[1]), "n", cap=limits.MAX_VERIFY_N)
     gens: list[SemiElement] = []
     for img in images:
         img = SemiElement(*_checked(img, n))

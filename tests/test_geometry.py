@@ -240,6 +240,14 @@ def window_scan_oracle(P, den, n):
     return interior, any_tight
 
 
+def sampler_interior(P, den, n):
+    """`_count_containing` with its (c_a, b) pairs read as coefficients by
+    `_interior_coeffs`, as an overlap witness reads them: comparable with
+    `window_scan_oracle`'s interior list."""
+    pairs = geometry._count_containing(P, den, n)
+    return None if pairs is None else geometry._interior_coeffs(P, den, n, pairs)
+
+
 def tiling_chunk_oracle(args, drawn=None):
     """Oracle for _tiling_chunk: a fresh generator at each block of 64
     samples, keyed apart for negative seeds, coordinates by `randint` and
@@ -780,7 +788,7 @@ class TestCheckTiling:
                     P = [rng.randint(-3 * dn, 3 * dn) for _ in range(n)]
                     interior, any_tight = window_scan_oracle(P, den, n)
                     expect = None if any_tight else interior
-                    assert geometry._count_containing(P, den, n) == expect, (P, den)
+                    assert sampler_interior(P, den, n) == expect, (P, den)
                     nones += any_tight
                     layers += (sum(P) - den * n * (n + 1) // 2) % dn == 0
         assert nones > 100 and layers > 50
@@ -797,7 +805,7 @@ class TestCheckTiling:
         if kind != "anywhere":
             assert any_tight, case
         expect = None if any_tight else interior
-        assert geometry._count_containing(P, den, n) == expect, case
+        assert sampler_interior(P, den, n) == expect, case
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_small_n_makes_no_prefix_test(self, monkeypatch, n):
@@ -854,6 +862,35 @@ class TestCheckTiling:
             assert _tiling_chunk(args) == tiling_chunk_oracle(args, expect)
             assert drawn == expect, args
         assert len(expect) == 11  # ten samples, one redrawn
+
+    @pytest.mark.parametrize("n, first", [
+        (2, ((1, 0), (1, 1))),
+        (3, ((0, -1, -1), (0, -1, 0))),
+        (4, ((0, -1, 0, -2), (0, -1, 0, -1))),
+    ])
+    def test_overlap_witness_lists_coefficients_in_order(self, monkeypatch, n,
+                                                         first):
+        # no real sample lies in two tiles, so each draw's one pair (c_a, b)
+        # comes back after (c_a + 1, b): the pair of the tile one step up in
+        # a, as a point on a layer gets it, and lexicographically later
+        drawn = []
+        count_containing = geometry._count_containing
+
+        def doubled(P, den, n):
+            [(c_a, b)] = count_containing(P, den, n)
+            drawn.append(tuple(P))
+            return [(c_a + 1, b), (c_a, b)]
+
+        monkeypatch.setattr(geometry, "_count_containing", doubled)
+        result = _tiling_chunk((n, -2, 3, 5, 0, 4))
+        assert (result["covered"], result["interior_one"]) == (4, 0)
+        expect = []
+        for P in drawn:
+            [tile] = window_scan_oracle(P, SAMPLE_DENOMINATOR, n)[0]
+            point = tuple(Fraction(p, SAMPLE_DENOMINATOR) for p in P)
+            expect.append((point, (tile, (*tile[:-1], tile[-1] + 1))))
+        assert result["overlaps"] == expect
+        assert expect[0][1] == first
 
     def test_chunk_start_must_open_a_block(self):
         for start in (1, SAMPLE_BLOCK - 1, SAMPLE_BLOCK + 1):
@@ -1015,8 +1052,9 @@ class TestExport:
             for radius in range(3):
                 tiles = generate_patch(n, radius)
                 assert "".join(export_mesh(tiles, "json")) == json_mesh_oracle(tiles), (n, radius)
-        tiles = generate_patch(5, 1)
-        assert "".join(export_mesh(tiles, "json")) == json_mesh_oracle(tiles)
+        for n, radius in [(5, 1), (6, 0), (7, 0)]:
+            tiles = generate_patch(n, radius)
+            assert "".join(export_mesh(tiles, "json")) == json_mesh_oracle(tiles), n
         tiles = [PrismTile(3, (-7, 0, 12)), PrismTile(3, (5, -3, -1000))]
         assert "".join(export_mesh(tiles, "json")) == json_mesh_oracle(tiles)
         for n in range(1, 5):

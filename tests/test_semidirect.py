@@ -200,6 +200,13 @@ class TestValidation:
         assert _raised(_old_multiply, bad, semi_identity(2)) is IndexError
         assert _raised(semi_multiply, bad, semi_identity(2)) is ValueError
 
+    def test_translation_without_a_length_is_a_value_error(self):
+        message = "^translations must be sequences, got "
+        with pytest.raises(ValueError, match=message + r"None and \(0, 0\)$"):
+            semi_multiply(SemiElement(None, (2, 1)), semi_identity(2))
+        with pytest.raises(ValueError, match=message + r"\(0, 0\) and 5$"):
+            semi_multiply(semi_identity(2), SemiElement(5, (2, 1)))
+
     @given(st.data())
     def test_length_mismatches_raise_as_before(self, data):
         n = data.draw(st.integers(1, 5))

@@ -1006,6 +1006,14 @@ class TestClosure:
         with pytest.raises(ValueError, match="not integral"):
             generated_closure([SemiElement((0, 1.5), (2, 1))])
 
+    def test_first_image_is_read_as_every_image(self):
+        # n is read from the first image only once it has been checked, so
+        # a z of None is a ValueError and a plain (z, s) pair is an image
+        with pytest.raises(ValueError, match="^vector is not integral: None$"):
+            generated_closure([SemiElement(None, (2, 1))])
+        assert (generated_closure([((0, 0), (2, 1))])
+                == generated_closure([SemiElement((0, 0), (2, 1))]))
+
     def test_float_translations_and_budget(self):
         gens = standard_generators(3)
         images = [gens["a"], gens["b"]]
