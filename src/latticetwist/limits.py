@@ -15,7 +15,7 @@ The caps on a size argument (`MAX_PERMUTOHEDRON_N`, `MAX_VERIFY_N`,
 by `twisted._as_int`, which each public reader calls with the cap as it
 stands at the time of the call; the geometry counts are enforced by
 `geometry._check_count`, and the word-letter cap by `words._check_letters`
-and `words._tokens`.
+and `words._pieces`.
 """
 
 MAX_PERMUTOHEDRON_N = 8          # n! permutations listed
@@ -23,7 +23,8 @@ MAX_CLOSURE_BUDGET = 1_000_000   # visited elements in a closure search
 MAX_BOX_POINTS = 1_000_000       # vertices, pairs, rows, samples, entries in geometry
 MAX_WORD_LETTERS = 1_000_000     # letters of a word after expanding powers
 MAX_VERIFY_N = 80                # generators, closures; relation checks cost ~n^3;
-                                 # at most 255: closure permutations are bytes
+                                 # at most 255: words and closures hold
+                                 # permutations as bytes
 MAX_IDENTITY_DRAWS = 16          # exponent draws, about n^2 evaluations each
 MAX_WORKERS = 32                 # sampling processes in one tiling check
 

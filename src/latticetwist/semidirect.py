@@ -79,7 +79,13 @@ def semi_power(g: SemiElement, k: int) -> SemiElement:
     """g^k by square-and-multiply; negative k goes through the inverse."""
     k = _as_int(k, "k")
     if k == 0:
-        return semi_identity(len(g.z))
+        # g^0 reads only the length of z, unchecked
+        z, _ = g
+        try:
+            n = len(z)
+        except TypeError:
+            raise ValueError(f"translation must be a sequence, got {z!r}") from None
+        return semi_identity(n)
     return _power(_checked(g), k)
 
 

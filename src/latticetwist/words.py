@@ -25,10 +25,16 @@ power up in a table the caller holds: a report keeps one table for all
 of its words, and `eval_word` starts from an empty one.  Nothing is
 cached across calls.  A missing entry is written in O(n) by
 `_letter_power`, from the closed form of that power of a generator,
-whatever the exponent.  `_eval` reads any sequence of letters, normalized
+whatever the exponent, and `_entry` turns it into the form that
+`generated_closure` steps by too: a permutation is the bytes of its
+images, composed by one `bytes.translate`, and a translation is its
+nonzero moves.  `_eval` reads any sequence of letters, normalized
 or not, so each side of a derived identity is written once as a literal
 tuple of letters, a straight-line program over the report's table, and
 is never built by `letter`/`word_concat`/`word_power` calls.
+
+Word text is tokenized a piece of a few KiB at a time, each piece by one
+`findall`; a token's position in the text is found only for an error.
 """
 
 from __future__ import annotations
@@ -39,6 +45,7 @@ import re
 from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import chain, islice
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from . import limits
@@ -113,8 +120,18 @@ def render_word(word: Word) -> str:
     return " ".join(sym if exp == 1 else f"{sym}^{exp}" for sym, exp in word)
 
 
-_TOKEN = re.compile(r"(?P<lpar>\()|(?P<rpar>\))|(?P<hat>\^)|(?P<int>-?\d+)"
-                    r"|(?P<sym>[stgab])|(?P<bad>\S)")
+# Every non-space character starts a token: one of "()^stgab", an integer
+# -?\d+ (the only token longer than one character), or a bad character.
+_TOKEN = re.compile(r"[()^stgab]|-?\d+|\S")
+# The characters that `_TOKEN` reads as bad tokens
+_BAD = re.compile(r"-(?!\d)|[^\s\d()^stgab-]")
+_SYMBOL = re.compile(r"[stgab]")
+_DIGITS = re.compile(r"\d*")
+_SYMBOL_SET = frozenset(SYMBOLS)
+_NOT_INT = _SYMBOL_SET | {"(", ")", "^"}
+# Text is tokenized in pieces of this many characters, each extended to the
+# end of a run of digits that it cuts
+_PIECE = 4096
 
 
 def parse_word(text: str) -> Word:
@@ -129,81 +146,95 @@ def parse_word(text: str) -> Word:
     per level, so the cost is linear in the text and the expanded word,
     which the cap bounds, whatever the nesting depth.
 
-    The tokens are read lazily.  Each symbol expands to at least one
-    letter, so a text is refused as soon as its symbols pass the cap, and
-    a refusal costs no more than the largest accepted word.  The token
-    stream's errors, a bad character or that first symbol past the cap,
-    are reported ahead of any other error wherever they are in the text.
-    So a text over the cap may be refused before a later syntax error, or
-    in place of an earlier one.
+    The tokens are read lazily, a piece of text at a time.  Each symbol
+    expands to at least one letter, so a text is refused as soon as its
+    symbols pass the cap, and a refusal costs no more than the largest
+    accepted word.  The token stream's errors, a bad character or that
+    first symbol past the cap, are reported ahead of any other error
+    wherever they are in the text.  So a text over the cap may be refused
+    before a later syntax error, or in place of an earlier one.
     """
-    tokens = _tokens(text)
+    pieces = _pieces(text)
     try:
-        terms = _term_tree(tokens, len(text))
+        terms = _term_tree(enumerate(chain.from_iterable(pieces)), text)
     except (WordSyntaxError, limits.BudgetExceededError):
         # the token stream's own errors come first, wherever they are
-        for _ in tokens:
+        for _ in pieces:
             pass
         raise
     return normalize_word(_expand(terms))
 
 
-def _tokens(text: str) -> Iterator[tuple[str, str, int]]:
-    """(kind, text, position) of each token of `text`, read lazily.
+def _pieces(text: str) -> Iterator[list[str]]:
+    """The tokens of `text`, one list per piece of about `_PIECE` characters.
 
-    Raises at a bad character, and at the first symbol past the cap.
+    A piece ends before a character that is not a digit, so no token spans
+    two pieces and the pieces' tokens are those of the whole text.  Each
+    piece is read by one `findall`, once it is known to hold no bad
+    character and no symbol past the cap.  Raises at the first of these.
     """
     symbols = 0
-    for m in _TOKEN.finditer(text):
-        kind = m.lastgroup
-        if kind == "bad":
-            raise WordSyntaxError(f"unexpected character {m[0]!r}", m.start())
-        if kind == "sym":
-            symbols += 1
-            if symbols > limits.MAX_WORD_LETTERS:
-                raise limits.BudgetExceededError(
-                    f"word expands to at least {symbols} letters, over the cap "
-                    f"{limits.MAX_WORD_LETTERS}")
-        yield kind, m[0], m.start()
+    start = 0
+    while start < len(text):
+        end = _DIGITS.match(text, start + _PIECE).end()
+        bad = _BAD.search(text, start, end)
+        stop = end if bad is None else bad.start()
+        symbols += len(_SYMBOL.findall(text, start, stop))
+        if symbols > limits.MAX_WORD_LETTERS:
+            raise limits.BudgetExceededError(
+                f"word expands to at least {limits.MAX_WORD_LETTERS + 1} "
+                f"letters, over the cap {limits.MAX_WORD_LETTERS}")
+        if bad is not None:
+            raise WordSyntaxError(f"unexpected character {bad[0]!r}", stop)
+        yield _TOKEN.findall(text, start, end)
+        start = end
 
 
-def _term_tree(tokens: Iterator[tuple[str, str, int]], end: int) -> list:
-    """The term tree of a token stream that ends at text position `end`."""
+def _position(text: str, index: int) -> int:
+    """The text position of token `index`: an error's, so found by rescanning."""
+    return next(islice(_TOKEN.finditer(text), index, None)).start()
+
+
+def _term_tree(tokens: Iterator[tuple[int, str]], text: str) -> list:
+    """The term tree of the (index, token) stream of `text`."""
     # a term is (symbol, exp) or (list of terms, exp); `count` is the number
     # of letters the terms of the innermost open group expand to
     terms: list = []
     count = 0
-    # per open group: the enclosing terms, their count, the '(' position
+    # per open group: the enclosing terms, their count, the '(' token index
     stack: list = []
     token = next(tokens, None)
     while token is not None:
-        kind, value, pos = token
+        at, value = token
         token = next(tokens, None)
-        if kind == "lpar":
-            stack.append((terms, count, pos))
+        if value == "(":
+            stack.append((terms, count, at))
             terms, count = [], 0
             continue
-        if kind == "rpar":
+        if value == ")":
             if not stack:
-                raise WordSyntaxError("unmatched ')'", pos)
+                raise WordSyntaxError("unmatched ')'", _position(text, at))
             # the closed group is the next term of the enclosing one
             value, size = terms, count
-            terms, count, pos = stack.pop()
+            terms, count, at = stack.pop()
             if not value:
-                raise WordSyntaxError("empty parentheses", pos)
-        elif kind != "sym":
-            raise WordSyntaxError(f"unexpected token {value!r}", pos)
+                raise WordSyntaxError("empty parentheses", _position(text, at))
+        elif value in _SYMBOL_SET:
+            size = None
+        else:
+            raise WordSyntaxError(f"unexpected token {value!r}", _position(text, at))
         exp = 1
-        if token is not None and token[0] == "hat":
-            hat = token[2]
+        if token is not None and token[1] == "^":
+            hat = token[0]
             token = next(tokens, None)
-            if token is None or token[0] != "int":
-                raise WordSyntaxError("'^' must be followed by an integer", hat)
+            if token is None or token[1] in _NOT_INT:
+                raise WordSyntaxError("'^' must be followed by an integer",
+                                      _position(text, hat))
             exp = int(token[1])
             if exp == 0:
-                raise WordSyntaxError("zero exponent", token[2])
+                raise WordSyntaxError("zero exponent", _position(text, token[0]))
             token = next(tokens, None)
-        if kind == "sym":
+        if size is None:
             count += 1
         else:
             count += size * abs(exp)
@@ -214,7 +245,7 @@ def _term_tree(tokens: Iterator[tuple[str, str, int]], end: int) -> list:
                 exp *= inner
         terms.append((value, exp))
     if stack:
-        raise WordSyntaxError("missing ')'", end)
+        raise WordSyntaxError("missing ')'", len(text))
     # a group's close checks only the letters up to it
     _check_letters(count)
     return terms
@@ -265,16 +296,15 @@ def eval_word(word: Word, n: int) -> SemiElement:
     return _eval(word, n, {})
 
 
-# A table of letter powers maps (symbol, exponent) to (k, r), the power
-# (k, r) of the generator with both parts 0-padded for 1-based indexing:
-# k[v] is the translation entry at point v, r[v] the image of v.  k is None
-# when the power does not translate and r is None when it fixes every point.
-# `_letter_power` writes each entry.
+# A table of letter powers maps (symbol, exponent) to the kernel entry
+# (table, moves) of that power of the generator, built by `_entry` from the
+# closed form that `_letter_power` writes.
 Powers = dict[Letter, tuple]
 
 
 def _letter_power(n: int, sym: str, exp: int) -> tuple:
-    """The table entry of `sym^exp` at this n, from its closed form in O(n).
+    """The power (k, r) = `sym^exp` at this n, 0-padded as `_entry` reads
+    it, from its closed form in O(n).
 
     Under (z, s) . (k, r) = (z + k o s, r o s) the generators' powers are:
 
@@ -308,26 +338,43 @@ def _letter_power(n: int, sym: str, exp: int) -> tuple:
     return k, r
 
 
+def _entry(k: Sequence[int] | None, r: Sequence[int] | None) -> tuple:
+    """The product kernel's entry (table, moves) of a right factor (k, r).
+
+    k and r are 0-padded for 1-based indexing, as `_letter_power` writes
+    them: k[v] is the translation entry at point v, r[v] the image of v, and
+    k is None when it is zero, r None when it fixes every point.  `table`
+    is r as 256 bytes with table[v] = r(v), or None; `moves` are the
+    nonzero (v, k[v]).  A permutation s is held as the bytes of its images
+    s(1) .. s(n), which fit since n <= MAX_VERIFY_N < 256, and
+    (z, s) . (k, r) = (z + k o s, r o s) is then: for each move (v, x),
+    add x to z at the point i with s(i) = v, which is s.index(v); and
+    s.translate(table), which is r o s.
+    """
+    table = None if r is None else bytes(r).ljust(256, b"\0")
+    moves = () if k is None else tuple([(v, x) for v, x in enumerate(k) if x])
+    return table, moves
+
+
 def _eval(word: Word, n: int, powers: Powers) -> SemiElement:
     """`eval_word` on a table of letter powers that the caller holds.
 
     `word` need not be normalized: equal neighbours and zero exponents are
     evaluated as they stand, which is how the derived identities' letter
     tuples are read.  n is checked before any letter is read.  A letter
-    missing from `powers` is written once by `_letter_power`, in O(n) for
-    any exponent, and added; the table must only ever be used with this n.
-    An exponent is read by the integer rule, so the table holds int
-    exponents only; an unknown symbol or an exponent that is not an integer
-    raises ValueError and adds nothing.  The product is folded into the
-    lists z and s by
-
-        (z, s) . (k, r) = (z + k o s, r o s),
-
-    skipping the pass over z when k is None and the one over s when r is.
+    missing from `powers` is written once, in O(n) for any exponent, by
+    `_letter_power` and `_entry`, and added; the table must only ever be
+    used with this n.  An exponent is read by the integer rule, so the
+    table holds int exponents only; an unknown symbol or an exponent that
+    is not an integer raises ValueError and adds nothing.  The product is
+    folded into the list z and the bytes s by `_entry`'s kernel, so a
+    letter costs one `bytes.translate` and one step per nonzero
+    translation entry, and a letter without a permutation or without a
+    translation skips that part.
     """
     n = _as_int(n, "n", 2, limits.MAX_VERIFY_N)
     z = [0] * n
-    s = list(range(1, n + 1))
+    s = bytes(range(1, n + 1))
     for sym, exp in word:
         if type(exp) is not int:
             exp = _as_int(exp, f"exponent of {sym!r}")
@@ -336,12 +383,12 @@ def _eval(word: Word, n: int, powers: Powers) -> SemiElement:
         except TypeError:  # an unhashable symbol: `_letter_power` refuses it
             entry = None
         if entry is None:
-            entry = powers[sym, exp] = _letter_power(n, sym, exp)
-        k, r = entry
-        if k is not None:
-            z = [a + k[v] for a, v in zip(z, s)]
-        if r is not None:
-            s = [r[v] for v in s]
+            entry = powers[sym, exp] = _entry(*_letter_power(n, sym, exp))
+        table, moves = entry
+        for v, x in moves:
+            z[s.index(v)] += x
+        if table is not None:
+            s = s.translate(table)
     return SemiElement(tuple(z), tuple(s))
 
 
@@ -367,7 +414,7 @@ def relation_preset(n: int, name: str) -> RelationPreset:
     the text that `verify-relations` prints is the word it evaluates.
     """
     n = _as_int(n, "n", cap=limits.MAX_VERIFY_N)
-    key = name.replace("-", "_").lower()
+    key = name.replace("-", "_").lower() if isinstance(name, str) else None
     least = _PRESET_MIN_N.get(key)
     if least is None:
         raise ValueError(f"unknown preset {name!r}")
@@ -627,7 +674,12 @@ def generated_closure(
     # not a permutation of 1..n waits under no key, or under one the walk
     # never interns, so it stays unreached.
     pending_targets: dict[bytes, list[tuple[Sequence, str]]] = {}
-    for name, (z, s) in target_items.items():
+    for name, target in target_items.items():
+        try:
+            z, s = target
+        except (TypeError, ValueError):
+            raise ValueError(
+                f"target {name!r} is not a (z, s) pair: {target!r}") from None
         if not reached[name]:
             try:
                 perm = bytes(check_permutation(s))
@@ -661,14 +713,11 @@ def generated_closure(
     top = w * n
     pure = 1 << top
     mask = (1 << w) - 1
-    # A permutation s is stored as the bytes of its images s(1) .. s(n),
-    # which fit since n <= MAX_VERIFY_N < 256.  Per generator (k, r): r as a
-    # 256-byte table with table[v] = r(v), so r o s is s.translate(table),
-    # and the nonzero entries (v, k_v) of k.  Field i of k o s is k_{s(i)},
-    # so entry (v, k_v) lands in field s.index(v).
-    tables = [(bytes((0, *r)).ljust(256, b"\0"),
-               [(v, x) for v, x in enumerate(k, start=1) if x])
-              for k, r in gens]
+    # A permutation s is stored as bytes and each generator as its kernel
+    # entry (table, moves), as in `_eval`: r o s is s.translate(table), and
+    # field i of k o s is k_{s(i)}, so move (v, k_v) lands in field
+    # s.index(v).
+    tables = [_entry((0, *k), (0, *r)) for k, r in gens]
 
     def pack(z: Sequence) -> int | None:
         """The fields of z, or None when no element of the walk has this z."""

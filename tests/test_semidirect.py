@@ -125,6 +125,16 @@ class TestSemidirectGroup:
     def test_power_zero_skips_validation(self):
         assert semi_power(SemiElement((5, 5), (1, 1)), 0) == semi_identity(2)
 
+    def test_power_zero_takes_a_plain_pair(self):
+        assert semi_power(((0, 0), (2, 1)), 0) == semi_identity(2)
+
+    def test_power_zero_of_a_translation_without_a_length_is_a_value_error(self):
+        for k in (0, 1):
+            with pytest.raises(ValueError):
+                semi_power(SemiElement(None, (2, 1)), k)
+        with pytest.raises(ValueError, match="^translation must be a sequence, got None$"):
+            semi_power(SemiElement(None, (2, 1)), 0)
+
     def test_identity_needs_n_at_least_1(self):
         with pytest.raises(ValueError, match="^n must be >= 1, got 0$"):
             semi_identity(0)

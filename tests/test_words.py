@@ -457,6 +457,26 @@ def mul_fold_oracle(word, n):
     return acc
 
 
+def list_fold_oracle(word, n, powers):
+    """Oracle for `_eval`: the fold over lists, on a table of `_letter_power`
+    entries (k, r), 0-padded, that the caller holds.
+
+    (z, s) . (k, r) = (z + k o s, r o s), skipping the pass over z when k is
+    None and the one over s when r is."""
+    z = [0] * n
+    s = list(range(1, n + 1))
+    for sym, exp in word:
+        entry = powers.get((sym, exp))
+        if entry is None:
+            entry = powers[sym, exp] = _letter_power(n, sym, exp)
+        k, r = entry
+        if k is not None:
+            z = [a + k[v] for a, v in zip(z, s)]
+        if r is not None:
+            s = [r[v] for v in s]
+    return SemiElement(tuple(z), tuple(s))
+
+
 def words_in(symbols="stgab", max_exp=4, max_size=8):
     return st.lists(
         st.tuples(st.sampled_from(symbols),
@@ -561,6 +581,38 @@ class TestParser:
             assert parse_outcome(parse_word, text) == parse_outcome(
                 parse_oracle, text)
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 9), st.one_of(
+        st.lists(st.sampled_from(_PIECES), max_size=30).map("".join),
+        st.lists(word_texts(), max_size=4).map(" ".join),
+        st.text(max_size=12),
+        chain_texts()))
+    def test_pieces_of_any_size_match_the_recursive_oracle(self, size, text):
+        # pieces of a few characters put a cut next to every kind of token
+        with mock.patch.object(limits, "MAX_WORD_LETTERS", 60), \
+                mock.patch.object(words, "_PIECE", size):
+            assert parse_outcome(parse_word, text) == parse_outcome(
+                parse_oracle, text)
+
+    def test_tokens_at_a_cut_match_the_recursive_oracle(self):
+        # texts of more than one piece, with the token of interest at, just
+        # before or just after the first cut; some end with a bad character
+        tails = ["t^-12345 s", "t^" + "7" * 4200 + " s^-1", "t ^ -3", "t^-",
+                 "t^- 3", "t^ s", "s ^0", "-3 s", "- 3", "é t", "s x",
+                 "(s t)^-10 ) s", "(s (t g)^-2 a)^3 b^-1 ("]
+        piece = words._PIECE
+        checked = 0
+        for tail in tails:
+            for shift in range(-8, 5):
+                head = "s " * ((piece + shift) // 2) + " " * ((piece + shift) % 2)
+                for end in (" s t g a b", " s t g a x", "é s t g a b"):
+                    text = head + tail + end
+                    assert len(text) > piece
+                    assert parse_outcome(parse_word, text) == parse_outcome(
+                        parse_oracle, text), (tail, shift, end)
+                    checked += 1
+        assert checked == len(tails) * 13 * 3
+
     def test_nesting_depth_is_bounded_only_by_text_length(self):
         deep = "(" * 5000 + "s t" + ")" * 5000
         assert parse_word(deep + "^2") == (
@@ -645,7 +697,7 @@ class TestGenerators:
         table = {}
         _eval((("g", 2),), 4, table)
         assert _eval((("g", 2.0),), 4, table) == _eval((("g", 2),), 4, {})
-        assert table == {("g", 2): ((0, 0, 0, 0, 2), None)}
+        assert table == {("g", 2): (None, ((4, 2),))}
         # a bool is an int: True is the exponent 1
         assert eval_word((("g", True),), 4) == standard_generators(4)["g"]
         assert eval_word((("a", True), ("t", False)), 5) == eval_word(
@@ -681,14 +733,44 @@ class TestEvalKernel:
                 assert _eval(batch[i], n, table) == expect[i]
         assert set(table) == {(sym, exp) for word in batch for sym, exp in word}
 
+    @settings(max_examples=150, deadline=None)
+    @given(st.one_of(st.integers(2, 12), st.just(80)).flatmap(
+        lambda n: st.tuples(st.just(n), st.lists(raw_words(n, 8), max_size=6))))
+    def test_matches_the_list_fold_with_one_shared_table(self, case):
+        n, batch = case
+        table, fold_table = {}, {}
+        for word in batch:
+            value = _eval(word, n, table)
+            assert value == list_fold_oracle(word, n, fold_table)
+            assert value == mul_fold_oracle(word, n)
+        assert set(table) == set(fold_table)
+
+    def test_matches_the_list_fold_at_the_largest_n_and_exponents(self):
+        n = 80
+        rng = random.Random(25)
+        exps = (1, -1, 2, n - 1, n, n + 1, -n, 10**9, -10**9, 10**9 + 7)
+        batch = [tuple((rng.choice("stgab"), rng.choice(exps))
+                       for _ in range(rng.randint(1, 12)))
+                 for _ in range(40)]
+        table, fold_table = {}, {}
+        for _ in range(2):
+            for word in batch:
+                value = _eval(word, n, table)
+                assert value == list_fold_oracle(word, n, fold_table)
+                assert value == mul_fold_oracle(word, n)
+        assert set(table) == set(fold_table)
+        assert any(abs(x) >= 10**9 // n for word in batch
+                   for x in _eval(word, n, table).z)
+
     def test_table_entries_are_padded_and_skip_idle_passes(self):
         table = {}
         _eval(parse_word("g^3 s^2 t a^-1"), 4, table)
+        pad = bytes(251)
         assert table == {
-            ("g", 3): ((0, 0, 0, 0, 3), None),
-            ("s", 2): (None, None),
-            ("t", 1): (None, (0, 4, 1, 2, 3)),
-            ("a", -1): ((0, 0, 0, -1, 0), (0, 2, 3, 4, 1)),
+            ("g", 3): (None, ((4, 3),)),
+            ("s", 2): (None, ()),
+            ("t", 1): (bytes((0, 4, 1, 2, 3)) + pad, ()),
+            ("a", -1): (bytes((0, 2, 3, 4, 1)) + pad, ((3, -1),)),
         }
 
     def test_unknown_symbol_after_cached_letters(self):
@@ -794,6 +876,15 @@ class TestWordLengthCap:
         with pytest.raises(WordSyntaxError, match="'é'"):
             parse_word(") " + "s " * 10 + "é")
 
+    def test_bad_character_before_the_symbol_past_the_cap_comes_first(
+            self, monkeypatch):
+        monkeypatch.setattr(limits, "MAX_WORD_LETTERS", 10)
+        for text in ["é " + "s " * 11, "s " * 10 + "é s", "(s t)^9 x s"]:
+            with pytest.raises(WordSyntaxError, match="unexpected character"):
+                parse_word(text)
+            assert parse_outcome(parse_word, text) == parse_outcome(
+                parse_oracle, text)
+
     def test_word_power_cap(self, monkeypatch):
         monkeypatch.setattr(limits, "MAX_WORD_LETTERS", 10)
         st_word = (("s", 1), ("t", 1))
@@ -821,6 +912,11 @@ class TestRelationPresets:
     def test_unknown_preset(self):
         with pytest.raises(ValueError):
             relation_preset(4, "nope")
+
+    def test_preset_name_that_is_not_a_string_is_unknown(self):
+        for name in (5, None, ["sn"]):
+            with pytest.raises(ValueError, match=f"^unknown preset {re.escape(repr(name))}$"):
+                relation_preset(4, name)
 
     def test_sn_needs_four_points(self):
         with pytest.raises(ValueError):
@@ -1120,6 +1216,17 @@ class TestClosure:
             assert report == closure_oracle(*args)
             assert [name for name, hit in report.targets_reached.items()
                     if hit] == ["float", "g"]
+
+    def test_target_that_is_not_a_pair_is_a_value_error(self):
+        gens = standard_generators(3)
+        images = [gens["a"], gens["b"]]
+        for bad in (None, 5, ((0, 0, 0),), ((0, 0, 0), (1, 2, 3), ())):
+            targets = {"g": gens["g"], "x": bad}
+            with pytest.raises(ValueError, match="^target 'x' is not a"):
+                generated_closure(images, 100, targets)
+        # a pair whose s is no permutation is read, and stays unreached
+        report = generated_closure(images, 100, {"x": ((0, 0, 0), None)})
+        assert report.targets_reached == {"x": False}
 
     def test_target_permutations_are_read_by_the_integer_rule(self):
         gens = standard_generators(3)
