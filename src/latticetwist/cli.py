@@ -152,7 +152,7 @@ def _cmd_iso_back(args) -> int:
 
 
 def _cmd_cycles(args) -> int:
-    cycles = twisted.ordered_cycles(_parse_perm(args.perm))
+    cycles = twisted.ordered_cycles(_parse_vec(args.perm))
     print("".join("(" + " ".join(str(w) for w in c) + ")" for c in cycles))
     return 0
 

@@ -57,8 +57,8 @@ from operator import add, itemgetter, mul
 from typing import Iterator, NamedTuple, Sequence
 
 from . import limits
-from .semidirect import CycleStructure
-from .twisted import Vec, _as_int, as_vector, check_permutation, ordered_cycles
+from .semidirect import CycleStructure, _assemble
+from .twisted import Vec, _as_int, _ordered_cycles, as_vector, check_permutation
 
 SAMPLE_DENOMINATOR = 101
 FACET_REDRAWS = 64       # draws per sample before check_tiling gives up
@@ -300,7 +300,7 @@ class ProductTile:
 
 def product_tile_vertices(tau: Sequence[int]) -> ProductTile:
     tau = check_permutation(tau)
-    cycles = ordered_cycles(tau)
+    cycles = _ordered_cycles(tau)
     n = len(tau)
     # every cycle length before any factorial, then the vertex count
     # prod 2*|c|!, stopping as soon as it passes the cap
@@ -310,22 +310,12 @@ def product_tile_vertices(tau: Sequence[int]) -> ProductTile:
     for cycle in cycles:
         count *= 2 * factorial(len(cycle))
         _check_count(count, "product tile vertices")
-    factor_vertices = []
-    for cycle in cycles:
-        m = len(cycle)
-        layer = permutohedron_vertices(m)
-        factor_vertices.append(layer + [tuple(x + 1 for x in v) for v in layer])
-    assembled = []
-    for choice in product(*factor_vertices):
-        out = [0] * n
-        for cycle, part in zip(cycles, choice):
-            for w, value in zip(cycle, part):
-                out[w - 1] = value
-        assembled.append(tuple(out))
+    factor_vertices = [PrismTile(len(c), (0,) * len(c)).vertices for c in cycles]
     return ProductTile(
         tau=tau,
         cycles=cycles,
-        vertices=tuple(assembled),
+        vertices=tuple([_assemble(choice, cycles, n)
+                        for choice in product(*factor_vertices)]),
         permutohedron_dims=tuple(len(c) - 1 for c in cycles),
         interval_count=len(cycles),
     )

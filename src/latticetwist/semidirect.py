@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from typing import NamedTuple, Sequence
 
-from .twisted import Vec, _as_int, _is_unit, as_vector, check_permutation, ordered_cycles
+from .twisted import Vec, _as_int, _is_unit, _ordered_cycles, as_vector, check_permutation
 from .units import _require_residue_distinct
 
 Permutation = tuple[int, ...]
@@ -56,19 +56,8 @@ def semi_identity(n: int) -> SemiElement:
 
 def semi_multiply(left: SemiElement, right: SemiElement) -> SemiElement:
     """Product left . right = (z + k o s, r o s) for left=(z,s), right=(k,r)."""
-    z, s = left
-    k, r = right
-    s = check_permutation(s)
-    r = check_permutation(r)
-    try:
-        if not len(z) == len(s) == len(k) == len(r):
-            raise ValueError(
-                f"length mismatch: {len(z)}, {len(s)} vs {len(k)}, {len(r)}")
-    except TypeError:
-        # z or k has no length; s and r are tuples by now
-        raise ValueError(
-            f"translations must be sequences, got {z!r} and {k!r}") from None
-    return _mul((z, s), (k, r))
+    left = _checked(left)
+    return _mul(left, _checked(right, len(left[1])))
 
 
 def semi_inverse(g: SemiElement) -> SemiElement:
@@ -76,16 +65,9 @@ def semi_inverse(g: SemiElement) -> SemiElement:
 
 
 def semi_power(g: SemiElement, k: int) -> SemiElement:
-    """g^k by square-and-multiply; negative k goes through the inverse."""
+    """g^k by square-and-multiply; negative k goes through the inverse.  g is
+    read as every other element is, for k = 0 too."""
     k = _as_int(k, "k")
-    if k == 0:
-        # g^0 reads only the length of z, unchecked
-        z, _ = g
-        try:
-            n = len(z)
-        except TypeError:
-            raise ValueError(f"translation must be a sequence, got {z!r}") from None
-        return semi_identity(n)
     return _power(_checked(g), k)
 
 
@@ -165,32 +147,43 @@ def general_is_unit(x: Sequence[int], tau: Sequence[int]) -> bool:
     `units.is_unit_member` runs too; `transport_permutation` gives a witness.
     """
     t = check_permutation(tau)
-    return _is_unit(as_vector(x, len(t)), ordered_cycles(t))
+    return _is_unit(as_vector(x, len(t)), _ordered_cycles(t))
 
 
 def split_to_factors(x: Sequence[int], cycles: CycleStructure) -> list[Vec]:
-    """Restrict x to each cycle, reindexed along the cycle order."""
+    """Restrict x to each cycle, reindexed along the cycle order.  Each cycle
+    is read by `as_vector`, and together they must partition 1..len(x)."""
     xv = as_vector(x)
-    _check_cycles(cycles, len(xv))
-    return [tuple(xv[w - 1] for w in cycle) for cycle in cycles]
+    return [tuple(xv[w - 1] for w in cycle) for cycle in _read_cycles(cycles, len(xv))]
 
 
 def assemble_from_factors(parts: Sequence[Sequence[int]], cycles: CycleStructure) -> Vec:
-    """Inverse of split_to_factors."""
-    n = sum(len(c) for c in cycles)
-    _check_cycles(cycles, n)
+    """Inverse of split_to_factors: each part is read by `as_vector`, as
+    long as its cycle."""
+    cycles = _read_cycles(cycles)
     if len(parts) != len(cycles):
         raise ValueError(f"{len(parts)} parts for {len(cycles)} cycles")
+    parts = [as_vector(part, len(cycle)) for part, cycle in zip(parts, cycles)]
+    return _assemble(parts, cycles, sum(map(len, cycles)))
+
+
+def _read_cycles(cycles: CycleStructure, n: int | None = None) -> CycleStructure:
+    """`cycles` with each cycle read by `as_vector`; together they must
+    partition 1..n, where n is their total length when not given."""
+    cycles = tuple(map(as_vector, cycles))
+    members = sorted(w for cycle in cycles for w in cycle)
+    if n is None:
+        n = len(members)
+    if members != list(range(1, n + 1)):
+        raise ValueError(f"cycles do not partition 1..{n}: {cycles!r}")
+    return cycles
+
+
+def _assemble(parts, cycles: CycleStructure, n: int) -> Vec:
+    """The vector of length n holding part[j] at cycle[j], for cycles that
+    partition 1..n and parts as long as their cycles."""
     out = [0] * n
     for part, cycle in zip(parts, cycles):
-        if len(part) != len(cycle):
-            raise ValueError(f"part length {len(part)} != cycle length {len(cycle)}")
         for value, w in zip(part, cycle):
             out[w - 1] = value
-    return as_vector(out)
-
-
-def _check_cycles(cycles: CycleStructure, n: int) -> None:
-    members = [w for cycle in cycles for w in cycle]
-    if sorted(members) != list(range(1, n + 1)):
-        raise ValueError(f"cycles do not partition 1..{n}: {cycles!r}")
+    return tuple(out)

@@ -60,13 +60,19 @@ def check_permutation(images: Sequence[int], n: int | None = None) -> tuple[int,
     return tau
 
 
-def ordered_cycles(tau: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+def ordered_cycles(tau: Sequence[int]) -> tuple[tuple[int, ...], ...]:
     """Disjoint cycles (w_1 .. w_m) of tau with tau(w_j) = w_{j-1 mod m}.
 
     Each cycle starts at its smallest member and is walked against tau, so
     positions within a cycle transform exactly like the cyclic action on
-    {1..m}.  Cycles are listed by increasing smallest member.
+    {1..m}.  Cycles are listed by increasing smallest member.  `tau` is
+    read by `check_permutation`.
     """
+    return _ordered_cycles(check_permutation(tau))
+
+
+def _ordered_cycles(tau: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    """`ordered_cycles` of a tau that `check_permutation` has read."""
     n = len(tau)
     prev = [0] * (n + 1)
     for v, image in enumerate(tau, start=1):
@@ -99,7 +105,7 @@ class Action:
         tau = check_permutation(images)
         if not tau:
             raise ValueError("action needs at least one point")
-        return cls(n=len(tau), tau=tau, cycles=ordered_cycles(tau))
+        return cls(n=len(tau), tau=tau, cycles=_ordered_cycles(tau))
 
     @classmethod
     def cyclic(cls, n: int) -> "Action":

@@ -230,7 +230,11 @@ def _term_tree(tokens: Iterator[tuple[int, str]], text: str) -> list:
             if token is None or token[1] in _NOT_INT:
                 raise WordSyntaxError("'^' must be followed by an integer",
                                       _position(text, hat))
-            exp = int(token[1])
+            try:
+                exp = int(token[1])
+            except ValueError:  # more digits than `int` converts
+                raise WordSyntaxError("exponent has too many digits",
+                                      _position(text, token[0])) from None
             if exp == 0:
                 raise WordSyntaxError("zero exponent", _position(text, token[0]))
             token = next(tokens, None)

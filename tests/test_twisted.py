@@ -1,5 +1,6 @@
 """The twisted product: closed form, transport maps, inverses."""
 
+import inspect
 import math
 from fractions import Fraction
 from itertools import product
@@ -7,18 +8,22 @@ from itertools import product
 import pytest
 from hypothesis import given, strategies as st
 
+import latticetwist
 from latticetwist.geometry import (
     PrismTile,
+    check_tiling,
     coordinate_matrices,
     decompose_point,
     generate_patch,
     permutohedron_vertices,
+    product_tile_vertices,
 )
 from latticetwist.semidirect import (
     SemiElement,
     assemble_from_factors,
     general_is_unit,
     identity_perm,
+    perm_compose,
     perm_inverse,
     phi_backward,
     phi_forward,
@@ -40,11 +45,13 @@ from latticetwist.units import (
 from latticetwist.words import (
     eval_word,
     generated_closure,
+    letter,
     normalize_word,
     parse_word,
     relation_preset,
     standard_generators,
     verify_derived_identities,
+    word_concat,
     word_power,
 )
 from latticetwist.twisted import (
@@ -162,24 +169,29 @@ class TestAction:
 
 class TestOrderedCycles:
     def test_two_transpositions(self):
-        assert ordered_cycles(check_permutation((2, 1, 4, 3))) == ((1, 2), (3, 4))
+        assert ordered_cycles((2, 1, 4, 3)) == ((1, 2), (3, 4))
 
     def test_cyclic_is_one_cycle(self):
-        assert ordered_cycles(check_permutation((4, 1, 2, 3))) == ((1, 2, 3, 4),)
+        assert ordered_cycles((4, 1, 2, 3)) == ((1, 2, 3, 4),)
 
     def test_identity_is_fixed_points(self):
-        assert ordered_cycles(check_permutation((1, 2, 3))) == ((1,), (2,), (3,))
+        assert ordered_cycles((1, 2, 3)) == ((1,), (2,), (3,))
 
     def test_cycle_labeling_convention(self):
         # within each cycle (w_1..w_m): tau(w_j) = w_{j-1 mod m}
         for tau in [(2, 1, 4, 3), (3, 1, 2), (5, 3, 4, 2, 1)]:
-            for cycle in ordered_cycles(check_permutation(tau)):
+            for cycle in ordered_cycles(tau):
                 m = len(cycle)
                 for j, w in enumerate(cycle):
                     assert tau[w - 1] == cycle[(j - 1) % m]
 
+    def test_rejects_non_permutation(self):
+        for tau in [(1, 1), (3, 1)]:
+            with pytest.raises(ValueError, match="^not a permutation: "):
+                ordered_cycles(tau)
+
     def test_cycles_start_at_smallest(self):
-        for cycle in ordered_cycles(check_permutation((5, 3, 4, 2, 1))):
+        for cycle in ordered_cycles((5, 3, 4, 2, 1)):
             assert cycle[0] == min(cycle)
 
 
@@ -335,6 +347,13 @@ def _perm(x):
     return (x, 2, 3) if x == 1 else (1, 2, x)
 
 
+def _cycles(x):
+    """The cycles (1 2)(3) of 1..3, with x in the place of 1 or 3 as in
+    `_perm(x)`."""
+    p = _perm(x)
+    return p[:2], p[2:]
+
+
 def _zeros(x):
     """The zero coefficients of a tile of size 1 when x equals 1, else of
     size 3."""
@@ -363,17 +382,32 @@ INTEGER_READERS = {
     "perm_inverse": lambda x: perm_inverse(_perm(x)),
     "semi_multiply s": lambda x: semi_multiply(
         SemiElement((0, 0, 0), _perm(x)), semi_identity(3)),
+    "semi_multiply z left": lambda x: semi_multiply(
+        SemiElement((x, 0), (2, 1)), semi_identity(2)),
+    "semi_multiply z right": lambda x: semi_multiply(
+        semi_identity(2), SemiElement((x, 0), (2, 1))),
     "decompose_point": lambda x: decompose_point((x, 0, 2)),
     "split_to_factors": lambda x: split_to_factors((x, 0, 2), ((1, 2), (3,))),
+    "split_to_factors cycle": lambda x: split_to_factors((5, 6, 7), _cycles(x)),
+    # a part: x is an entry of the first one
     "assemble_from_factors": lambda x: assemble_from_factors(
         [(x, 0), (2,)], ((1, 2), (3,))),
+    "assemble_from_factors cycle": lambda x: assemble_from_factors(
+        [(5, 6), (7,)], _cycles(x)),
+    "ordered_cycles": lambda x: ordered_cycles(_perm(x)),
+    "perm_compose": lambda x: perm_compose(_perm(x), (2, 1, 3)),
+    "product_tile_vertices": lambda x: product_tile_vertices(_perm(x)),
+    "as_vector": lambda x: as_vector((x, 0)),
     "PrismTile": lambda x: PrismTile(3, (x, 0, 2)),
     "generated_closure": lambda x: generated_closure(
         [SemiElement((x, 0), (2, 1))], budget=20),
     "semi_inverse z": lambda x: semi_inverse(SemiElement((x, 0), (2, 1))),
     "semi_inverse s": lambda x: semi_inverse(SemiElement((0, 0, 0), _perm(x))),
     "semi_power": lambda x: semi_power(SemiElement((x, 0), (2, 1)), 3),
+    "semi_power z at k = 0": lambda x: semi_power(SemiElement((x, 0), (2, 1)), 0),
     "normalize_word": lambda x: normalize_word([("t", x), ("g", 1)]),
+    "letter": lambda x: letter("t", x),
+    "word_concat": lambda x: word_concat((("t", x),), (("g", 1),)),
     "word_power": lambda x: word_power((("t", 1),), x),
     "eval_word exponent": lambda x: eval_word((("g", x),), 4),
     # size arguments
@@ -387,6 +421,7 @@ INTEGER_READERS = {
     "PrismTile n": lambda x: PrismTile(x, _zeros(x)),
     "generate_patch n": lambda x: generate_patch(x, 0),
     "generate_patch radius": lambda x: generate_patch(2, x),
+    "check_tiling samples": lambda x: check_tiling(1, (0, 1), samples=x),
     "verify_derived_identities seed": lambda x: verify_derived_identities(4, seed=x),
     "verify_derived_identities draws": lambda x: verify_derived_identities(4, draws=x),
     "generated_closure budget": lambda x: generated_closure(
@@ -425,3 +460,25 @@ def test_every_reader_reads_integers_by_one_rule(reader):
 @pytest.mark.parametrize("reader", sorted(SIZE_READERS_FROM_2))
 def test_every_n_from_2_is_read_by_one_rule(reader):
     _reads_by_one_rule(SIZE_READERS_FROM_2[reader], (4.0, Fraction(4)))
+
+
+# Public functions that read no integer by the rule above, each with the
+# reason.  Every other public function has an entry in one of the tables.
+NOT_INTEGER_READERS = {
+    "identity_element": "reads an Action, whose constructors read n",
+    "parse_word": "reads text",
+    "render_word": "formats a word; it writes each exponent as it finds it",
+    "word_inverse": "negates exponents without reading them",
+    "verify_relations": "reads a RelationPreset, which relation_preset builds",
+    "export_mesh": "reads tiles, which PrismTile and generate_patch build",
+}
+
+
+def test_every_public_function_is_an_integer_reader_or_says_why_not():
+    tabled = {key.split(" ")[0] for key in [*INTEGER_READERS, *SIZE_READERS_FROM_2]}
+    public = {name for name in latticetwist.__all__
+              # unwrapped, a function behind a cache counts too
+              if inspect.isfunction(inspect.unwrap(getattr(latticetwist, name)))}
+    assert public - tabled - set(NOT_INTEGER_READERS) == set()
+    # the list names only public functions that are in no table
+    assert set(NOT_INTEGER_READERS) <= public - tabled

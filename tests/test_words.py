@@ -320,7 +320,11 @@ def parse_oracle(text):
             if i + 1 >= len(tokens) or tokens[i + 1][0] != "int":
                 raise WordSyntaxError("'^' must be followed by an integer",
                                       tokens[i][2])
-            exp = int(tokens[i + 1][1])
+            try:
+                exp = int(tokens[i + 1][1])
+            except ValueError:  # more digits than `int` converts
+                raise WordSyntaxError("exponent has too many digits",
+                                      tokens[i + 1][2]) from None
             if exp == 0:
                 raise WordSyntaxError("zero exponent", tokens[i + 1][2])
             return exp, i + 2
@@ -534,6 +538,11 @@ class TestParser:
             parse_word("t^0")
         assert info.value.position == 2
 
+    def test_exponent_with_too_many_digits_position(self):
+        with pytest.raises(WordSyntaxError, match="too many digits") as info:
+            parse_word("t^" + "1" * 5000)
+        assert info.value.position == 2
+
     def test_unknown_character_position(self):
         with pytest.raises(WordSyntaxError) as info:
             parse_word("s x")
@@ -575,6 +584,8 @@ class TestParser:
         chain_texts()))
     # the cap counts only the letters of the enclosing group: 88, not 87
     @example("s " * 56 + "(t (s)^30 t)")
+    # more digits than `int` converts
+    @example("t^" + "1" * 5000)
     def test_matches_recursive_oracle(self, text):
         # a low cap makes refusals common among the nested powered words
         with mock.patch.object(limits, "MAX_WORD_LETTERS", 60):
@@ -597,7 +608,8 @@ class TestParser:
     def test_tokens_at_a_cut_match_the_recursive_oracle(self):
         # texts of more than one piece, with the token of interest at, just
         # before or just after the first cut; some end with a bad character
-        tails = ["t^-12345 s", "t^" + "7" * 4200 + " s^-1", "t ^ -3", "t^-",
+        tails = ["t^-12345 s", "t^" + "7" * 4200 + " s^-1",
+                 "(s t)^-" + "1" * 5000 + " s", "t ^ -3", "t^-",
                  "t^- 3", "t^ s", "s ^0", "-3 s", "- 3", "é t", "s x",
                  "(s t)^-10 ) s", "(s (t g)^-2 a)^3 b^-1 ("]
         piece = words._PIECE
