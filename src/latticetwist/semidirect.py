@@ -56,25 +56,28 @@ def semi_identity(n: int) -> SemiElement:
 
 def semi_multiply(left: SemiElement, right: SemiElement) -> SemiElement:
     """Product left . right = (z + k o s, r o s) for left=(z,s), right=(k,r)."""
-    left = _checked(left)
-    return _mul(left, _checked(right, len(left[1])))
+    left = _checked(left, "left")
+    return _mul(left, _checked(right, "right", len(left[1])))
 
 
 def semi_inverse(g: SemiElement) -> SemiElement:
-    return _inverse(_checked(g))
+    return _inverse(_checked(g, "g"))
 
 
 def semi_power(g: SemiElement, k: int) -> SemiElement:
     """g^k by square-and-multiply; negative k goes through the inverse.  g is
     read as every other element is, for k = 0 too."""
     k = _as_int(k, "k")
-    return _power(_checked(g), k)
+    return _power(_checked(g, "g"), k)
 
 
-def _checked(g: SemiElement, n: int | None = None) -> tuple[Vec, Permutation]:
+def _checked(g: SemiElement, what: str, n: int | None = None) -> tuple[Vec, Permutation]:
     """Unpack g as (z, s): a permutation s, of length n when n is given, and
-    a vector z of ints as long."""
-    z, s = g
+    a vector z of ints as long.  `what` names g when it is not a pair."""
+    try:
+        z, s = g
+    except (TypeError, ValueError):
+        raise ValueError(f"{what} is not a (z, s) pair: {g!r}") from None
     s = check_permutation(s, n)
     return as_vector(z, len(s)), s
 
@@ -135,7 +138,7 @@ def phi_forward(x: Sequence[int]) -> SemiElement:
 
 def phi_backward(g: SemiElement) -> Vec:
     """Inverse of phi_forward: x_i = n*z_i + ((1 - s(i)) mod n)."""
-    z, s = _checked(g)
+    z, s = _checked(g, "g")
     n = len(s)
     return tuple(n * m + ((1 - v) % n) for m, v in zip(z, s))
 
@@ -161,8 +164,12 @@ def assemble_from_factors(parts: Sequence[Sequence[int]], cycles: CycleStructure
     """Inverse of split_to_factors: each part is read by `as_vector`, as
     long as its cycle."""
     cycles = _read_cycles(cycles)
-    if len(parts) != len(cycles):
-        raise ValueError(f"{len(parts)} parts for {len(cycles)} cycles")
+    try:
+        count = len(parts)
+    except TypeError:
+        raise ValueError(f"parts is not a sequence: {parts!r}") from None
+    if count != len(cycles):
+        raise ValueError(f"{count} parts for {len(cycles)} cycles")
     parts = [as_vector(part, len(cycle)) for part, cycle in zip(parts, cycles)]
     return _assemble(parts, cycles, sum(map(len, cycles)))
 
@@ -170,7 +177,11 @@ def assemble_from_factors(parts: Sequence[Sequence[int]], cycles: CycleStructure
 def _read_cycles(cycles: CycleStructure, n: int | None = None) -> CycleStructure:
     """`cycles` with each cycle read by `as_vector`; together they must
     partition 1..n, where n is their total length when not given."""
-    cycles = tuple(map(as_vector, cycles))
+    try:
+        each = iter(cycles)
+    except TypeError:
+        raise ValueError(f"cycles is not a sequence of cycles: {cycles!r}") from None
+    cycles = tuple(map(as_vector, each))
     members = sorted(w for cycle in cycles for w in cycle)
     if n is None:
         n = len(members)

@@ -643,6 +643,14 @@ class ClosureReport:
     targets_reached: dict[str, bool]
 
 
+def _closure_layout(n: int, bias: int) -> tuple[tuple[int, ...], int]:
+    """The place values R**0..R**(n-1) of the translation digits of a
+    `generated_closure` key, and R**n, the place of its permutation id, for
+    the odd radix R = 2 * bias + 1."""
+    radix = 2 * bias + 1
+    return tuple(radix**i for i in range(n)), radix**n
+
+
 def generated_closure(
     images: Sequence[SemiElement],
     budget: int | None = None,
@@ -662,10 +670,11 @@ def generated_closure(
         raise ValueError("need at least one generator image")
     budget = _as_int(limits.MAX_CLOSURE_BUDGET if budget is None else budget,
                      "budget", 1, limits.MAX_CLOSURE_BUDGET)
-    n = _as_int(len(_checked(images[0])[1]), "n", cap=limits.MAX_VERIFY_N)
+    n = _as_int(len(_checked(images[0], "generator image")[1]), "n",
+                cap=limits.MAX_VERIFY_N)
     gens: list[SemiElement] = []
     for img in images:
-        img = SemiElement(*_checked(img, n))
+        img = SemiElement(*_checked(img, "generator image", n))
         for candidate in (img, _inverse(img)):
             if candidate not in gens:
                 gens.append(candidate)
@@ -694,73 +703,69 @@ def generated_closure(
     lattice = _IntLattice(n)
 
     # Each element (z, s) of the walk is one int key.  The permutation s is
-    # interned to a small id; field i, w bits at shift w*i, holds z_i + bias,
-    # and the id sits above the n fields:
+    # interned to a small id, and the key holds z_i + bias and the id as the
+    # digits of a mixed radix with the odd base R = 2 * bias + 1:
     #
-    #     key = sum_i (z_i + bias) << (w*i)  +  id << (w*n)
+    #     key = sum_i (z_i + bias) * R**i  +  id * R**n
     #
     # The product (z, s) . (k, r) = (z + k o s, r o s) changes the key by an
-    # amount that depends on s and the generator (k, r) only: the fields of
-    # k o s plus the change of id from s to r o s.  steps[id][j] caches that
-    # difference for gens[j], built on first use, so a step is one int
-    # addition.  A key below 1 << (w*n) has id 0: a pure translation.
+    # amount that depends on s and the generator (k, r) only: the digits of
+    # k o s plus the change of id from s to r o s.  steps[id] holds that
+    # difference for every generator, filled when an element with this
+    # permutation is first popped, so a step is one int addition.  A key
+    # below R**n has id 0: a pure translation.
     #
-    # Field width: a step changes z_i by an entry of a generator translation,
+    # Digit range: a step changes z_i by an entry of a generator translation,
     # so by at most M = max |k_i|.  Every visited element, and every
     # candidate step from one, is at most `budget` steps from the identity,
-    # so |z_i| <= budget * M = bias.  A field then holds a value in
-    # [0, 2 * bias], which fits in w = (2 * bias).bit_length() bits; no field
-    # carries into the next and the addition is exact.
+    # so |z_i| <= budget * M = bias, and z_i + bias is a digit in [0, R); no
+    # digit carries into the next and the addition is exact.  An odd base,
+    # unlike a power of two, spreads every digit and the id over the low
+    # bits of the key's hash, from which a set takes its first probe slot.
     bias = budget * max((abs(x) for k, _ in gens for x in k), default=0)
-    w = (2 * bias).bit_length()
-    shifts = tuple(w * i for i in range(n))
-    top = w * n
-    pure = 1 << top
-    mask = (1 << w) - 1
+    radix = 2 * bias + 1
+    places, pure = _closure_layout(n, bias)
     # A permutation s is stored as bytes and each generator as its kernel
     # entry (table, moves), as in `_eval`: r o s is s.translate(table), and
-    # field i of k o s is k_{s(i)}, so move (v, k_v) lands in field
+    # digit i of k o s is k_{s(i)}, so move (v, k_v) lands in digit
     # s.index(v).
     tables = [_entry((0, *k), (0, *r)) for k, r in gens]
 
     def pack(z: Sequence) -> int | None:
-        """The fields of z, or None when no element of the walk has this z."""
+        """The digits of z, or None when no element of the walk has this z."""
         if len(z) != n:
             return None
         key = 0
-        for x, sh in zip(z, shifts):
+        for x, place in zip(z, places):
             if not -bias <= x <= bias or x != int(x):
                 return None
-            key += (int(x) + bias) << sh
+            key += (int(x) + bias) * place
         return key
 
     perms: list[bytes] = []
     perm_ids: dict[bytes, int] = {}
-    steps: list[list] = []
+    steps: list[list[int]] = []
     visited: set[int] = set()
-    interned_at = 0  # len(visited) when the last permutation was interned
 
     def intern(perm: bytes) -> int:
-        nonlocal interned_at
         pid = perm_ids.get(perm)
         if pid is None:
             pid = perm_ids[perm] = len(perms)
             perms.append(perm)
-            steps.append([None] * len(gens))
-            interned_at = len(visited)
+            steps.append([])
             for z, name in pending_targets.pop(perm, ()):
                 fields = pack(z)
                 if fields is not None:
-                    target_keys.setdefault(fields + (pid << top), []).append(name)
+                    target_keys.setdefault(fields + pid * pure, []).append(name)
         return pid
 
-    def step(pid: int, j: int) -> int:
+    def fill(pid: int, row: list[int]) -> None:
         s = perms[pid]
-        table, moves = tables[j]
-        delta = (intern(s.translate(table)) - pid) << top
-        for v, x in moves:
-            delta += x << shifts[s.index(v)]
-        return delta
+        for table, moves in tables:
+            delta = (intern(s.translate(table)) - pid) * pure
+            for v, x in moves:
+                delta += x * places[s.index(v)]
+            row.append(delta)
 
     def goal_met() -> bool:
         return (
@@ -778,14 +783,16 @@ def generated_closure(
     spanned = False
     budget_exhausted = False
     stopped_early = False
+    filled = (None, 0)  # the key whose pop last filled a row, and len(perms) before
 
     while queue and not budget_exhausted and not stopped_early:
         key = queue.popleft()
-        pid = key >> top
+        pid = key // pure
         row = steps[pid]
-        for j, delta in enumerate(row):
-            if delta is None:
-                delta = row[j] = step(pid, j)
+        if not row:
+            filled = (key, len(perms))
+            fill(pid, row)
+        for delta in row:
             h = key + delta
             if h in visited:
                 continue
@@ -802,7 +809,7 @@ def generated_closure(
                 # once the translations span Z^n, an add changes nothing
                 if not spanned:
                     rank = lattice.rank
-                    lattice.add([((h >> sh) & mask) - bias for sh in shifts])
+                    lattice.add([h // place % radix - bias for place in places])
                     event = lattice.rank > rank
                     spanned = lattice.spans_all()
             if target_keys and h in target_keys:
@@ -814,10 +821,13 @@ def generated_closure(
                 break
 
     permutation_count = len(perms)
-    if budget_exhausted and interned_at == len(visited):
-        # Each intern is followed by adding the new element that has the
-        # permutation, except when that element hit the budget.
-        permutation_count -= 1
+    if (budget_exhausted or stopped_early) and filled[0] == key:
+        # The walk was cut in the pop that filled its row, so the fill may
+        # have interned permutations of steps never taken.  New ids follow
+        # the row's order, so count those of the steps taken: all before h,
+        # and h itself when it was added.
+        taken = row[:row.index(h - key) + stopped_early]
+        permutation_count = max([filled[1]] + [(key + d) // pure + 1 for d in taken])
 
     return ClosureReport(
         n=n,

@@ -1,5 +1,6 @@
 """The semidirect product picture and the isomorphism onto it."""
 
+import re
 from itertools import product
 
 import pytest
@@ -218,6 +219,32 @@ class TestValidation:
             semi_multiply(SemiElement(None, (2, 1)), semi_identity(2))
         with pytest.raises(ValueError, match="^vector is not integral: 5$"):
             semi_multiply(semi_identity(2), SemiElement(5, (2, 1)))
+
+    # Each call whose whole argument is not a (z, s) pair, a cycle structure
+    # or a list of parts: a ValueError that names the argument.
+    @pytest.mark.parametrize("call, message", [
+        (lambda: semi_multiply(None, semi_identity(2)),
+         "left is not a (z, s) pair: None"),
+        (lambda: semi_multiply(semi_identity(2), 5),
+         "right is not a (z, s) pair: 5"),
+        (lambda: semi_inverse(7), "g is not a (z, s) pair: 7"),
+        (lambda: semi_inverse(((0,), (1,), ())),
+         "g is not a (z, s) pair: ((0,), (1,), ())"),
+        (lambda: semi_power(5, 0), "g is not a (z, s) pair: 5"),
+        (lambda: phi_backward(None), "g is not a (z, s) pair: None"),
+        (lambda: split_to_factors((1, 2), None),
+         "cycles is not a sequence of cycles: None"),
+        (lambda: assemble_from_factors(None, ((1,),)),
+         "parts is not a sequence: None"),
+        (lambda: assemble_from_factors((p for p in [(1,)]), ((1,),)),
+         "parts is not a sequence: <generator object"),
+    ], ids=["semi_multiply left", "semi_multiply right", "semi_inverse",
+            "semi_inverse triple", "semi_power", "phi_backward",
+            "split_to_factors", "assemble_from_factors",
+            "assemble_from_factors generator"])
+    def test_an_argument_of_the_wrong_shape_is_a_value_error(self, call, message):
+        with pytest.raises(ValueError, match="^" + re.escape(message)):
+            call()
 
     @given(st.data())
     def test_length_mismatches_raise_as_before(self, data):

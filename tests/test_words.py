@@ -59,6 +59,14 @@ def closure_oracle(images, budget=limits.MAX_CLOSURE_BUDGET, targets=None,
     (z, s) . (k, r) = (z + k o s, r o s) written out, and the stop-early
     goal is tested after every new element.
     """
+    return _oracle_walk(images, budget, targets, stop_early)[0]
+
+
+def _oracle_walk(images, budget=limits.MAX_CLOSURE_BUDGET, targets=None,
+                 stop_early=False):
+    """`closure_oracle`'s report, the elements it visited in the order it
+    visited them, and whether the walk was cut in the first pop of an
+    element with its permutation."""
     n = len(images[0].z)
     gens = []
     for img in images:
@@ -71,8 +79,10 @@ def closure_oracle(images, budget=limits.MAX_CLOSURE_BUDGET, targets=None,
     lattice = _IntLattice(n)
     translations = set()
     visited = {ident}
+    order = [ident]
     queue = deque([ident])
     perms = {ident.s}
+    popped_perms = set()
     budget_exhausted = False
     stopped_early = False
 
@@ -82,6 +92,8 @@ def closure_oracle(images, budget=limits.MAX_CLOSURE_BUDGET, targets=None,
 
     while queue and not budget_exhausted and not stopped_early:
         z, s = queue.popleft()
+        first_pop = s not in popped_perms
+        popped_perms.add(s)
         for k, r in gens:
             nz = tuple(z[i] + k[s[i] - 1] for i in range(n))
             ns = tuple(r[s[i] - 1] for i in range(n))
@@ -92,6 +104,7 @@ def closure_oracle(images, budget=limits.MAX_CLOSURE_BUDGET, targets=None,
                 budget_exhausted = True
                 break
             visited.add(h)
+            order.append(h)
             queue.append(h)
             perms.add(ns)
             if ns == ident.s and any(nz):
@@ -104,7 +117,7 @@ def closure_oracle(images, budget=limits.MAX_CLOSURE_BUDGET, targets=None,
                 stopped_early = True
                 break
 
-    return ClosureReport(
+    report = ClosureReport(
         n=n,
         generator_count=len(images),
         element_count=len(visited),
@@ -119,6 +132,8 @@ def closure_oracle(images, budget=limits.MAX_CLOSURE_BUDGET, targets=None,
         translations_span_lattice=lattice.spans_all(),
         targets_reached=reached,
     )
+    cut = budget_exhausted or stopped_early
+    return report, order, cut and first_pop
 
 
 def _commutator(x, y):
@@ -1119,6 +1134,9 @@ class TestClosure:
         # a z of None is a ValueError and a plain (z, s) pair is an image
         with pytest.raises(ValueError, match="^vector is not integral: None$"):
             generated_closure([SemiElement(None, (2, 1))])
+        with pytest.raises(ValueError,
+                           match=r"^generator image is not a \(z, s\) pair: None$"):
+            generated_closure([semi_identity(2), None])
         assert (generated_closure([((0, 0), (2, 1))])
                 == generated_closure([SemiElement((0, 0), (2, 1))]))
 
@@ -1177,8 +1195,8 @@ class TestClosure:
     @settings(max_examples=80)
     @given(st.data())
     def test_matches_oracle_with_large_translations(self, data):
-        # Entries near 10^5 and budgets up to 3000 put the packed fields of
-        # the walk near the width that budget * max|k_i| sets for them.
+        # Entries near 10^5 and budgets up to 3000 put the digits of the
+        # walk's keys near the base that budget * max|k_i| sets for them.
         n = data.draw(st.integers(1, 3))
         images = data.draw(st.lists(semi_elements(n, -10**5, 10**5),
                                     min_size=1, max_size=2))
@@ -1190,9 +1208,75 @@ class TestClosure:
         args = (images, budget, targets or None, data.draw(st.booleans()))
         assert generated_closure(*args) == closure_oracle(*args)
 
+    def test_matches_oracle_on_random_standard_walks(self):
+        # Budgets from 1 to 3000, spread evenly over their logarithm, put
+        # many cuts in the first pop of a permutation, the pop that fills
+        # its whole row of steps; the walk must not count the permutations
+        # of the steps after the cut.
+        rng = random.Random(27)
+        first_pop_cuts = 0
+        for case in range(240):
+            n = rng.randint(2, 6)
+            gens = standard_generators(n)
+            images = [gens[x] for x in rng.sample(SYMBOLS, rng.randint(1, 3))]
+            budget = int(3000 ** rng.random())
+            targets = {}
+            for name in rng.sample("pqr", rng.randint(0, 3)):
+                if rng.random() < 0.7:
+                    factors = rng.choices(images + [gens["g"]], k=rng.randint(1, 4))
+                    targets[name] = _product(factors, n)
+                else:
+                    perm = rng.sample(range(1, n + 1), n)
+                    targets[name] = SemiElement(
+                        tuple(rng.randint(-2, 2) for _ in range(n)), tuple(perm))
+            for stop_early in (False, True):
+                args = (images, budget, targets or None, stop_early)
+                report, _, first_pop_cut = _oracle_walk(*args)
+                assert generated_closure(*args) == report, (case, args)
+                first_pop_cuts += first_pop_cut
+        assert first_pop_cuts >= 100
+
+    def test_stop_at_an_element_whose_permutation_its_pop_interned(self):
+        # The target is the first element of its permutation, met after the
+        # translations span Z^n, so the walk stops at the step of the pop
+        # that filled the row and interned that permutation.
+        for n in (4, 5):
+            gens = standard_generators(n)
+            images = [gens["s"], gens["t"], gens["g"]]
+            _, elements, _ = _oracle_walk(images, 2000)
+            lattice, perms = _IntLattice(n), set()
+            for count, (z, s) in enumerate(elements, start=1):
+                if s not in perms and lattice.rank == n:
+                    break
+                perms.add(s)
+                if s == identity_perm(n):
+                    lattice.add(z)
+            args = (images, 2000, {"x": SemiElement(z, s)}, True)
+            report = generated_closure(*args)
+            assert report == closure_oracle(*args)
+            assert report.stopped_early and report.element_count == count
+            assert report.permutation_count == len(perms) + 1
+
+    def test_keys_spread_over_the_low_bits(self):
+        # A set takes its first probe slot from the low bits of a key's hash:
+        # the int itself below 2**61, and the int mod 2**61 - 1 above, where
+        # these keys with a nonzero permutation id lie.
+        n, budget = 4, 20_000
+        gens = standard_generators(n)
+        _, elements, _ = _oracle_walk([gens["s"], gens["t"], gens["g"]], budget)
+        places, pure = words._closure_layout(n, budget)  # bias = budget * 1
+        ids = {s: pid for pid, s in enumerate(sorted({s for _, s in elements}))}
+        keys = [sum((x + budget) * place for x, place in zip(z, places))
+                + ids[s] * pure for z, s in elements]
+        assert len(set(keys)) == len(elements) == budget
+        assert len({hash(key) & 0xFFFF for key in keys}) >= budget // 2
+
     def test_walk_reaches_the_edge_of_its_fields(self):
-        # budget * M is one below a power of two here, so the fields have no
-        # room to spare: one bit less would wrap z_i = 1.
+        # Each walk takes z_n out to about +-bias / 2, for bias = budget * k,
+        # so its digit z_n + bias spans the middle half of the odd base
+        # R = 2 * bias + 1, and the last case's keys pass 2**61.  A base of
+        # bias + 1 would carry z_n = 1 into the next digit, and a digit
+        # without the bias would borrow from it.
         for n, budget, k in [(1, 2047, 1), (2, 2047, 1), (1, 1905, 140911),
                              (3, 1695, 158369)]:
             g = SemiElement((0,) * (n - 1) + (k,), tuple(range(1, n + 1)))
