@@ -201,8 +201,12 @@ def _evaluate_scaled(P: Sequence[int], den: int, n: int) -> tuple[str, tuple[str
 
 def _scaled(point: Sequence, n: int) -> tuple[list[int], int]:
     """(P, den): the point of length n as numerators over their lcm; an
-    entry is anything `Fraction` reads (an int, a float, "5/2", ...)."""
-    pt = [Fraction(x) for x in point]
+    entry is anything `Fraction` reads (an int, a float, "5/2", ...), and
+    any other point is a ValueError that names it."""
+    try:
+        pt = [Fraction(x) for x in point]
+    except (TypeError, ValueError, OverflowError, ZeroDivisionError):
+        raise ValueError(f"point is not rational: {point!r}") from None
     if len(pt) != n:
         raise ValueError(f"expected length {n}, got {len(pt)}")
     den = lcm(*[x.denominator for x in pt])

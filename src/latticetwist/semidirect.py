@@ -165,11 +165,11 @@ def assemble_from_factors(parts: Sequence[Sequence[int]], cycles: CycleStructure
     long as its cycle."""
     cycles = _read_cycles(cycles)
     try:
-        count = len(parts)
+        parts = tuple(parts)
     except TypeError:
         raise ValueError(f"parts is not a sequence: {parts!r}") from None
-    if count != len(cycles):
-        raise ValueError(f"{count} parts for {len(cycles)} cycles")
+    if len(parts) != len(cycles):
+        raise ValueError(f"{len(parts)} parts for {len(cycles)} cycles")
     parts = [as_vector(part, len(cycle)) for part, cycle in zip(parts, cycles)]
     return _assemble(parts, cycles, sum(map(len, cycles)))
 

@@ -15,11 +15,10 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import permutations
-from operator import add, sub
 from typing import Sequence
 
 from . import limits
-from .twisted import Action, Vec, _as_int, _invert, _is_unit, as_vector
+from .twisted import Action, Vec, _as_int, _is_unit, as_vector
 
 
 @lru_cache(maxsize=16, typed=True)
@@ -66,12 +65,18 @@ def deformed_multiply(x: Sequence[int], y: Sequence[int]) -> Vec:
 
 
 def deformed_inverse(x: Sequence[int]) -> Vec:
-    """Inverse for the deformed addition, via the shift conjugation."""
+    """Inverse for the deformed addition, from the closed form of the
+    product: x . y is the identity, whose entry i is (1 - i) mod n, exactly
+    when, for every i,
+
+        y_{1 + ((-x_i) mod n)} = ((1 - i) mod n) - n * floor(x_i / n).
+    """
     xv = _require_residue_distinct(x)
     n = len(xv)
-    s = shift_vector(n)
-    inner = _invert(tuple(map(sub, xv, s)), cyclic_action(n))
-    return tuple(map(add, s, inner))
+    out = [0] * n
+    for i, xi in enumerate(xv):  # i from 0: (1 - (i + 1)) mod n is -i mod n
+        out[-xi % n] = -i % n - n * (xi // n)
+    return tuple(out)
 
 
 def enumerate_residue_classes(n: int) -> list[Vec]:

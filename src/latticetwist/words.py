@@ -50,7 +50,7 @@ from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from . import limits
 from .semidirect import SemiElement, _checked, _inverse, identity_perm, semi_identity
-from .twisted import _as_int, check_permutation
+from .twisted import _as_int, as_vector, check_permutation
 
 Letter = tuple[str, int]
 Word = tuple[Letter, ...]
@@ -652,7 +652,7 @@ def _closure_layout(n: int, bias: int) -> tuple[tuple[int, ...], int]:
 
 
 def generated_closure(
-    images: Sequence[SemiElement],
+    images: Iterable[SemiElement],
     budget: int | None = None,
     targets: Mapping[str, SemiElement] | None = None,
     stop_early: bool = False,
@@ -665,9 +665,23 @@ def generated_closure(
     translations already have full rank; exhausting the element budget is
     reported, not raised.  The budget defaults to `limits.MAX_CLOSURE_BUDGET`
     as it is at the time of the call.
+
+    `images` may be any iterable of (z, s) pairs and `targets` any mapping
+    of names to them.  A target is a query: it is read by the rule of
+    `_checked`, and one the rule refuses, or with an entry of z beyond the
+    walk's reach, is reported as not reached.  Only a target that is not a
+    pair is a ValueError.
     """
+    try:
+        images = tuple(images)
+    except TypeError:
+        raise ValueError(f"images is not a sequence: {images!r}") from None
     if not images:
         raise ValueError("need at least one generator image")
+    try:
+        target_items = dict({} if targets is None else targets)
+    except (TypeError, ValueError):
+        raise ValueError(f"targets is not a mapping: {targets!r}") from None
     budget = _as_int(limits.MAX_CLOSURE_BUDGET if budget is None else budget,
                      "budget", 1, limits.MAX_CLOSURE_BUDGET)
     n = _as_int(len(_checked(images[0], "generator image")[1]), "n",
@@ -678,28 +692,6 @@ def generated_closure(
         for candidate in (img, _inverse(img)):
             if candidate not in gens:
                 gens.append(candidate)
-
-    ident = semi_identity(n)
-    target_items = dict(targets or {})
-    reached = {name: el == ident for name, el in target_items.items()}
-    # Unreached targets wait here by permutation until the walk interns it,
-    # then move to target_keys under their key (below).  A target whose s is
-    # not a permutation of 1..n waits under no key, or under one the walk
-    # never interns, so it stays unreached.
-    pending_targets: dict[bytes, list[tuple[Sequence, str]]] = {}
-    for name, target in target_items.items():
-        try:
-            z, s = target
-        except (TypeError, ValueError):
-            raise ValueError(
-                f"target {name!r} is not a (z, s) pair: {target!r}") from None
-        if not reached[name]:
-            try:
-                perm = bytes(check_permutation(s))
-            except ValueError:
-                continue
-            pending_targets.setdefault(perm, []).append((z, name))
-    target_keys: dict[int, list[str]] = {}
     lattice = _IntLattice(n)
 
     # Each element (z, s) of the walk is one int key.  The permutation s is
@@ -731,16 +723,27 @@ def generated_closure(
     # s.index(v).
     tables = [_entry((0, *k), (0, *r)) for k, r in gens]
 
-    def pack(z: Sequence) -> int | None:
-        """The digits of z, or None when no element of the walk has this z."""
-        if len(z) != n:
-            return None
-        key = 0
-        for x, place in zip(z, places):
-            if not -bias <= x <= bias or x != int(x):
-                return None
-            key += (int(x) + bias) * place
-        return key
+    # Each target waits here, as the digits of its z under the bytes of its
+    # s, until the walk interns s; it then moves to target_keys under its
+    # whole key.  A target the rule refuses, or with some |z_i| > bias, is no
+    # element of the walk: it waits nowhere and stays unreached.
+    reached = dict.fromkeys(target_items, False)
+    pending_targets: dict[bytes, list[tuple[int, str]]] = {}
+    for name, target in target_items.items():
+        try:
+            z, s = target
+        except (TypeError, ValueError):
+            raise ValueError(
+                f"target {name!r} is not a (z, s) pair: {target!r}") from None
+        try:
+            s = check_permutation(s, n)
+            z = as_vector(z, n)
+        except ValueError:
+            continue
+        if max(map(abs, z)) <= bias:
+            digits = sum((x + bias) * place for x, place in zip(z, places))
+            pending_targets.setdefault(bytes(s), []).append((digits, name))
+    target_keys: dict[int, list[str]] = {}
 
     perms: list[bytes] = []
     perm_ids: dict[bytes, int] = {}
@@ -753,10 +756,8 @@ def generated_closure(
             pid = perm_ids[perm] = len(perms)
             perms.append(perm)
             steps.append([])
-            for z, name in pending_targets.pop(perm, ()):
-                fields = pack(z)
-                if fields is not None:
-                    target_keys.setdefault(fields + pid * pure, []).append(name)
+            for digits, name in pending_targets.pop(perm, ()):
+                target_keys.setdefault(digits + pid * pure, []).append(name)
         return pid
 
     def fill(pid: int, row: list[int]) -> None:
@@ -775,8 +776,11 @@ def generated_closure(
             and lattice.rank == n
         )
 
-    intern(bytes(ident.s))
-    start = pack(ident.z)
+    # The start is the identity: id 0 and every digit z_i + bias = bias.
+    intern(bytes(range(1, n + 1)))
+    start = bias * sum(places)
+    for name in target_keys.pop(start, ()):
+        reached[name] = True
     visited.add(start)
     queue = deque([start])
     translation_count = 0

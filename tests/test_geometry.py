@@ -517,6 +517,16 @@ class TestTilesAndPatches:
         with pytest.raises(ValueError, match="^expected length 3, got 2$"):
             tile.classify((half,) * 2)
 
+    def test_classify_names_a_point_it_cannot_read(self):
+        tile = PrismTile(3, (0, 0, 0))
+        for bad in [(None, 1), None, (float("inf"), 1), (2, math.nan, 2),
+                    ("1/0", 2, 2), ("abc", 2, 2)]:
+            with pytest.raises(ValueError,
+                               match="^point is not rational: " + re.escape(repr(bad))):
+                tile.classify(bad)
+        # everything Fraction reads is still a coordinate
+        assert tile.classify(iter(("5/2", 2.5, Fraction(5, 2)))) == "interior"
+
     def test_coeffs_are_n_integers(self):
         for n, coeffs in [(3, (0, 0)), (3, (0, 0, 0, 0)), (2, (0.5, 0)),
                           (2, (0, Fraction(1, 3)))]:

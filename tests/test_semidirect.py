@@ -236,15 +236,21 @@ class TestValidation:
          "cycles is not a sequence of cycles: None"),
         (lambda: assemble_from_factors(None, ((1,),)),
          "parts is not a sequence: None"),
-        (lambda: assemble_from_factors((p for p in [(1,)]), ((1,),)),
-         "parts is not a sequence: <generator object"),
     ], ids=["semi_multiply left", "semi_multiply right", "semi_inverse",
             "semi_inverse triple", "semi_power", "phi_backward",
-            "split_to_factors", "assemble_from_factors",
-            "assemble_from_factors generator"])
+            "split_to_factors", "assemble_from_factors"])
     def test_an_argument_of_the_wrong_shape_is_a_value_error(self, call, message):
         with pytest.raises(ValueError, match="^" + re.escape(message)):
             call()
+
+    def test_parts_and_cycles_may_be_any_iterable(self):
+        parts, cycles = [(5, 6), (7,)], ((1, 3), (2,))
+        expected = assemble_from_factors(parts, cycles)
+        assert expected == (5, 7, 6)
+        assert assemble_from_factors((p for p in parts), cycles) == expected
+        assert assemble_from_factors(iter(parts), iter(cycles)) == expected
+        with pytest.raises(ValueError, match="^1 parts for 2 cycles$"):
+            assemble_from_factors((p for p in parts[:1]), cycles)
 
     @given(st.data())
     def test_length_mismatches_raise_as_before(self, data):

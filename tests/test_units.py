@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from latticetwist.limits import BudgetExceededError
-from latticetwist.twisted import star_multiply
+from latticetwist.twisted import invert, star_multiply
 from latticetwist.units import (
     cyclic_action,
     deformed_inverse,
@@ -141,6 +141,16 @@ class TestDeformedGroup:
         assert is_residue_distinct(xi)
         assert deformed_multiply(x, xi) == e
         assert deformed_multiply(xi, x) == e
+
+    @given(st.data())
+    def test_inverse_matches_shift_conjugated_invert(self, data):
+        # the twisted inverse, moved to the deformed addition by the shift
+        # conjugation x -> x - s, as deformed_inverse once computed it
+        n = data.draw(st.integers(1, 8))
+        x = data.draw(residue_distinct_vectors(n))
+        s = shift_vector(n)
+        inner = invert(tuple(a - b for a, b in zip(x, s)), cyclic_action(n))
+        assert deformed_inverse(x) == tuple(a + b for a, b in zip(s, inner))
 
     def test_inverse_of_identity(self):
         for n in (1, 2, 3, 4):

@@ -74,7 +74,15 @@ def _oracle_walk(images, budget=limits.MAX_CLOSURE_BUDGET, targets=None,
             if candidate not in gens:
                 gens.append(candidate)
     ident = semi_identity(n)
-    target_items = dict(targets or {})
+    # Each target as a pair of tuples, which equals the element it names
+    # however its parts are held; one whose parts are not iterable is no
+    # element, and is never reached.
+    target_items = {}
+    for name, (z, s) in dict(targets or {}).items():
+        try:
+            target_items[name] = (tuple(z), tuple(s))
+        except TypeError:
+            target_items[name] = None
     reached = {name: el == ident for name, el in target_items.items()}
     lattice = _IntLattice(n)
     translations = set()
@@ -1304,14 +1312,21 @@ class TestClosure:
             "half": SemiElement((0.0, 0.0, 1.5), ident),
             "nan": SemiElement((0.0, float("nan"), 2.0), ident),
             "inf": SemiElement((float("inf"), 0, 0), ident),
+            "z none": (None, ident),
+            "z none entry": ((None, 0, 0), ident),
+            "z str": ("abc", ident),
             "g": gens["g"],
+            # the start and a step of the walk, with list parts
+            "e lists": ([0, 0, 0], [1, 2, 3]),
+            "e list s": ((0, 0, 0), [1, 2, 3]),
+            "g lists": (list(gens["g"].z), list(gens["g"].s)),
         }
         for stop_early in (False, True):
             args = (images, budget, targets, stop_early)
             report = generated_closure(*args)
             assert report == closure_oracle(*args)
             assert [name for name, hit in report.targets_reached.items()
-                    if hit] == ["float", "g"]
+                    if hit] == ["float", "g", "e lists", "e list s", "g lists"]
 
     def test_target_that_is_not_a_pair_is_a_value_error(self):
         gens = standard_generators(3)
@@ -1323,6 +1338,23 @@ class TestClosure:
         # a pair whose s is no permutation is read, and stays unreached
         report = generated_closure(images, 100, {"x": ((0, 0, 0), None)})
         assert report.targets_reached == {"x": False}
+
+    def test_images_are_any_iterable_and_targets_a_mapping(self):
+        gens = standard_generators(3)
+        images = [gens["a"], gens["b"]]
+        targets = {"s": gens["s"], "t": gens["t"]}
+        for stop_early in (False, True):
+            report = generated_closure(images, 500, targets, stop_early)
+            assert generated_closure(iter(images), 500, targets,
+                                     stop_early) == report
+            assert generated_closure((g for g in images), 500, targets,
+                                     stop_early) == report
+        with pytest.raises(ValueError, match="^images is not a sequence: 5$"):
+            generated_closure(5)
+        with pytest.raises(ValueError, match="^need at least one generator"):
+            generated_closure(iter([]))
+        with pytest.raises(ValueError, match="^targets is not a mapping: 5$"):
+            generated_closure(images, 100, 5)
 
     def test_target_permutations_are_read_by_the_integer_rule(self):
         gens = standard_generators(3)
@@ -1342,13 +1374,19 @@ class TestClosure:
             "long": SemiElement(z, (2, 1, 3, 4)),
             "past a byte": SemiElement(z, tuple(range(1, 301))),
             "none": SemiElement(z, None),
+            "lists": (list(z), list(s)),
+            "list s": (z, list(s)),
+            "list of floats": (z, list(map(float, s))),
+            "start, lists of floats": ([0, 0, 0], [1.0, 2.0, 3.0]),
         }
         for stop_early in (False, True):
             args = (images, 2000, targets, stop_early)
             report = generated_closure(*args)
             assert report == closure_oracle(*args)
             assert [name for name, hit in report.targets_reached.items()
-                    if hit] == ["int", "float", "fraction", "true"]
+                    if hit] == ["int", "float", "fraction", "true", "lists",
+                                "list s", "list of floats",
+                                "start, lists of floats"]
 
     def test_budget_hit_on_a_step_that_interns_a_permutation(self):
         gens = standard_generators(4)
