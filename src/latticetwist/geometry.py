@@ -511,8 +511,10 @@ def _box_vertex_sets(n: int, lo: int, hi: int):
     """Tile-vertex set vs residue-distinct set inside the box.
 
     The two sides are computed independently.  Tile side: every tile
-    vertex is C t + w for a vertex w of the base tile and integer
-    coefficients t.  With s = t_a + sum_j t_j, coordinate n of C t + w is
+    vertex is C t + w for a vertex w of the base tile's bottom layer, a
+    permutation of (1..n), and integer coefficients t: a tile's top layer
+    is the bottom layer of the tile one a-step up, C t + w + a =
+    C (t + e_a) + w.  With s = t_a + sum_j t_j, coordinate n of C t + w is
     w_n + s and coordinate i < n is w_i + s - n t_i, so for each w only
     the s in [lo - w_n, hi - w_n] and, per i, the t_i in
     [ceil((w_i + s - hi)/n), floor((w_i + s - lo)/n)] land in the box;
@@ -522,9 +524,10 @@ def _box_vertex_sets(n: int, lo: int, hi: int):
     points, each once.
 
     Both counts, 2*n!*(hi-lo+1) (vertex, s) pairs and the residue side's
-    size, are checked before any work.  `tile_count` is the size of the
-    coefficient window that holds every tile with a vertex in the box;
-    it bounds nothing and is only reported.
+    size, are checked before any work.  The pair count is that of both
+    layers, so the walk makes half the pairs that the cap counts.
+    `tile_count` is the size of the coefficient window that holds every
+    tile with a vertex in the box; it bounds nothing and is only reported.
 
     A box of fewer than n integers returns both sides empty at once: some
     residue class C_r is then empty, and a tile vertex has n distinct
@@ -541,7 +544,7 @@ def _box_vertex_sets(n: int, lo: int, hi: int):
     if hi - lo + 1 < n:
         return set(), set(), tile_count
     from_tiles = set()
-    for w in PrismTile(n, (0,) * n).vertices:
+    for w in permutohedron_vertices(n):
         *head, last = w
         for s in range(lo - last, hi - last + 1):
             # coordinate i takes w_i + s - n t_i over the t_i in range:

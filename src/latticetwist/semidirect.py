@@ -107,16 +107,12 @@ def _inverse(g) -> SemiElement:
 
 
 def _power(g, k: int) -> SemiElement:
-    if k == 0:
-        return semi_identity(len(g[1]))
     if k < 0:
         g, k = _inverse(g), -k
-    # the first factor is taken as it is, not multiplied into the identity
-    acc = None
+    acc = semi_identity(len(g[1]))
     while k:
         if k & 1:
-            acc = (SemiElement(tuple(g[0]), tuple(g[1])) if acc is None
-                   else _mul(acc, g))
+            acc = _mul(acc, g)
         k >>= 1
         if k:
             g = _mul(g, g)

@@ -128,7 +128,9 @@ class Action:
         return tuple(pos)
 
     def act(self, v: int, g: int) -> int:
-        """tau^g(v) = w_{(j-g) mod m} for v = w_j; cyclic: 1 + ((v-1-g) mod n)."""
+        """tau^g(v) = w_{(j-g) mod m} for v = w_j; cyclic: 1 + ((v-1-g) mod n).
+        v and g are read by the integer rule of `as_vector`."""
+        v, g = _as_int(v, "v"), _as_int(g, "g")
         if not 1 <= v <= self.n:
             raise ValueError(f"point {v} outside 1..{self.n}")
         cycle, j, m = self._position[v - 1]
@@ -208,7 +210,14 @@ def invert(a: Sequence[int], action: Action) -> Vec:
     Raises NotInvertibleError (carrying the collision witness) when the
     transport map is not a bijection.
     """
-    return _invert(as_vector(a, action.n), action)
+    av = as_vector(a, action.n)
+    pi = _transport(av, action)
+    if isinstance(pi, NotBijective):
+        raise NotInvertibleError(pi)
+    out = [0] * action.n
+    for image, g in zip(pi, av):
+        out[image - 1] = -g
+    return tuple(out)
 
 
 # The kernels below take a vector already checked by as_vector to have
@@ -237,13 +246,3 @@ def _is_unit(av: Vec, cycles: Sequence[Sequence[int]]) -> bool:
         if len({(j - av[w - 1]) % m for j, w in enumerate(cycle)}) != m:
             return False
     return True
-
-
-def _invert(av: Vec, action: Action) -> Vec:
-    pi = _transport(av, action)
-    if isinstance(pi, NotBijective):
-        raise NotInvertibleError(pi)
-    out = [0] * action.n
-    for image, g in zip(pi, av):
-        out[image - 1] = -g
-    return tuple(out)

@@ -25,10 +25,11 @@ power up in a table the caller holds: a report keeps one table for all
 of its words, and `eval_word` starts from an empty one.  Nothing is
 cached across calls.  A missing entry is written in O(n) by
 `_letter_power`, from the closed form of that power of a generator,
-whatever the exponent, and `_entry` turns it into the form that
-`generated_closure` steps by too: a permutation is the bytes of its
+whatever the exponent.  `_entry` builds it, as it builds the entries
+that `generated_closure` steps by: a permutation is the bytes of its
 images, composed by one `bytes.translate`, and a translation is its
-nonzero moves.  `_eval` reads any sequence of letters, normalized
+nonzero moves.  The five generators are the one-letter words, evaluated
+by `_eval`.  `_eval` reads any sequence of letters, normalized
 or not, so each side of a derived identity is written once as a literal
 tuple of letters, a straight-line program over the report's table, and
 is never built by `letter`/`word_concat`/`word_power` calls.
@@ -49,7 +50,7 @@ from itertools import chain, islice
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from . import limits
-from .semidirect import SemiElement, _checked, _inverse, identity_perm, semi_identity
+from .semidirect import SemiElement, _checked, _inverse, semi_identity
 from .twisted import _as_int, as_vector, check_permutation
 
 Letter = tuple[str, int]
@@ -280,13 +281,7 @@ def standard_generators(n: int) -> dict[str, SemiElement]:
 @lru_cache(maxsize=16, typed=True)
 def _generators(n: int) -> dict[str, SemiElement]:
     # Shared by every caller for this n: read it, never mutate it.
-    zero, ident = (0,) * n, identity_perm(n)
-    gens = {}
-    for sym in SYMBOLS:
-        k, r = _letter_power(n, sym, 1)
-        gens[sym] = SemiElement(zero if k is None else k[1:],
-                                ident if r is None else r[1:])
-    return gens
+    return {sym: _eval(((sym, 1),), n, {}) for sym in SYMBOLS}
 
 
 def eval_word(word: Word, n: int) -> SemiElement:
@@ -301,14 +296,13 @@ def eval_word(word: Word, n: int) -> SemiElement:
 
 
 # A table of letter powers maps (symbol, exponent) to the kernel entry
-# (table, moves) of that power of the generator, built by `_entry` from the
-# closed form that `_letter_power` writes.
+# (table, moves) of that power of the generator, as `_letter_power` writes it.
 Powers = dict[Letter, tuple]
 
 
 def _letter_power(n: int, sym: str, exp: int) -> tuple:
-    """The power (k, r) = `sym^exp` at this n, 0-padded as `_entry` reads
-    it, from its closed form in O(n).
+    """The kernel entry (table, moves) of `sym^exp` at this n, built by
+    `_entry` from the closed form of the power (k, r) in O(n).
 
     Under (z, s) . (k, r) = (z + k o s, r o s) the generators' powers are:
 
@@ -324,39 +318,36 @@ def _letter_power(n: int, sym: str, exp: int) -> tuple:
     Raises ValueError for a symbol outside the alphabet.
     """
     if sym == "s" or sym == "b":
-        return None, (0, 2, 1, *range(3, n + 1)) if exp & 1 else None
+        return _entry(None, (2, 1, *range(3, n + 1)) if exp & 1 else None)
     if sym == "g":
-        return ((0,) * n + (exp,) if exp else None), None
+        return _entry((0,) * (n - 1) + (exp,) if exp else None, None)
     if sym != "t" and sym != "a":
         raise ValueError(f"unknown symbol {sym!r}")
     shift = exp % n
     # r(v) runs n - shift + 1, .., n, then 1, .., n - shift
-    r = (0, *range(n - shift + 1, n + 1), *range(1, n - shift + 1)) if shift else None
+    r = (*range(n - shift + 1, n + 1), *range(1, n - shift + 1)) if shift else None
     if sym == "t" or not exp:
-        return None, r
+        return _entry(None, r)
     q, m = divmod(abs(exp), n)
     if exp > 0:
-        k = (0, *[q + (v % n < m) for v in range(1, n + 1)])
-    else:
-        k = (0, *[-q - ((v + m) % n < m) for v in range(1, n + 1)])
-    return k, r
+        return _entry([q + (v % n < m) for v in range(1, n + 1)], r)
+    return _entry([-q - ((v + m) % n < m) for v in range(1, n + 1)], r)
 
 
 def _entry(k: Sequence[int] | None, r: Sequence[int] | None) -> tuple:
     """The product kernel's entry (table, moves) of a right factor (k, r).
 
-    k and r are 0-padded for 1-based indexing, as `_letter_power` writes
-    them: k[v] is the translation entry at point v, r[v] the image of v, and
-    k is None when it is zero, r None when it fixes every point.  `table`
-    is r as 256 bytes with table[v] = r(v), or None; `moves` are the
-    nonzero (v, k[v]).  A permutation s is held as the bytes of its images
-    s(1) .. s(n), which fit since n <= MAX_VERIFY_N < 256, and
-    (z, s) . (k, r) = (z + k o s, r o s) is then: for each move (v, x),
-    add x to z at the point i with s(i) = v, which is s.index(v); and
-    s.translate(table), which is r o s.
+    k and r are the parts over the points 1..n, k None when it is zero and
+    r None when it fixes every point.  `table` is r as 256 bytes with
+    table[v] = r(v), or None; `moves` are the nonzero (v, k(v)).  A
+    permutation s is held as the bytes of its images s(1) .. s(n), which
+    fit since n <= MAX_VERIFY_N < 256, and (z, s) . (k, r) =
+    (z + k o s, r o s) is then: for each move (v, x), add x to z at the
+    point i with s(i) = v, which is s.index(v); and s.translate(table),
+    which is r o s.
     """
-    table = None if r is None else bytes(r).ljust(256, b"\0")
-    moves = () if k is None else tuple([(v, x) for v, x in enumerate(k) if x])
+    table = None if r is None else bytes((0, *r)).ljust(256, b"\0")
+    moves = () if k is None else tuple([(v, x) for v, x in enumerate(k, 1) if x])
     return table, moves
 
 
@@ -367,8 +358,8 @@ def _eval(word: Word, n: int, powers: Powers) -> SemiElement:
     evaluated as they stand, which is how the derived identities' letter
     tuples are read.  n is checked before any letter is read.  A letter
     missing from `powers` is written once, in O(n) for any exponent, by
-    `_letter_power` and `_entry`, and added; the table must only ever be
-    used with this n.  An exponent is read by the integer rule, so the
+    `_letter_power`, and added; the table must only ever be used with
+    this n.  An exponent is read by the integer rule, so the
     table holds int exponents only; an unknown symbol or an exponent that
     is not an integer raises ValueError and adds nothing.  The product is
     folded into the list z and the bytes s by `_entry`'s kernel, so a
@@ -387,7 +378,7 @@ def _eval(word: Word, n: int, powers: Powers) -> SemiElement:
         except TypeError:  # an unhashable symbol: `_letter_power` refuses it
             entry = None
         if entry is None:
-            entry = powers[sym, exp] = _entry(*_letter_power(n, sym, exp))
+            entry = powers[sym, exp] = _letter_power(n, sym, exp)
         table, moves = entry
         for v, x in moves:
             z[s.index(v)] += x
@@ -721,7 +712,7 @@ def generated_closure(
     # entry (table, moves), as in `_eval`: r o s is s.translate(table), and
     # digit i of k o s is k_{s(i)}, so move (v, k_v) lands in digit
     # s.index(v).
-    tables = [_entry((0, *k), (0, *r)) for k, r in gens]
+    tables = [_entry(k, r) for k, r in gens]
 
     # Each target waits here, as the digits of its z under the bytes of its
     # s, until the walk interns s; it then moves to target_keys under its

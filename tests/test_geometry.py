@@ -755,6 +755,24 @@ class TestCheckTiling:
         report = check_tiling(8, (0, 6), samples=0)
         assert (report.vertex_count, report.vertex_match) == (0, True)
 
+    def test_box_match_walks_the_bottom_layer_only(self, monkeypatch):
+        # a tile's top layer is the bottom layer of the tile one a-step up,
+        # so the walk over the permutations of (1..n) lists both layers
+        boxes = [(n, lo, hi) for n in range(1, 5)
+                 for lo, hi in [(-3, 2), (-6, -2), (-2, 5), (0, 3), (0, 8)]
+                 if n < 4 or hi - lo <= 8]
+        expect = {box: full_box_walk(*box) for box in boxes}
+
+        def refuse(*args):
+            raise AssertionError("the box match listed a tile's vertices")
+
+        monkeypatch.setattr(PrismTile, "vertices", property(refuse))
+        for box in boxes:
+            assert _box_vertex_sets(*box) == expect[box], box
+        report = check_tiling(4, (0, 8), samples=0)
+        # 4! orders of the residue classes, of 3, 2, 2 and 2 box values
+        assert (report.vertex_count, report.vertex_match) == (24 * 3 * 2 * 2 * 2, True)
+
     def test_residue_side_matches_filter(self):
         for n in range(1, 6):
             for lo, hi in [(-3, 2), (-1, 0), (-6, -2), (-4, 4), (-2, 5), (0, 3),

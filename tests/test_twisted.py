@@ -158,6 +158,16 @@ class TestAction:
         with pytest.raises(ValueError):
             Action.cyclic(3).act(0, 1)
 
+    def test_act_reads_its_arguments_by_the_integer_rule(self):
+        act = Action.cyclic(3).act
+        assert act(2.0, 1) == act(2, Fraction(1)) == act(2, 1) == 1
+        # 1.5, "3", nan and inf are the rows of INTEGER_READERS
+        for v, g in ((None, 1), (2, None)):
+            with pytest.raises(ValueError, match="must be an integer"):
+                act(v, g)
+        with pytest.raises(ValueError, match=r"^point 4 outside 1\.\.3$"):
+            act(4.0, 1)
+
     def test_rejects_non_permutation(self):
         with pytest.raises(ValueError):
             Action.from_permutation((1, 1, 3))
@@ -369,6 +379,8 @@ INTEGER_READERS = {
     "transport_permutation": lambda x: transport_permutation((x, 0, 0), _A3),
     "invert": lambda x: invert((x, x, x), _A3),
     "embed_constant": lambda x: embed_constant(x, _A3),
+    "Action.act v": lambda x: _A3.act(x, 1),
+    "Action.act g": lambda x: _A3.act(2, x),
     "deformed_multiply": lambda x: deformed_multiply((x, 0), (0, x)),
     "deformed_inverse": lambda x: deformed_inverse((x, 0)),
     "is_residue_distinct": lambda x: is_residue_distinct((x, 0)),

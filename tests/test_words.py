@@ -467,9 +467,10 @@ def generators_oracle(n):
 
 
 def mul_fold_oracle(word, n):
-    """Oracle for `eval_word`: the per-letter left fold, each letter's power
-    built afresh by `_power` (or `_inverse`) and multiplied in with `_mul`."""
-    gens = standard_generators(n)
+    """Oracle for `eval_word`: the per-letter left fold over
+    `generators_oracle(n)`, each letter's power built afresh by `_power`
+    (or `_inverse`) and multiplied in with `_mul`."""
+    gens = generators_oracle(n)
     acc = semi_identity(n)
     for sym, exp in word:
         if sym not in gens:
@@ -485,17 +486,23 @@ def mul_fold_oracle(word, n):
 
 
 def list_fold_oracle(word, n, powers):
-    """Oracle for `_eval`: the fold over lists, on a table of `_letter_power`
-    entries (k, r), 0-padded, that the caller holds.
+    """Oracle for `_eval`: the fold over lists, on a table of powers (k, r)
+    that the caller holds, each 0-padded for 1-based indexing and built by
+    `_power` on `generators_oracle(n)`, k None when it is zero and r None
+    when it fixes every point.
 
     (z, s) . (k, r) = (z + k o s, r o s), skipping the pass over z when k is
     None and the one over s when r is."""
+    gens = generators_oracle(n)
+    ident = identity_perm(n)
     z = [0] * n
     s = list(range(1, n + 1))
     for sym, exp in word:
         entry = powers.get((sym, exp))
         if entry is None:
-            entry = powers[sym, exp] = _letter_power(n, sym, exp)
+            k, r = _power(gens[sym], exp)
+            entry = powers[sym, exp] = ((0, *k) if any(k) else None,
+                                        None if r == ident else (0, *r))
         k, r = entry
         if k is not None:
             z = [a + k[v] for a, v in zip(z, s)]
@@ -841,8 +848,8 @@ class TestLetterPower:
             for sym in SYMBOLS:
                 for exp in exps:
                     k, r = _power(gens[sym], exp)
-                    want = ((0, *k) if any(k) else None,
-                            None if r == ident else (0, *r))
+                    want = (None if r == ident else bytes((0, *r)) + bytes(255 - n),
+                            tuple([(v, x) for v, x in enumerate(k, 1) if x]))
                     assert _letter_power(n, sym, exp) == want, (n, sym, exp)
 
     def test_evaluation_makes_no_product(self, monkeypatch):
