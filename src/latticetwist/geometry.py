@@ -39,7 +39,7 @@ integer arithmetic; no floats are involved anywhere.
 Each growing cost is checked once, before the work, against the count it
 bounds: n against `limits.MAX_PERMUTOHEDRON_N` wherever the n!
 permutations are listed, and against `limits.MAX_BOX_POINTS` the
-tile-side (vertex, s) pairs 2*n!*(hi-lo+1) and the residue-side vertex
+tile-side (vertex, s) pairs n!*(hi-lo+1) and the residue-side vertex
 count of a tiling check, its sample count, the exported vertex rows
 (2r+1)^n*2*n! of a patch, the vertices of a product tile and the n*n
 entries of C.
@@ -523,9 +523,8 @@ def _box_vertex_sets(n: int, lo: int, hi: int):
     each permutation (r_1, .., r_n) of the residues: n! * prod |C_r|
     points, each once.
 
-    Both counts, 2*n!*(hi-lo+1) (vertex, s) pairs and the residue side's
-    size, are checked before any work.  The pair count is that of both
-    layers, so the walk makes half the pairs that the cap counts.
+    Both counts, the n!*(hi-lo+1) (vertex, s) pairs that the walk makes
+    and the residue side's size, are checked before any work.
     `tile_count` is the size of the coefficient window that holds every
     tile with a vertex in the box; it bounds nothing and is only reported.
 
@@ -533,7 +532,7 @@ def _box_vertex_sets(n: int, lo: int, hi: int):
     residue class C_r is then empty, and a tile vertex has n distinct
     residues w_i + s mod n, so no tile vertex fits in the box either.
     """
-    _check_count(2 * factorial(n) * (hi - lo + 1), "tile-side (vertex, s) pairs")
+    _check_count(factorial(n) * (hi - lo + 1), "tile-side (vertex, s) pairs")
     classes = [range(lo + (r - lo) % n, hi + 1, n) for r in range(n)]
     _check_count(factorial(n) * prod(map(len, classes)), "residue-distinct box points")
     # such a tile's offset C t lies in [lo - n - 1, hi - 1]^n, an interval

@@ -15,7 +15,7 @@ The caps on a size argument (`MAX_PERMUTOHEDRON_N`, `MAX_VERIFY_N`,
 by `twisted._as_int`, which each public reader calls with the cap as it
 stands at the time of the call; the geometry counts are enforced by
 `geometry._check_count`, and the word-letter cap by `words._check_letters`
-and `words._pieces`.
+and, on a text's symbol count before it is tokenized, by `words.parse_word`.
 """
 
 MAX_PERMUTOHEDRON_N = 8          # n! permutations listed

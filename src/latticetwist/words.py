@@ -34,8 +34,9 @@ or not, so each side of a derived identity is written once as a literal
 tuple of letters, a straight-line program over the report's table, and
 is never built by `letter`/`word_concat`/`word_power` calls.
 
-Word text is tokenized a piece of a few KiB at a time, each piece by one
-`findall`; a token's position in the text is found only for an error.
+Word text is checked for bad characters and for its symbol count by
+scans that build no token, then tokenized by one `findall`; a token's
+position in the text is found only for an error.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ import re
 from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain, islice
+from itertools import islice
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from . import limits
@@ -121,74 +122,47 @@ def render_word(word: Word) -> str:
     return " ".join(sym if exp == 1 else f"{sym}^{exp}" for sym, exp in word)
 
 
-# Every non-space character starts a token: one of "()^stgab", an integer
-# -?\d+ (the only token longer than one character), or a bad character.
-_TOKEN = re.compile(r"[()^stgab]|-?\d+|\S")
-# The characters that `_TOKEN` reads as bad tokens
+# Every non-space character that is not bad starts a token: one of
+# "()^stgab" or an integer -?\d+ (the only token longer than one character)
+_TOKEN = re.compile(r"[()^stgab]|-?\d+")
+# The characters that start no token
 _BAD = re.compile(r"-(?!\d)|[^\s\d()^stgab-]")
-_SYMBOL = re.compile(r"[stgab]")
-_DIGITS = re.compile(r"\d*")
 _SYMBOL_SET = frozenset(SYMBOLS)
 _NOT_INT = _SYMBOL_SET | {"(", ")", "^"}
-# Text is tokenized in pieces of this many characters, each extended to the
-# end of a run of digits that it cuts
-_PIECE = 4096
 
 
 def parse_word(text: str) -> Word:
     """Parse the grammar above into a normalized word, without recursion.
 
-    One pass reads the tokens into a tree of terms, checking the letter
-    cap from the letter counts at each group's close and once at the end;
-    a second pass expands the tree.  A group
-    of one term folds into that term with the exponents multiplied, so
-    every group left in the tree has at least two terms and the expansion
-    pops fewer groups than it writes letters.  Neither pass copies letters
-    per level, so the cost is linear in the text and the expanded word,
-    which the cap bounds, whatever the nesting depth.
+    Before any token is built, one scan finds the first bad character,
+    and the symbols before it are counted.  Each symbol expands to at
+    least one letter, so a text with more symbols there than the cap is
+    refused, and then a text with a bad character.  These two errors come
+    ahead of any other, wherever they are in the text: a text over the cap
+    may be refused before a later syntax error, or in place of an earlier
+    one.
 
-    The tokens are read lazily, a piece of text at a time.  Each symbol
-    expands to at least one letter, so a text is refused as soon as its
-    symbols pass the cap, and a refusal costs no more than the largest
-    accepted word.  The token stream's errors, a bad character or that
-    first symbol past the cap, are reported ahead of any other error
-    wherever they are in the text.  So a text over the cap may be refused
-    before a later syntax error, or in place of an earlier one.
+    Then one pass reads the tokens into a tree of terms, checking the
+    letter cap from the letter counts at each group's close and once at
+    the end; a second pass expands the tree.  A group of one term folds
+    into that term with the exponents multiplied, so every group left in
+    the tree has at least two terms and the expansion pops fewer groups
+    than it writes letters.  Neither pass copies letters per level, so the
+    cost is linear in the text and the expanded word, which the cap
+    bounds, whatever the nesting depth.
     """
-    pieces = _pieces(text)
-    try:
-        terms = _term_tree(enumerate(chain.from_iterable(pieces)), text)
-    except (WordSyntaxError, limits.BudgetExceededError):
-        # the token stream's own errors come first, wherever they are
-        for _ in pieces:
-            pass
-        raise
+    if not isinstance(text, str):
+        raise ValueError(f"word text is not a str: {text!r}")
+    bad = _BAD.search(text)
+    stop = len(text) if bad is None else bad.start()
+    cap = limits.MAX_WORD_LETTERS
+    if stop > cap and sum(text.count(sym, 0, stop) for sym in SYMBOLS) > cap:
+        raise limits.BudgetExceededError(
+            f"word expands to at least {cap + 1} letters, over the cap {cap}")
+    if bad is not None:
+        raise WordSyntaxError(f"unexpected character {bad[0]!r}", stop)
+    terms = _term_tree(enumerate(_TOKEN.findall(text)), text)
     return normalize_word(_expand(terms))
-
-
-def _pieces(text: str) -> Iterator[list[str]]:
-    """The tokens of `text`, one list per piece of about `_PIECE` characters.
-
-    A piece ends before a character that is not a digit, so no token spans
-    two pieces and the pieces' tokens are those of the whole text.  Each
-    piece is read by one `findall`, once it is known to hold no bad
-    character and no symbol past the cap.  Raises at the first of these.
-    """
-    symbols = 0
-    start = 0
-    while start < len(text):
-        end = _DIGITS.match(text, start + _PIECE).end()
-        bad = _BAD.search(text, start, end)
-        stop = end if bad is None else bad.start()
-        symbols += len(_SYMBOL.findall(text, start, stop))
-        if symbols > limits.MAX_WORD_LETTERS:
-            raise limits.BudgetExceededError(
-                f"word expands to at least {limits.MAX_WORD_LETTERS + 1} "
-                f"letters, over the cap {limits.MAX_WORD_LETTERS}")
-        if bad is not None:
-            raise WordSyntaxError(f"unexpected character {bad[0]!r}", stop)
-        yield _TOKEN.findall(text, start, end)
-        start = end
 
 
 def _position(text: str, index: int) -> int:

@@ -1054,9 +1054,11 @@ class TestCheckTiling:
         # [0, 59]^4 holds 24 * 15^4 residue-distinct points
         with pytest.raises(BudgetExceededError, match="1215000 residue-distinct"):
             check_tiling(4, (0, 59), samples=0)
-        # n = 1 lists two (vertex, s) pairs per integer of the box
-        with pytest.raises(BudgetExceededError, match="1000002 tile-side"):
-            check_tiling(1, (1, 500_001), samples=0)
+        # n = 1 walks one (vertex, s) pair per integer of the box
+        with pytest.raises(BudgetExceededError, match="1000001 tile-side"):
+            check_tiling(1, (1, 1_000_001), samples=0)
+        report = check_tiling(1, (1, 500_001), samples=0)
+        assert report.passed and report.vertex_count == 500_001
         # too many samples are refused before the box match starts
         monkeypatch.setattr(geometry, "_box_vertex_sets", None)
         cap = limits.MAX_BOX_POINTS

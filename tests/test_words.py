@@ -622,27 +622,14 @@ class TestParser:
             assert parse_outcome(parse_word, text) == parse_outcome(
                 parse_oracle, text)
 
-    @settings(max_examples=300, deadline=None)
-    @given(st.integers(1, 9), st.one_of(
-        st.lists(st.sampled_from(_PIECES), max_size=30).map("".join),
-        st.lists(word_texts(), max_size=4).map(" ".join),
-        st.text(max_size=12),
-        chain_texts()))
-    def test_pieces_of_any_size_match_the_recursive_oracle(self, size, text):
-        # pieces of a few characters put a cut next to every kind of token
-        with mock.patch.object(limits, "MAX_WORD_LETTERS", 60), \
-                mock.patch.object(words, "_PIECE", size):
-            assert parse_outcome(parse_word, text) == parse_outcome(
-                parse_oracle, text)
-
-    def test_tokens_at_a_cut_match_the_recursive_oracle(self):
-        # texts of more than one piece, with the token of interest at, just
-        # before or just after the first cut; some end with a bad character
+    def test_long_texts_match_the_recursive_oracle(self):
+        # texts of more than 4096 characters, with the token of interest
+        # starting at or near offset 4096; some end with a bad character
         tails = ["t^-12345 s", "t^" + "7" * 4200 + " s^-1",
                  "(s t)^-" + "1" * 5000 + " s", "t ^ -3", "t^-",
                  "t^- 3", "t^ s", "s ^0", "-3 s", "- 3", "é t", "s x",
                  "(s t)^-10 ) s", "(s (t g)^-2 a)^3 b^-1 ("]
-        piece = words._PIECE
+        piece = 4096
         checked = 0
         for tail in tails:
             for shift in range(-8, 5):
@@ -654,6 +641,12 @@ class TestParser:
                         parse_oracle, text), (tail, shift, end)
                     checked += 1
         assert checked == len(tails) * 13 * 3
+
+    def test_text_that_is_not_a_str_is_refused(self):
+        for text, shown in [(None, "None"), (5, "5"), (b"s t", "b's t'")]:
+            with pytest.raises(ValueError) as info:
+                parse_word(text)
+            assert str(info.value) == f"word text is not a str: {shown}"
 
     def test_nesting_depth_is_bounded_only_by_text_length(self):
         deep = "(" * 5000 + "s t" + ")" * 5000
@@ -908,6 +901,33 @@ class TestWordLengthCap:
         finally:
             tracemalloc.stop()
         assert peak < 4 * 2**20
+
+    def test_text_is_tokenized_once_and_only_after_its_checks(self, monkeypatch):
+        # a text refused for its length or for a bad character builds no
+        # token, however long it is; any other text is tokenized by one
+        # `findall` over the whole text
+        token = words._TOKEN
+        calls = []
+
+        class CountingToken:
+            def findall(self, *args):
+                calls.append(args)
+                return token.findall(*args)
+
+            def finditer(self, *args):
+                return token.finditer(*args)
+
+        monkeypatch.setattr(words, "_TOKEN", CountingToken())
+        monkeypatch.setattr(limits, "MAX_WORD_LETTERS", 5000)
+        for text in ["s " * 5001, "s " * 3000 + "é", "é", "s t x", "t -"]:
+            with pytest.raises((BudgetExceededError, WordSyntaxError)):
+                parse_word(text)
+        assert calls == []
+        for text in ["(s t)^5", "s^-1 t " * 2000, ")", "(s t)^3000", ""]:
+            calls.clear()
+            assert parse_outcome(parse_word, text) == parse_outcome(
+                parse_oracle, text)
+            assert calls == [(text,)]
 
     def test_refusal_for_length_may_come_before_a_syntax_error(self, monkeypatch):
         monkeypatch.setattr(limits, "MAX_WORD_LETTERS", 10)
