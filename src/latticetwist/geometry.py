@@ -59,6 +59,7 @@ from typing import Iterator, NamedTuple, Sequence
 from . import limits
 from .semidirect import CycleStructure, _assemble
 from .twisted import Vec, _as_int, _ordered_cycles, as_vector, check_permutation
+from .units import _residue_distinct
 
 SAMPLE_DENOMINATOR = 101
 FACET_REDRAWS = 64       # draws per sample before check_tiling gives up
@@ -122,12 +123,14 @@ def decompose_point(p: Sequence[int]) -> Decomposition | NotAVertex:
     """
     pv = as_vector(p)
     n = len(pv)
-    seen: dict[int, int] = {}
-    for v in range(1, n + 1):
-        res = pv[v - 1] % n
-        if res in seen:
-            return NotAVertex(seen[res], v, res)
-        seen[res] = v
+    if not _residue_distinct(pv):
+        # some residue repeats: walk to its first repeat for the witness
+        seen: dict[int, int] = {}
+        for v, e in enumerate(pv, start=1):
+            res = e % n
+            if res in seen:
+                return NotAVertex(seen[res], v, res)
+            seen[res] = v
     u = tuple(((e - 1) % n) + 1 for e in pv)
     d = [e - f for e, f in zip(pv, u)]
     t = [(d[n - 1] - d[i]) // n for i in range(n - 1)]
@@ -202,9 +205,10 @@ def _evaluate_scaled(P: Sequence[int], den: int, n: int) -> tuple[str, tuple[str
 def _scaled(point: Sequence, n: int) -> tuple[list[int], int]:
     """(P, den): the point of length n as numerators over their lcm; an
     entry is anything `Fraction` reads (an int, a float, "5/2", ...), and
-    any other point is a ValueError that names it."""
+    any other point is a ValueError that names it.  An entry that is
+    exactly a `Fraction` is used as it is."""
     try:
-        pt = [Fraction(x) for x in point]
+        pt = [x if type(x) is Fraction else Fraction(x) for x in point]
     except (TypeError, ValueError, OverflowError, ZeroDivisionError):
         raise ValueError(f"point is not rational: {point!r}") from None
     if len(pt) != n:

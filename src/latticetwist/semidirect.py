@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from typing import NamedTuple, Sequence
 
+from . import limits
 from .twisted import Vec, _as_int, _is_unit, _ordered_cycles, as_vector, check_permutation
 from .units import _require_residue_distinct
 
@@ -35,7 +36,7 @@ class SemiElement(NamedTuple):
 
 
 def identity_perm(n: int) -> Permutation:
-    return tuple(range(1, _as_int(n, "n", 1) + 1))
+    return tuple(range(1, _as_int(n, "n", 1, limits.MAX_BOX_POINTS) + 1))
 
 
 def perm_compose(p2: Sequence[int], p1: Sequence[int]) -> Permutation:

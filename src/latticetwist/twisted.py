@@ -12,6 +12,13 @@ For the cyclic action tau(v) = v - 1, tau(1) = n this becomes
     (a * b)_i = a_i + b_{1 + ((i - 1 - a_i) mod n)}
 
 All arithmetic is exact; indices into V are 1-based throughout.
+
+Every integer input of the package is read here, by one rule:
+`as_vector` for vectors, `check_permutation` for permutations and
+`_as_int` for single values.  The common inputs are checked in C and
+cost no Python step per entry: a tuple of exact ints is returned as it
+is, and a permutation tuple is read as bytes.  Every other input is
+converted entry by entry, with the same results.
 """
 
 from __future__ import annotations
@@ -23,6 +30,12 @@ from typing import Sequence
 from . import limits
 
 Vec = tuple[int, ...]
+
+# The images 1..255 in order: `check_permutation` deletes a tuple's bytes
+# from its first m.
+_IDENTITY_BYTES = bytes(range(1, 256))
+# The entry types of a tuple that `as_vector` returns as it is.
+_INT_TYPE = {int}
 
 
 @dataclass(frozen=True)
@@ -47,7 +60,25 @@ class NotInvertibleError(ValueError):
 
 def check_permutation(images: Sequence[int], n: int | None = None) -> tuple[int, ...]:
     """Validate one-line notation (1-based images), read as `as_vector` reads,
-    of length n when n is given."""
+    of length n when n is given.
+
+    A tuple shorter than 256 is first read as bytes, in C: it is a
+    permutation when the images delete every byte of 1..m from the
+    identity.  Below 256 the m bytes then hold each of 1..m once; longer,
+    they could repeat one.  Any other input, or one whose bytes are not the
+    same ints (an `__index__` object that is not equal to its index), takes
+    the general path, with the same results."""
+    if type(images) is tuple and len(images) < 256:
+        try:
+            b = bytes(images)
+        except (TypeError, ValueError):
+            pass
+        else:
+            tau = tuple(b)
+            if tau == images and not _IDENTITY_BYTES[:len(b)].translate(None, b):
+                if n is not None and len(tau) != n:
+                    raise ValueError(f"expected length {n}, got {len(tau)}")
+                return tau
     try:
         raw = tuple(images)
         tau = tuple(map(int, raw))
@@ -110,12 +141,13 @@ class Action:
     @classmethod
     def cyclic(cls, n: int) -> "Action":
         """The action with tau(v) = v - 1 and tau(1) = n."""
-        n = _as_int(n, "n", 1)
+        n = _as_int(n, "n", 1, limits.MAX_BOX_POINTS)
         return cls.from_permutation((n, *range(1, n)))
 
     @classmethod
     def trivial(cls, n: int) -> "Action":
-        return cls.from_permutation(range(1, _as_int(n, "n", 1) + 1))
+        n = _as_int(n, "n", 1, limits.MAX_BOX_POINTS)
+        return cls.from_permutation(range(1, n + 1))
 
     @cached_property
     def _position(self) -> tuple:
@@ -142,7 +174,14 @@ def as_vector(values: Sequence[int], n: int | None = None) -> Vec:
 
     Every integer input is read by this rule: an entry equal to an int
     (3, 3.0, Fraction(3), True) is that int, and any other (1.5, "3", nan,
-    inf, None) is a ValueError.  `_as_int` reads one value by it."""
+    inf, None) is a ValueError.  `_as_int` reads one value by it.  A tuple
+    whose entries are all exactly `int` is already that tuple, so it is
+    returned as it is, after one test in C; any other input is converted
+    entry by entry."""
+    if type(values) is tuple and set(map(type, values)) == _INT_TYPE:
+        if n is not None and len(values) != n:
+            raise ValueError(f"expected length {n}, got {len(values)}")
+        return values
     try:
         raw = tuple(values)
         vec = tuple(map(int, raw))

@@ -21,14 +21,19 @@ from . import limits
 from .twisted import Action, Vec, _as_int, _is_unit, as_vector
 
 
-@lru_cache(maxsize=16, typed=True)
 def cyclic_action(n: int) -> Action:
+    """`Action.cyclic(n)`, built once for each of the last 16 n read."""
+    return _cyclic_action(_as_int(n, "n", 1, limits.MAX_BOX_POINTS))
+
+
+@lru_cache(maxsize=16)
+def _cyclic_action(n: int) -> Action:
     return Action.cyclic(n)
 
 
 def shift_vector(n: int) -> Vec:
     """(0, n-1, n-2, ..., 2, 1): identity of the deformed addition."""
-    return (0, *range(_as_int(n, "n", 1) - 1, 0, -1))
+    return (0, *range(_as_int(n, "n", 1, limits.MAX_BOX_POINTS) - 1, 0, -1))
 
 
 def is_unit_member(x: Sequence[int]) -> bool:
@@ -46,7 +51,7 @@ def is_residue_distinct(x: Sequence[int]) -> bool:
 def _residue_distinct(xv: Sequence[int]) -> bool:
     # xv is a nonempty sequence of ints, already checked
     n = len(xv)
-    return len({e % n for e in xv}) == n
+    return len(set(map(n.__rmod__, xv))) == n
 
 
 def _require_residue_distinct(x: Sequence[int], n: int | None = None) -> Vec:

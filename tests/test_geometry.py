@@ -1,5 +1,6 @@
 """Exact geometry: decomposition, halfspaces, patches, tiling checks."""
 
+import gc
 import json
 import math
 import random
@@ -37,7 +38,7 @@ from latticetwist.geometry import (
 from latticetwist.limits import BudgetExceededError
 from latticetwist.semidirect import split_to_factors
 from latticetwist.twisted import ordered_cycles
-from latticetwist.units import is_residue_distinct
+from latticetwist.units import _residue_distinct, is_residue_distinct
 
 
 def subset_scan(P, den, n):
@@ -101,6 +102,48 @@ def residue_filter_oracle(n, lo, hi):
     """Oracle for the residue side of _box_vertex_sets: every integer point
     of the box, kept when its entries are pairwise distinct mod n."""
     return {v for v in product(range(lo, hi + 1), repeat=n) if is_residue_distinct(v)}
+
+
+def scaled_oracle(point, n):
+    """`_scaled` reading every entry by `Fraction`, exact Fractions too."""
+    try:
+        pt = [Fraction(x) for x in point]
+    except (TypeError, ValueError, OverflowError, ZeroDivisionError):
+        raise ValueError(f"point is not rational: {point!r}") from None
+    if len(pt) != n:
+        raise ValueError(f"expected length {n}, got {len(pt)}")
+    den = lcm(*[x.denominator for x in pt])
+    return [x.numerator * (den // x.denominator) for x in pt], den
+
+
+def decompose_oracle(p):
+    """`decompose_point` testing each residue in turn as it walks."""
+    n = len(p)
+    seen = {}
+    for v in range(1, n + 1):
+        res = p[v - 1] % n
+        if res in seen:
+            return NotAVertex(seen[res], v, res)
+        seen[res] = v
+    u = tuple(((e - 1) % n) + 1 for e in p)
+    d = [e - f for e, f in zip(p, u)]
+    t = [(d[n - 1] - d[i]) // n for i in range(n - 1)]
+    t.append(sum(d) // n)
+    return Decomposition(tuple(t), u)
+
+
+def outcome(call, *args):
+    """The type and repr of a call's result, or the type and message of
+    its error."""
+    try:
+        out = call(*args)
+    except Exception as e:  # the kind of error is part of the outcome
+        return "raises", type(e), str(e)
+    return "returns", type(out), repr(out)
+
+
+class _SubFraction(Fraction):
+    """A Fraction subclass: `_scaled` reads it by `Fraction`, not as it is."""
 
 
 def base_tile(n):
@@ -401,6 +444,12 @@ class TestDecompose:
         tile = PrismTile(n, t)
         assert tuple(o + x for o, x in zip(tile.offset, u)) == p
 
+    @given(st.lists(st.integers(-20, 20), min_size=1, max_size=8).map(tuple))
+    def test_residue_tests_match_their_walking_oracles(self, p):
+        n = len(p)
+        assert _residue_distinct(p) == (len({e % n for e in p}) == n)
+        assert outcome(decompose_point, p) == outcome(decompose_oracle, p)
+
 
 class TestHalfspaces:
     def test_classification(self):
@@ -460,6 +509,14 @@ class TestHalfspaces:
         tile = PrismTile(n, coeffs)
         point = data.draw(points_near(tile.offset))
         assert tile.classify(point) == classify_oracle(point, tile.offset)[0], point
+
+    @given(st.lists(st.one_of(
+               st.fractions(), st.integers(-9, 9), st.booleans(), st.floats(),
+               st.fractions().map(_SubFraction), st.sampled_from(["5/2", "x", None, "1/0"])),
+           max_size=4).flatmap(lambda e: st.sampled_from([tuple(e), e, None, 5])),
+           st.integers(1, 4))
+    def test_scaled_matches_its_fraction_oracle(self, point, n):
+        assert outcome(_scaled, point, n) == outcome(scaled_oracle, point, n)
 
     def test_sorted_prefix_matches_subset_scan_on_scaled_points(self):
         rng = random.Random(2024)
@@ -551,6 +608,9 @@ class TestTilesAndPatches:
 
     def test_patch_tiles_take_no_more_memory_than_public_tiles(self):
         def traced(build):
+            # a full collection empties the free lists, so every object of
+            # the build is a traced allocation whatever ran before
+            gc.collect()
             tracemalloc.start()
             try:
                 tiles = build()  # held while the memory is read
@@ -558,9 +618,13 @@ class TestTilesAndPatches:
             finally:
                 tracemalloc.stop()
 
-        patch = traced(lambda: generate_patch(2, 40))
-        public = traced(lambda: [PrismTile(2, c)
-                                 for c in product(range(-40, 41), repeat=2)])
+        builds = (lambda: generate_patch(2, 40),
+                  lambda: [PrismTile(2, c) for c in product(range(-40, 41), repeat=2)])
+        # each side is built once untraced, so that neither pays the
+        # one-time allocations of the first build in the process
+        for build in builds:
+            build()
+        patch, public = map(traced, builds)
         assert patch <= public
 
     def test_patch_makes_no_public_check(self, monkeypatch):

@@ -6,9 +6,10 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import latticetwist
+from latticetwist import limits, twisted
 from latticetwist.geometry import (
     PrismTile,
     check_tiling,
@@ -339,6 +340,165 @@ class TestAsVector:
         assert check_permutation([2, 1], 2) == (2, 1)
 
 
+def as_vector_oracle(values, n=None):
+    """`as_vector` converting every entry, as it did before its tuple path."""
+    try:
+        raw = tuple(values)
+        vec = tuple(map(int, raw))
+    except (TypeError, ValueError, OverflowError):
+        vec = None
+    if vec is None or vec != raw:
+        raise ValueError(f"vector is not integral: {values!r}")
+    if not vec:
+        raise ValueError("empty vector")
+    if n is not None and len(vec) != n:
+        raise ValueError(f"expected length {n}, got {len(vec)}")
+    return vec
+
+
+def check_permutation_oracle(images, n=None):
+    """`check_permutation` converting every image and sorting, as it did
+    before its bytes path."""
+    try:
+        raw = tuple(images)
+        tau = tuple(map(int, raw))
+    except (TypeError, ValueError, OverflowError):
+        tau = None
+    if tau is None or tau != raw or sorted(tau) != list(range(1, len(tau) + 1)):
+        raise ValueError(f"not a permutation: {images!r}")
+    if n is not None and len(tau) != n:
+        raise ValueError(f"expected length {n}, got {len(tau)}")
+    return tau
+
+
+class _Index:
+    """An integer by `__index__` only: int() reads it, but it equals no int."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def __index__(self):
+        return self.value
+
+    def __repr__(self):
+        return f"_Index({self.value})"
+
+
+class _IntLike(_Index):
+    """An `__index__` integer that also equals its value."""
+
+    def __eq__(self, other):
+        return self.value == other
+
+    def __hash__(self):
+        return hash(self.value)
+
+    def __repr__(self):
+        return f"_IntLike({self.value})"
+
+
+class _OnePass:
+    """An iterable that is not a sequence, with a repr that does not change
+    from one object to the next, as an iterator's does."""
+
+    def __init__(self, entries):
+        self.entries = entries
+
+    def __iter__(self):
+        return iter(self.entries)
+
+    def __repr__(self):
+        return f"_OnePass({self.entries!r})"
+
+
+# Every kind of entry a reader may meet, and every way to hold the entries.
+_ENTRIES = st.one_of(
+    st.integers(-3, 12), st.integers(250, 300), st.integers(-2**70, 2**70),
+    st.booleans(), st.fractions(max_denominator=3), st.floats(),
+    st.integers(-3, 12).map(_Index), st.integers(-3, 12).map(_IntLike),
+    st.sampled_from(["3", None, b"\x01", (1,)]))
+_HOLDERS = {
+    "tuple": tuple, "list": list, "one pass": _OnePass,
+    # a tuple subclass: its entries pass, its type does not
+    "SemiElement": lambda e: SemiElement(*e) if len(e) == 2 else tuple(e),
+    "bytes": lambda e: bytes(e) if all(type(x) is int and 0 <= x < 256 for x in e) else e,
+    "str": lambda e: "".join(map(str, e)),
+}
+
+
+@st.composite
+def _reader_inputs(draw):
+    """(holder name, entries): near-permutations of 1..m with one entry
+    swapped for another kind, or any entries at all."""
+    m = draw(st.integers(0, 9))
+    entries = list(draw(st.permutations(range(1, m + 1))))
+    if entries and draw(st.booleans()):
+        i = draw(st.integers(0, m - 1))
+        convert = draw(st.sampled_from(
+            [float, Fraction, _Index, _IntLike, str, lambda v: v == 1 or v]))
+        entries[i] = convert(entries[i])
+    entries = draw(st.one_of(st.just(entries), st.lists(_ENTRIES, max_size=9)))
+    return draw(st.sampled_from(sorted(_HOLDERS))), entries
+
+
+def _outcome(read, holder, entries, n):
+    """What one reader makes of a fresh holder of the entries: the type and
+    repr of its result, or the type and message of its error."""
+    try:
+        out = read(_HOLDERS[holder](entries), n)
+    except Exception as e:  # the kind of error is part of the outcome
+        return "raises", type(e), str(e)
+    return "returns", type(out), repr(out)
+
+
+_LONG = tuple(range(1, 256)) + (1,) * 45   # all of 1..255, and 300 long
+
+
+class TestFastReaders:
+    @settings(max_examples=400)
+    @given(_reader_inputs(), st.one_of(st.none(), st.integers(0, 10)))
+    @example(("tuple", list(_LONG)), None)
+    @example(("tuple", list(range(1, 256))), None)
+    @example(("tuple", list(range(1, 257))), 256)
+    @example(("tuple", [True]), 1)
+    @example(("tuple", []), None)
+    def test_readers_match_their_entrywise_oracles(self, drawn, n):
+        holder, entries = drawn
+        for read, oracle in ((as_vector, as_vector_oracle),
+                             (check_permutation, check_permutation_oracle)):
+            assert (_outcome(read, holder, entries, n)
+                    == _outcome(oracle, holder, entries, n)), (read, holder, entries)
+
+    @given(st.lists(st.integers(0, 255), min_size=256, max_size=300).map(tuple))
+    def test_long_byte_tuples_are_read_entrywise(self, images):
+        assert (_outcome(check_permutation, "tuple", images, None)
+                == _outcome(check_permutation_oracle, "tuple", images, None))
+
+    def test_a_tuple_of_exact_ints_is_returned_as_it_is(self):
+        v = (3, -1, 2**80)
+        assert as_vector(v) is v
+        # an entry that is converted gives a new tuple of ints
+        for read in (as_vector, check_permutation):
+            assert repr(read((True, 2))) == "(1, 2)"
+
+    def test_only_a_tuple_is_read_as_bytes(self, monkeypatch):
+        read = []
+
+        def spy(images):
+            read.append(images)
+            return bytes(images)
+
+        monkeypatch.setattr(twisted, "bytes", spy, raising=False)
+        assert check_permutation((2, 1)) == (2, 1)
+        assert read == [(2, 1)]
+        for images in (10**9, [2, 1], range(1, 3), SemiElement(2, 1), b"\x02\x01"):
+            try:
+                check_permutation(images)
+            except ValueError:
+                pass
+        assert read == [(2, 1)]
+
+
 # Each reader of a whole sequence: a value that is not iterable is a
 # ValueError, as any other input that is not a vector or permutation.
 SEQUENCE_READERS = {"as_vector": as_vector, "check_permutation": check_permutation}
@@ -472,6 +632,25 @@ def test_every_reader_reads_integers_by_one_rule(reader):
 @pytest.mark.parametrize("reader", sorted(SIZE_READERS_FROM_2))
 def test_every_n_from_2_is_read_by_one_rule(reader):
     _reads_by_one_rule(SIZE_READERS_FROM_2[reader], (4.0, Fraction(4)))
+
+
+IDENTITY_CONSTRUCTORS = {
+    "identity_perm": identity_perm, "semi_identity": semi_identity,
+    "shift_vector": shift_vector, "Action.cyclic": Action.cyclic,
+    "Action.trivial": Action.trivial, "cyclic_action": cyclic_action,
+}
+
+
+@pytest.mark.parametrize("name", sorted(IDENTITY_CONSTRUCTORS))
+def test_identity_constructors_bound_n_by_the_box_cap(name, monkeypatch):
+    build = IDENTITY_CONSTRUCTORS[name]
+    with pytest.raises(limits.BudgetExceededError, match="exceeds the cap"):
+        build(10**30)
+    # the cap is read at the time of the call
+    monkeypatch.setattr(limits, "MAX_BOX_POINTS", 5)
+    build(5)
+    with pytest.raises(limits.BudgetExceededError, match="n=6 exceeds the cap 5"):
+        build(6)
 
 
 # Public functions that read no integer by the rule above, each with the

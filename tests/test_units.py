@@ -6,6 +6,7 @@ from itertools import product
 import pytest
 from hypothesis import given, strategies as st
 
+from latticetwist import units
 from latticetwist.limits import BudgetExceededError
 from latticetwist.twisted import invert, star_multiply
 from latticetwist.units import (
@@ -37,19 +38,26 @@ class TestPredicates:
         assert not is_unit_member((1, 1, 0))
 
     def test_cyclic_action_cache_is_bounded(self):
-        cyclic_action.cache_clear()
+        cache = units._cyclic_action
+        cache.cache_clear()
         # membership reads the one cycle (1..n) without building an action
         assert is_unit_member((0,) * 10**5)
         assert not is_unit_member(tuple(range(10**5)))
         for n in range(1, 21):
             is_unit_member(shift_vector(n))
-        assert cyclic_action.cache_info().currsize == 0
+        assert cache.cache_info().currsize == 0
         for n in range(1, 21):
             assert deformed_inverse(shift_vector(n)) == shift_vector(n)
-        assert cyclic_action.cache_info().currsize <= 16
-        # typed: a float length misses the cached int entry, then reads as 2
+        assert cache.cache_info().currsize <= 16
+        # n is read before the cache: a float length is the cached int entry
         assert cyclic_action(2).n == 2
-        assert cyclic_action(2.0) == cyclic_action(2)
+        assert cyclic_action(2.0) is cyclic_action(2)
+
+    def test_cyclic_action_reads_n_before_caching_it(self):
+        # a list is refused by the integer rule, not hashed by the cache
+        for bad in ([], [3], None, 1.5):
+            with pytest.raises(ValueError, match="n must be an integer"):
+                cyclic_action(bad)
 
     def test_is_residue_distinct_examples(self):
         assert is_residue_distinct((3, 5, 4))
