@@ -39,10 +39,9 @@ integer arithmetic; no floats are involved anywhere.
 Each growing cost is checked once, before the work, against the count it
 bounds: n against `limits.MAX_PERMUTOHEDRON_N` wherever the n!
 permutations are listed, and against `limits.MAX_BOX_POINTS` the
-tile-side (vertex, s) pairs n!*(hi-lo+1) and the residue-side vertex
-count of a tiling check, its sample count, the exported vertex rows
-(2r+1)^n*2*n! of a patch, the vertices of a product tile and the n*n
-entries of C.
+(vertex, s) pairs n!*(hi-lo+1) that key a tiling check's box match, its
+sample count, the exported vertex rows (2r+1)^n*2*n! of a patch, the
+vertices of a product tile and the n*n entries of C.
 """
 
 from __future__ import annotations
@@ -51,7 +50,8 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, cmp_to_key, lru_cache
-from itertools import permutations, product
+from heapq import merge
+from itertools import islice, permutations, product
 from math import factorial, lcm, prod
 from operator import add, itemgetter, mul
 from typing import Iterator, NamedTuple, Sequence
@@ -162,16 +162,32 @@ def _prefix_test(Q: Sequence[int], dn: int, n: int) -> list[int] | None:
     return tight
 
 
-def _evaluate_scaled(P: Sequence[int], den: int, n: int) -> tuple[str, tuple[str, ...]]:
+def _evaluate_scaled(P: Sequence[int], den: int, n: int):
     """Classify the point P/den against the base tile; exact, integer-only.
 
     The a-coordinate numerator is L = sum(P) - den*K with K = n(n+1)/2;
     the slab is 0 <= L <= den*n, and each subset inequality becomes
     n*sum_S(P) - |S|*L >= den*n*B_S after clearing denominators, which
-    `_prefix_test` decides on Q = n*P - L.  The sampler's
-    `_count_containing` runs the same test, without labels, on each tile
-    left in its facet-derived candidate list at n >= 4; below that its
-    windows decide every size.
+    `_prefix_test` decides on Q = n*P - L.  Returns (status, L, Q, sizes),
+    with the tight sizes of `_prefix_test`, or ("outside", None, None,
+    None); `_tight_labels` names the facets from them.  The sampler's
+    `_count_containing` runs the same test on each tile left in its
+    facet-derived candidate list at n >= 4; below that its windows decide
+    every size.
+    """
+    dn = den * n
+    L = sum(P) - den * (n * (n + 1) // 2)
+    if 0 <= L <= dn:
+        Q = [n * p - L for p in P]
+        sizes = _prefix_test(Q, dn, n)
+        if sizes is not None:
+            status = "boundary" if sizes or L == 0 or L == dn else "interior"
+            return status, L, Q, sizes
+    return "outside", None, None, None
+
+
+def _tight_labels(P: Sequence[int], den: int, n: int) -> tuple[str, tuple[str, ...]]:
+    """(status, the labels of the tight layers and facets) of P/den.
 
     When the inequality of size m holds with equality, the m smallest
     entries are the only tight subset of size m: inside the tile the m-th
@@ -179,36 +195,23 @@ def _evaluate_scaled(P: Sequence[int], den: int, n: int) -> tuple[str, tuple[str
     den*n*(m+1), so no tie crosses position m.  Labels therefore come out
     as in a scan of the subsets by size, one facet per tight size.
     """
-    dn = den * n
-    L = sum(P) - den * (n * (n + 1) // 2)
-    if L < 0 or L > dn:
-        return "outside", ()
-    Q = [n * p - L for p in P]
-    sizes = _prefix_test(Q, dn, n)
-    if sizes is None:
-        return "outside", ()
-    tight: list[str] = []
-    if L == 0:
-        tight.append("layer_bottom")
-    if L == dn:
-        tight.append("layer_top")
+    status, L, Q, sizes = _evaluate_scaled(P, den, n)
+    tight = ["layer_bottom"] if L == 0 else ["layer_top"] if L == den * n else []
     if sizes:
         # only a label needs to know which entries are the m smallest
         order = sorted(range(n), key=Q.__getitem__)
         tight += ["facet_" + "_".join(str(i + 1) for i in sorted(order[:m]))
                   for m in sizes]
-    if tight:
-        return "boundary", tuple(tight)
-    return "interior", ()
+    return status, tuple(tight)
 
 
 def _scaled(point: Sequence, n: int) -> tuple[list[int], int]:
     """(P, den): the point of length n as numerators over their lcm; an
     entry is anything `Fraction` reads (an int, a float, "5/2", ...), and
     any other point is a ValueError that names it.  An entry that is
-    exactly a `Fraction` is used as it is."""
+    exactly an `int` or a `Fraction` is used as it is."""
     try:
-        pt = [x if type(x) is Fraction else Fraction(x) for x in point]
+        pt = [x if type(x) in (int, Fraction) else Fraction(x) for x in point]
     except (TypeError, ValueError, OverflowError, ZeroDivisionError):
         raise ValueError(f"point is not rational: {point!r}") from None
     if len(pt) != n:
@@ -511,53 +514,49 @@ def _tiling_chunk(args) -> dict:
     }
 
 
-def _box_vertex_sets(n: int, lo: int, hi: int):
-    """Tile-vertex set vs residue-distinct set inside the box.
+def _box_vertex_match(n: int, lo: int, hi: int):
+    """(vertex_match, vertex_count, vertex_mismatches, tile_count): the
+    tile vertices in the box against the residue-distinct points there.
 
-    The two sides are computed independently.  Tile side: every tile
-    vertex is C t + w for a vertex w of the base tile's bottom layer, a
-    permutation of (1..n), and integer coefficients t: a tile's top layer
-    is the bottom layer of the tile one a-step up, C t + w + a =
-    C (t + e_a) + w.  With s = t_a + sum_j t_j, coordinate n of C t + w is
-    w_n + s and coordinate i < n is w_i + s - n t_i, so for each w only
-    the s in [lo - w_n, hi - w_n] and, per i, the t_i in
-    [ceil((w_i + s - hi)/n), floor((w_i + s - lo)/n)] land in the box;
-    t_a = s - sum_j t_j is then fixed.  Residue side: with C_r the box
-    values congruent to r mod n, the product of C_{r_1}, .., C_{r_n} for
-    each permutation (r_1, .., r_n) of the residues: n! * prod |C_r|
-    points, each once.
+    With C_r the box values congruent to r mod n, both sides are unions of
+    the boxes C_{r_1} x .. x C_{r_{n-1}} x {x}, keyed (r_1, .., r_{n-1}, x).
+    Tile side: every tile vertex is C t + w for a permutation w of (1..n),
+    the base tile's bottom layer (a tile's top layer is the bottom layer
+    of the tile one a-step up, C t + w + a = C (t + e_a) + w), and integer
+    t.  With s = t_a + sum_j t_j, coordinate n is w_n + s and coordinate
+    i < n is w_i + s - n t_i, which runs over C_{(w_i + s) mod n}, so each
+    (w, s) gives the key ((w_i + s) mod n, .., w_n + s).  Residue side:
+    for each x in the box, every order of the residues other than x mod n.
+    Once the box holds n integers no C_r is empty, so distinct keys stand
+    for disjoint, non-empty boxes: the point sets are equal exactly when
+    the key sets are, there are n! * prod |C_r| points, and the mismatches
+    are the first 8 points of the differing keys' boxes.
 
-    Both counts, the n!*(hi-lo+1) (vertex, s) pairs that the walk makes
-    and the residue side's size, are checked before any work.
-    `tile_count` is the size of the coefficient window that holds every
-    tile with a vertex in the box; it bounds nothing and is only reported.
-
-    A box of fewer than n integers returns both sides empty at once: some
-    residue class C_r is then empty, and a tile vertex has n distinct
-    residues w_i + s mod n, so no tile vertex fits in the box either.
+    The n!*(hi-lo+1) (w, s) pairs are checked before any work; they bound
+    the keys of both sides.  `tile_count`, the size of the coefficient
+    window that holds every tile with a vertex in the box, bounds nothing.
+    A box of fewer than n integers matches at once, with no vertex: some
+    C_r is then empty, and a tile vertex has n distinct residues mod n.
     """
     _check_count(factorial(n) * (hi - lo + 1), "tile-side (vertex, s) pairs")
-    classes = [range(lo + (r - lo) % n, hi + 1, n) for r in range(n)]
-    _check_count(factorial(n) * prod(map(len, classes)), "residue-distinct box points")
     # such a tile's offset C t lies in [lo - n - 1, hi - 1]^n, an interval
     # of span + 1 integers: |t_i| <= span/n for i < n, and t_a, the mean
     # of the offset, lies in the interval itself
     span = hi - lo + n
     tile_count = (2 * (span // n) + 1) ** (n - 1) * (span + 1)
     if hi - lo + 1 < n:
-        return set(), set(), tile_count
-    from_tiles = set()
-    for w in permutohedron_vertices(n):
-        *head, last = w
-        for s in range(lo - last, hi - last + 1):
-            # coordinate i takes w_i + s - n t_i over the t_i in range:
-            # the values in [lo, hi] congruent to w_i + s mod n
-            axes = [range(lo + (x + s - lo) % n, hi + 1, n) for x in head]
-            from_tiles.update(product(*axes, (last + s,)))
-    from_residues = set()
-    for order in permutations(classes):
-        from_residues.update(product(*order))
-    return from_tiles, from_residues, tile_count
+        return True, 0, (), tile_count
+    classes = [range(lo + (r - lo) % n, hi + 1, n) for r in range(n)]
+    from_tiles = {(*[(x + s) % n for x in head], last + s)
+                  for *head, last in permutohedron_vertices(n)
+                  for s in range(lo - last, hi - last + 1)}
+    from_residues = {(*order, x) for x in range(lo, hi + 1)
+                     for order in permutations([r for r in range(n) if r != x % n])}
+    # product copies its inputs; a box's first 8 points need 8 values a class
+    boxes = [product(*[classes[r][:8] for r in key[:-1]], key[-1:])
+             for key in from_tiles ^ from_residues]
+    return (not boxes, factorial(n) * prod(map(len, classes)),
+            tuple(islice(merge(*boxes), 8)), tile_count)
 
 
 def check_tiling(
@@ -574,11 +573,11 @@ def check_tiling(
     a facet are redrawn deterministically.  The samples are drawn in
     blocks of SAMPLE_BLOCK, each from its own seeded stream, and `workers`
     processes split whole blocks, so the report does not depend on
-    `workers`.  Also matches the tile-vertex set inside the box against
-    the residue-distinct set, each listed independently.  `box` is a pair
-    (lo, hi).  n, the box ends, `samples`, `seed` and `workers` are read
-    by the integer rule of `twisted.as_vector`: 4.0 or Fraction(4) is the
-    int 4, and 4.5 or "4" is a ValueError.
+    `workers`.  Also matches the tile vertices in the box against the
+    residue-distinct points by product-box keys (`_box_vertex_match`).
+    `box` is a pair (lo, hi).  n, the box ends, `samples`, `seed` and
+    `workers` are read by the integer rule of `twisted.as_vector`: 4.0 or
+    Fraction(4) is the int 4, and 4.5 or "4" is a ValueError.
     """
     n = _as_int(n, "n", 1, limits.MAX_PERMUTOHEDRON_N)
     try:
@@ -593,8 +592,7 @@ def check_tiling(
     seed = _as_int(seed, "seed")
     workers = _as_int(workers, "workers", 1, limits.MAX_WORKERS)
 
-    from_tiles, from_residues, tile_count = _box_vertex_sets(n, lo, hi)
-    mismatches = tuple(sorted(from_tiles ^ from_residues))[:8]
+    match, count, mismatches, tile_count = _box_vertex_match(n, lo, hi)
 
     # ceil(blocks / workers) whole blocks per chunk (one block when there
     # are no samples, as range() takes no zero step)
@@ -624,8 +622,8 @@ def check_tiling(
         interior_one_count=interior_one,
         resample_count=resamples,
         overlap_witnesses=overlaps,
-        vertex_match=from_tiles == from_residues,
-        vertex_count=len(from_residues),
+        vertex_match=match,
+        vertex_count=count,
         vertex_mismatches=mismatches,
         tile_count_scanned=tile_count,
     )
@@ -634,7 +632,7 @@ def check_tiling(
 def _face_loops(tile: PrismTile) -> list[list[int]]:
     """Vertex index loops of the tile's 2D faces, outward oriented.
 
-    Which vertices lie on which facet comes from `_evaluate_scaled`, and
+    Which vertices lie on which facet comes from `_tight_labels`, and
     `_order_loop` orders each loop in integers: no floats anywhere.
     """
     n = tile.n
@@ -643,7 +641,7 @@ def _face_loops(tile: PrismTile) -> list[list[int]]:
     groups: dict[str, list[int]] = {}
     for idx, v in enumerate(verts):
         P0 = [x - o for x, o in zip(v, off)]
-        status, tight = _evaluate_scaled(P0, 1, n)
+        status, tight = _tight_labels(P0, 1, n)
         assert status == "boundary", "tile vertices lie on the boundary"
         for label in tight:
             groups.setdefault(label, []).append(idx)
@@ -764,11 +762,13 @@ def export_mesh(tiles: Sequence[PrismTile], format: str) -> Iterator[str]:
     Every check runs before this returns an iterator of text chunks: one
     per tile besides the opening and closing text, so memory stays flat.
     """
+    if not isinstance(tiles, Sequence):
+        raise ValueError(f"tiles must be a sequence, got {type(tiles).__name__}")
     if not tiles:
         raise ValueError("no tiles to export")
-    n = tiles[0].n
-    if any(t.n != n for t in tiles):
-        raise ValueError("tiles have mixed dimensions")
+    n = getattr(tiles[0], "n", None)
+    if any(not isinstance(t, PrismTile) or t.n != n for t in tiles):
+        raise ValueError("tiles must be PrismTiles of one dimension")
     if format == "json":
         return _json_chunks(tiles, n)
     if format == "off":

@@ -4,8 +4,8 @@ Everything in this package is exact, so the only way to get into trouble
 is combinatorial: factorial vertex sets, exponential patches and boxes,
 unbounded closure searches.  Each cap below bounds a count of the work
 itself, checked before that work starts: `MAX_PERMUTOHEDRON_N` caps n
-wherever the n! permutations are listed, and the geometry counts (box
-vertices and tile-side pairs of a tiling check, exported patch rows,
+wherever the n! permutations are listed, and the geometry counts (the
+(vertex, s) pairs of a tiling check's box match, exported patch rows,
 product-tile vertices, entries of the basis matrix), the tiling sample
 count and the n entries of an identity (`identity_perm`, `semi_identity`,
 `shift_vector`, `Action.cyclic`, `Action.trivial`, `cyclic_action`) all

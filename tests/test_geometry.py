@@ -21,12 +21,12 @@ from latticetwist.geometry import (
     NotAVertex,
     PrismTile,
     _base_face_loops,
-    _box_vertex_sets,
-    _evaluate_scaled,
+    _box_vertex_match,
     _face_loops,
     _lattice_offset,
     _scaled,
     _tiling_chunk,
+    _tight_labels,
     check_tiling,
     coordinate_matrices,
     decompose_point,
@@ -42,7 +42,7 @@ from latticetwist.units import _residue_distinct, is_residue_distinct
 
 
 def subset_scan(P, den, n):
-    """Oracle for _evaluate_scaled: every proper subset's inequality in turn."""
+    """Oracle for _tight_labels: every proper subset's inequality in turn."""
     K = n * (n + 1) // 2
     L = sum(P) - den * K
     if L < 0 or L > den * n:
@@ -72,34 +72,44 @@ def coefficient_window(n, lo, hi):
     return ranges
 
 
+def window_size(n, lo, hi):
+    return math.prod(len(r) for r in coefficient_window(n, lo, hi))
+
+
 def materialized_box_vertices(n, lo, hi):
-    """Oracle for the tile side of _box_vertex_sets: build every candidate
+    """Oracle for the tile side of the box match: build every candidate
     tile's vertices and keep those in the box."""
-    ranges = coefficient_window(n, lo, hi)
     return {
         v
-        for coeffs in product(*ranges)
+        for coeffs in product(*coefficient_window(n, lo, hi))
         for v in PrismTile(n, coeffs).vertices
         if all(lo <= x <= hi for x in v)
-    }, math.prod(len(r) for r in ranges)
+    }
 
 
-def full_box_walk(n, lo, hi):
-    """Oracle for _box_vertex_sets on any box: both sides walked in full,
-    with no shortcut for a box of fewer than n integers."""
+def point_match(from_tiles, from_residues, tile_count):
+    """The report fields (vertex_match, vertex_count, vertex_mismatches,
+    tile_count) of a match that lists both sides as point sets."""
+    return (from_tiles == from_residues, len(from_residues),
+            tuple(sorted(from_tiles ^ from_residues))[:8], tile_count)
+
+
+def full_box_walk(n, lo, hi, vertices=None):
+    """Oracle for _box_vertex_match on any box: both sides listed point by
+    point, with no shortcut for a box of fewer than n integers.  The tile
+    side walks both layers of `vertices`, the base tile's by default."""
     from_tiles = set()
-    for *head, last in base_tile(n).vertices:
+    for *head, last in base_tile(n).vertices if vertices is None else vertices:
         for s in range(lo - last, hi - last + 1):
             axes = [range(lo + (x + s - lo) % n, hi + 1, n) for x in head]
             from_tiles.update(product(*axes, (last + s,)))
     classes = [range(lo + (r - lo) % n, hi + 1, n) for r in range(n)]
     from_residues = {v for order in permutations(classes) for v in product(*order)}
-    window = math.prod(len(r) for r in coefficient_window(n, lo, hi))
-    return from_tiles, from_residues, window
+    return point_match(from_tiles, from_residues, window_size(n, lo, hi))
 
 
 def residue_filter_oracle(n, lo, hi):
-    """Oracle for the residue side of _box_vertex_sets: every integer point
+    """Oracle for the residue side of the box match: every integer point
     of the box, kept when its entries are pairwise distinct mod n."""
     return {v for v in product(range(lo, hi + 1), repeat=n) if is_residue_distinct(v)}
 
@@ -152,7 +162,7 @@ def base_tile(n):
 
 def tight_labels(point, n):
     """(status, tight facet labels) of a point against the base tile."""
-    return _evaluate_scaled(*_scaled(point, n), n)
+    return _tight_labels(*_scaled(point, n), n)
 
 
 def inverse_oracle(n):
@@ -511,7 +521,7 @@ class TestHalfspaces:
         assert tile.classify(point) == classify_oracle(point, tile.offset)[0], point
 
     @given(st.lists(st.one_of(
-               st.fractions(), st.integers(-9, 9), st.booleans(), st.floats(),
+               st.fractions(), st.integers(-9, 9), st.integers(), st.booleans(), st.floats(),
                st.fractions().map(_SubFraction), st.sampled_from(["5/2", "x", None, "1/0"])),
            max_size=4).flatmap(lambda e: st.sampled_from([tuple(e), e, None, 5])),
            st.integers(1, 4))
@@ -526,21 +536,21 @@ class TestHalfspaces:
                     # near a random vertex, so all three statuses occur
                     u = rng.sample(range(1, n + 1), n)
                     P = [den * x + rng.randint(-den // 2, den) for x in u]
-                    assert _evaluate_scaled(P, den, n) == subset_scan(P, den, n), (P, den)
+                    assert _tight_labels(P, den, n) == subset_scan(P, den, n), (P, den)
 
     def test_sorted_prefix_matches_subset_scan_on_lattice_points(self):
         # integer points around the base tile: ties at every sorted position
         for n in range(1, 7):
             reach = range(0, n + 2) if n <= 4 else range(1, 6)
             for P in product(reach, repeat=n):
-                assert _evaluate_scaled(P, 1, n) == subset_scan(P, 1, n), P
+                assert _tight_labels(P, 1, n) == subset_scan(P, 1, n), P
                 Q = [2 * x + 1 for x in P]
-                assert _evaluate_scaled(Q, 2, n) == subset_scan(Q, 2, n), Q
+                assert _tight_labels(Q, 2, n) == subset_scan(Q, 2, n), Q
 
     def test_sorted_prefix_matches_subset_scan_on_tile_vertices(self):
         for n in range(1, 7):
             for v in PrismTile(n, (0,) * n).vertices:
-                status, tight = _evaluate_scaled(v, 1, n)
+                status, tight = _tight_labels(v, 1, n)
                 assert (status, tight) == subset_scan(v, 1, n), v
                 assert status == "boundary"
                 # one layer label and one facet per size m = 1..n-1
@@ -555,7 +565,7 @@ class TestHalfspaces:
         layer = data.draw(st.integers(0, 1))
         moves = data.draw(st.lists(st.integers(-2, 2), min_size=n, max_size=n))
         P = [den * (x + layer) + d for x, d in zip(u, moves)]
-        assert _evaluate_scaled(P, den, n) == subset_scan(P, den, n), (P, den)
+        assert _tight_labels(P, den, n) == subset_scan(P, den, n), (P, den)
 
 
 class TestTilesAndPatches:
@@ -796,18 +806,50 @@ class TestCheckTiling:
             for lo, hi in [(-3, 2), (-1, 0), (-6, -2), (-4, 4), (-2, 5), (0, 3)]:
                 if n == 4 and hi - lo > 6:
                     continue
-                from_tiles, from_residues, tile_count = _box_vertex_sets(n, lo, hi)
-                expect, expect_count = materialized_box_vertices(n, lo, hi)
-                assert from_tiles == expect, (n, lo, hi)
-                assert tile_count == expect_count
-                assert from_tiles == from_residues
+                expect = point_match(materialized_box_vertices(n, lo, hi),
+                                     residue_filter_oracle(n, lo, hi),
+                                     window_size(n, lo, hi))
+                assert _box_vertex_match(n, lo, hi) == expect, (n, lo, hi)
+                assert expect[0]
+
+    def test_key_match_agrees_with_the_point_walk(self):
+        # negative lo, hi - lo from n - 1 to 3n; at n = 6 to 2n + 1, as the
+        # point walk takes 8 s for the rest
+        for n in range(1, 7):
+            for lo in ((-5, -1) if n < 6 else (-4,)):
+                for hi in range(lo + max(1, n - 1), lo + (3 * n if n < 6 else 2 * n + 1) + 1):
+                    assert _box_vertex_match(n, lo, hi) == full_box_walk(n, lo, hi), (n, lo, hi)
+
+    @pytest.mark.parametrize("corrupt", ["shift 1", "shift 2", "drop"])
+    def test_corrupted_tile_side_gives_the_oracle_mismatches(self, monkeypatch, corrupt):
+        # one permutation w of the walk has its first n - 1 entries, and so
+        # their residues, moved, or is left out: the key match must report
+        # what listing the points finds.  Leaving one out changes neither
+        # side: (w, s) gives the key of (w', s + 1) for w' = w - 1 mod n,
+        # so each key comes from n pairs
+        mismatched = set()
+        for n in range(2, 7):
+            bottom = permutohedron_vertices(n)
+            *head, last = bottom.pop(len(bottom) // 2)
+            if corrupt != "drop":
+                bottom.append((*[x + int(corrupt[-1]) for x in head], last))
+            both = bottom + [tuple(x + 1 for x in v) for v in bottom]
+            monkeypatch.setattr(geometry, "permutohedron_vertices", lambda n: bottom)
+            for hi in range(n - 5, 2 * n - 3):
+                got = _box_vertex_match(n, -4, hi)
+                assert got == full_box_walk(n, -4, hi, both), (corrupt, n, hi)
+                if not got[0]:
+                    mismatched.add(n)
+        # a shift by 2 leaves every residue mod 2 as it was
+        assert mismatched == {"shift 1": {2, 3, 4, 5, 6}, "shift 2": {3, 4, 5, 6},
+                              "drop": set()}[corrupt]
 
     def test_narrow_box_matches_the_full_walk(self):
         for n in range(2, 7):
             for lo in range(-3, 4):
                 for hi in range(lo, lo + n - 1):
-                    got = _box_vertex_sets(n, lo, hi)
-                    assert got == (set(), set(), got[2]), (n, lo, hi)
+                    got = _box_vertex_match(n, lo, hi)
+                    assert got == (True, 0, (), got[3]), (n, lo, hi)
                     assert got == full_box_walk(n, lo, hi), (n, lo, hi)
 
     def test_narrow_box_lists_no_tile_vertex(self, monkeypatch):
@@ -832,19 +874,30 @@ class TestCheckTiling:
 
         monkeypatch.setattr(PrismTile, "vertices", property(refuse))
         for box in boxes:
-            assert _box_vertex_sets(*box) == expect[box], box
+            assert _box_vertex_match(*box) == expect[box], box
         report = check_tiling(4, (0, 8), samples=0)
         # 4! orders of the residue classes, of 3, 2, 2 and 2 box values
         assert (report.vertex_count, report.vertex_match) == (24 * 3 * 2 * 2 * 2, True)
 
-    def test_residue_side_matches_filter(self):
+    def test_residue_side_matches_filter(self, monkeypatch):
+        # with no tile side, every residue-distinct point is a mismatch: the
+        # first 8 come from the residue keys' boxes, and the count is theirs
+        monkeypatch.setattr(geometry, "permutohedron_vertices", lambda n: [])
         for n in range(1, 6):
             for lo, hi in [(-3, 2), (-1, 0), (-6, -2), (-4, 4), (-2, 5), (0, 3),
                            (-9, -8), (5, 11)]:
                 if (hi - lo + 1) ** n > 10**5:
                     continue
-                _, from_residues, _ = _box_vertex_sets(n, lo, hi)
-                assert from_residues == residue_filter_oracle(n, lo, hi), (n, lo, hi)
+                expect = point_match(set(), residue_filter_oracle(n, lo, hi),
+                                     window_size(n, lo, hi))
+                assert _box_vertex_match(n, lo, hi) == expect, (n, lo, hi)
+
+    def test_box_past_the_old_point_cap_is_matched(self):
+        # 403,200,000 residue-distinct points, compared as 12,120 keys a side
+        report = check_tiling(5, (-50, 50), samples=0)
+        sizes = [len(range(-50 + (r + 50) % 5, 51, 5)) for r in range(5)]
+        assert report.passed
+        assert report.vertex_count == math.factorial(5) * math.prod(sizes) == 403_200_000
 
     def test_vertex_count_is_factorial_times_class_sizes(self):
         for n, lo, hi in [(1, -3, 3), (2, -5, 2), (3, -4, 6), (4, -7, 1), (5, -2, 3),
@@ -1115,16 +1168,17 @@ class TestCheckTiling:
             check_tiling(2, (0, 4), samples=-1)
         with pytest.raises(ValueError):
             check_tiling(2, (0, 4), workers=0)
-        # [0, 59]^4 holds 24 * 15^4 residue-distinct points
-        with pytest.raises(BudgetExceededError, match="1215000 residue-distinct"):
-            check_tiling(4, (0, 59), samples=0)
+        # [0, 59]^4 holds 24 * 15^4 residue-distinct points, matched by the
+        # keys of 24 * 60 (vertex, s) pairs
+        report = check_tiling(4, (0, 59), samples=0)
+        assert (report.vertex_count, report.vertex_match) == (1_215_000, True)
         # n = 1 walks one (vertex, s) pair per integer of the box
         with pytest.raises(BudgetExceededError, match="1000001 tile-side"):
             check_tiling(1, (1, 1_000_001), samples=0)
         report = check_tiling(1, (1, 500_001), samples=0)
         assert report.passed and report.vertex_count == 500_001
         # too many samples are refused before the box match starts
-        monkeypatch.setattr(geometry, "_box_vertex_sets", None)
+        monkeypatch.setattr(geometry, "_box_vertex_match", None)
         cap = limits.MAX_BOX_POINTS
         with pytest.raises(BudgetExceededError, match=f"{cap + 1} samples"):
             check_tiling(2, (0, 4), samples=cap + 1)
@@ -1192,6 +1246,15 @@ class TestExport:
             export_mesh([], "json")
         with pytest.raises(ValueError):
             export_mesh([PrismTile(2, (0, 0)), PrismTile(3, (0, 0, 0))], "json")
+
+    @pytest.mark.parametrize("tiles", [
+        5, "abc", {"a": 1}, iter([PrismTile(2, (0, 0))]), [PrismTile(2, (0, 0)), 3],
+        (PrismTile(2, (0, 0)), None), [(0, 0)],
+    ], ids=["int", "str", "dict", "iterator", "int-tile", "none-tile", "coeffs-tile"])
+    @pytest.mark.parametrize("fmt", ["json", "off"])
+    def test_tiles_that_are_not_a_sequence_of_tiles_are_a_value_error(self, tiles, fmt):
+        with pytest.raises(ValueError, match="^tiles must be"):
+            export_mesh(tiles, fmt)
 
     def test_off_loops_match_per_tile_computation(self):
         for n in range(1, 4):
