@@ -20,19 +20,23 @@ concrete group; a report saying "holds" certifies only that the named
 words evaluate to the identity, not that any relation set presents the
 group.
 
-Words are evaluated by one kernel, `_eval`, which looks each letter's
-power up in a table the caller holds: a report keeps one table for all
-of its words, and `eval_word` starts from an empty one.  Nothing is
-cached across calls.  A missing entry is written in O(n) by
-`_letter_power`, from the closed form of that power of a generator,
-whatever the exponent.  `_entry` builds it, as it builds the entries
-that `generated_closure` steps by: a permutation is the bytes of its
-images, composed by one `bytes.translate`, and a translation is its
-nonzero moves.  The five generators are the one-letter words, evaluated
-by `_eval`.  `_eval` reads any sequence of letters, normalized
-or not, so each side of a derived identity is written once as a literal
-tuple of letters, a straight-line program over the report's table, and
-is never built by `letter`/`word_concat`/`word_power` calls.
+Words are evaluated by one kernel, `_eval`, which takes each letter's
+power from `_letter_power`, a bounded cache shared by every call in the
+process: an entry is built once, in O(n) from the closed form of that
+power of a generator whatever the exponent, and is read by every later
+word and report at that n until the cache drops it.  `_entry` builds it,
+as it builds the entries that `generated_closure` steps by: a
+permutation is the bytes of its images, composed by one
+`bytes.translate`, and a translation is its nonzero moves; both are
+immutable, so a shared entry cannot be changed by a caller.  The five
+generators are the one-letter words, evaluated by `_eval`.  `_eval`
+reads any sequence of letters, normalized or not, so each side of a
+derived identity is written once as a literal tuple of letters, and is
+never built by `letter`/`word_concat`/`word_power` calls.
+
+A word that is not a sequence of (symbol, exponent) pairs is a
+ValueError in every function here.  The letter loops do not test each
+letter for it; they catch the TypeError that such a word raises.
 
 Word text is checked for bad characters and for its symbol count by
 scans that build no token, then tokenized by one `findall`; a token's
@@ -71,21 +75,28 @@ class WordSyntaxError(ValueError):
 def normalize_word(letters: Iterable[Letter]) -> Word:
     """Merge adjacent equal symbols, dropping letters that cancel to zero."""
     out: list[Letter] = []
-    for sym, exp in letters:
-        if sym not in SYMBOLS:
-            raise ValueError(f"unknown symbol {sym!r}")
-        if type(exp) is not int:
-            exp = _as_int(exp, f"exponent of {sym!r}")
-        if exp == 0:
-            continue
-        if out and out[-1][0] == sym:
-            merged = out[-1][1] + exp
-            out.pop()
-            if merged:
-                out.append((sym, merged))
-        else:
-            out.append((sym, exp))
+    try:
+        for sym, exp in letters:
+            if sym not in SYMBOLS:
+                raise ValueError(f"unknown symbol {sym!r}")
+            if type(exp) is not int:
+                exp = _as_int(exp, f"exponent of {sym!r}")
+            if exp == 0:
+                continue
+            if out and out[-1][0] == sym:
+                merged = out[-1][1] + exp
+                out.pop()
+                if merged:
+                    out.append((sym, merged))
+            else:
+                out.append((sym, exp))
+    except TypeError:
+        raise _not_a_word() from None
     return tuple(out)
+
+
+def _not_a_word() -> ValueError:
+    return ValueError("word must be a sequence of (symbol, exponent) letters")
 
 
 def letter(sym: str, exp: int = 1) -> Word:
@@ -97,16 +108,23 @@ def word_concat(*words: Word) -> Word:
 
 
 def word_inverse(word: Word) -> Word:
-    return tuple((sym, -exp) for sym, exp in reversed(word))
+    try:
+        return tuple((sym, -exp) for sym, exp in reversed(word))
+    except TypeError:
+        raise _not_a_word() from None
 
 
 def word_power(word: Word, k: int) -> Word:
     k = _as_int(k, "power")
-    if k == 0 or not word:
-        return ()
     if k < 0:
         return word_power(word_inverse(word), -k)
-    _check_letters(len(word) * k)
+    try:
+        count = len(word) * k
+    except TypeError:
+        raise _not_a_word() from None
+    if not count:
+        return ()
+    _check_letters(count)
     return normalize_word(l for _ in range(k) for l in word)
 
 
@@ -119,7 +137,10 @@ def _check_letters(count: int) -> None:
 
 def render_word(word: Word) -> str:
     """Inverse of parse_word on normalized words; empty word renders ''. """
-    return " ".join(sym if exp == 1 else f"{sym}^{exp}" for sym, exp in word)
+    try:
+        return " ".join(sym if exp == 1 else f"{sym}^{exp}" for sym, exp in word)
+    except TypeError:
+        raise _not_a_word() from None
 
 
 # Every non-space character that is not bad starts a token: one of
@@ -255,7 +276,7 @@ def standard_generators(n: int) -> dict[str, SemiElement]:
 @lru_cache(maxsize=16, typed=True)
 def _generators(n: int) -> dict[str, SemiElement]:
     # Shared by every caller for this n: read it, never mutate it.
-    return {sym: _eval(((sym, 1),), n, {}) for sym in SYMBOLS}
+    return {sym: _eval(((sym, 1),), n) for sym in SYMBOLS}
 
 
 def eval_word(word: Word, n: int) -> SemiElement:
@@ -263,20 +284,21 @@ def eval_word(word: Word, n: int) -> SemiElement:
 
     A symbol outside the alphabet raises ValueError, as in normalize_word,
     and an exponent is read by the integer rule of `twisted._as_int`, as
-    there too: 2.0 is 2 and 1.5 a ValueError.  Each call starts from an
-    empty table of letter powers (see `_eval`).
+    there too: 2.0 is 2 and 1.5 a ValueError.  Each letter power is taken
+    from the process-wide cache of `_letter_power` (see `_eval`).
     """
-    return _eval(word, n, {})
+    return _eval(word, n)
 
 
-# A table of letter powers maps (symbol, exponent) to the kernel entry
-# (table, moves) of that power of the generator, as `_letter_power` writes it.
-Powers = dict[Letter, tuple]
-
-
+@lru_cache(maxsize=512)
 def _letter_power(n: int, sym: str, exp: int) -> tuple:
     """The kernel entry (table, moves) of `sym^exp` at this n, built by
     `_entry` from the closed form of the power (k, r) in O(n).
+
+    Cached for the whole process: one verify report at n = 80 reads up
+    to about 320 distinct powers, and an entry there holds about 5 KB, so
+    512 entries stay under 3 MiB.  An entry is bytes and tuples, which no
+    caller can change.
 
     Under (z, s) . (k, r) = (z + k o s, r o s) the generators' powers are:
 
@@ -325,39 +347,46 @@ def _entry(k: Sequence[int] | None, r: Sequence[int] | None) -> tuple:
     return table, moves
 
 
-def _eval(word: Word, n: int, powers: Powers) -> SemiElement:
-    """`eval_word` on a table of letter powers that the caller holds.
+# The bytes 0..255: _POINTS[1:n + 1] is the identity permutation of 1..n.
+_POINTS = bytes(range(256))
+
+
+def _eval(word: Word, n: int) -> SemiElement:
+    """`eval_word`, the kernel that every report calls.
 
     `word` need not be normalized: equal neighbours and zero exponents are
     evaluated as they stand, which is how the derived identities' letter
-    tuples are read.  n is checked before any letter is read.  A letter
-    missing from `powers` is written once, in O(n) for any exponent, by
-    `_letter_power`, and added; the table must only ever be used with
-    this n.  An exponent is read by the integer rule, so the
-    table holds int exponents only; an unknown symbol or an exponent that
-    is not an integer raises ValueError and adds nothing.  The product is
-    folded into the list z and the bytes s by `_entry`'s kernel, so a
-    letter costs one `bytes.translate` and one step per nonzero
-    translation entry, and a letter without a permutation or without a
-    translation skips that part.
+    tuples are read.  n is checked before any letter is read.  An exponent
+    is read by the integer rule, so the cache is keyed by int exponents
+    only; each letter's entry is `_letter_power(n, sym, exp)`, built in
+    O(n) for any exponent on its first use in the process.  An unknown
+    symbol or an exponent that is not an integer raises ValueError and
+    caches nothing; an unhashable symbol, which the cache cannot hash, is
+    an unknown symbol too.  The product is folded into the list z and the
+    bytes s by `_entry`'s kernel, so a letter costs one `bytes.translate`
+    and one step per nonzero translation entry, and a letter without a
+    permutation or without a translation skips that part.
     """
     n = _as_int(n, "n", 2, limits.MAX_VERIFY_N)
     z = [0] * n
-    s = bytes(range(1, n + 1))
-    for sym, exp in word:
-        if type(exp) is not int:
-            exp = _as_int(exp, f"exponent of {sym!r}")
+    s = _POINTS[1:n + 1]
+    sym = None
+    try:
+        for sym, exp in word:
+            if type(exp) is not int:
+                exp = _as_int(exp, f"exponent of {sym!r}")
+            table, moves = _letter_power(n, sym, exp)
+            for v, x in moves:
+                z[s.index(v)] += x
+            if table is not None:
+                s = s.translate(table)
+    except TypeError:
+        # a word of pairs fails only where the cache hashes its `sym`
         try:
-            entry = powers.get((sym, exp))
-        except TypeError:  # an unhashable symbol: `_letter_power` refuses it
-            entry = None
-        if entry is None:
-            entry = powers[sym, exp] = _letter_power(n, sym, exp)
-        table, moves = entry
-        for v, x in moves:
-            z[s.index(v)] += x
-        if table is not None:
-            s = s.translate(table)
+            hash(sym)
+        except TypeError:
+            raise ValueError(f"unknown symbol {sym!r}") from None
+        raise _not_a_word() from None
     return SemiElement(tuple(z), tuple(s))
 
 
@@ -435,11 +464,13 @@ class RelationReport:
 
 
 def verify_relations(preset: RelationPreset) -> RelationReport:
+    if not isinstance(preset, RelationPreset):
+        raise ValueError(
+            f"preset must be a RelationPreset, got {type(preset).__name__}")
     ident = semi_identity(preset.n)
-    powers: Powers = {}
     checks = []
     for rel in preset.relations:
-        value = _eval(rel.word, preset.n, powers)
+        value = _eval(rel.word, preset.n)
         checks.append(RelationCheck(rel.label, value == ident, value))
     return RelationReport(preset.name, preset.n, _RELATION_NOTE, tuple(checks))
 
@@ -469,23 +500,22 @@ def verify_derived_identities(n: int, seed: int = 0, draws: int = 4) -> Identity
     For n in {2, 3} only the first two families apply; from n = 4 on the
     full list is checked.  Commutation exponents are drawn from [-5, 5]
     deterministically from `seed`.  Each side is a tuple of letters that
-    `_eval` reads as written, with the report's one table of powers.
+    `_eval` reads as written.
     """
     n = _as_int(n, "n", 2, limits.MAX_VERIFY_N)
     seed = _as_int(seed, "seed")
     draws = _as_int(draws, "draws", 0, limits.MAX_IDENTITY_DRAWS)
     checks: list[IdentityCheck] = []
-    powers: Powers = {}
 
     def compare(name: str, instance: str, lhs: Word, rhs: Word) -> None:
-        left, right = _eval(lhs, n, powers), _eval(rhs, n, powers)
+        left, right = _eval(lhs, n), _eval(rhs, n)
         checks.append(IdentityCheck(name, instance, left == right, left, right))
 
     for i in range(1, n):
         swap = tuple(
             i + 1 if v == i else i if v == i + 1 else v for v in range(1, n + 1)
         )
-        left = _eval((("t", i - 1), ("s", 1), ("t", 1 - i)), n, powers)
+        left = _eval((("t", i - 1), ("s", 1), ("t", 1 - i)), n)
         right = SemiElement((0,) * n, swap)
         checks.append(IdentityCheck(
             "adjacent_swap_conjugate", f"i={i}", left == right, left, right))

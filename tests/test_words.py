@@ -247,10 +247,9 @@ def identities_oracle(n, seed=0, draws=4):
     makes, each side built by `letter`/`word_concat`/`word_power` calls,
     so normalized, rather than written as a tuple of letters."""
     checks = []
-    powers = {}
 
     def compare(name, instance, lhs, rhs):
-        left, right = _eval(lhs, n, powers), _eval(rhs, n, powers)
+        left, right = _eval(lhs, n), _eval(rhs, n)
         checks.append(IdentityCheck(name, instance, left == right, left, right))
 
     s, t, g, a, b = (letter(x) for x in "stgab")
@@ -260,7 +259,7 @@ def identities_oracle(n, seed=0, draws=4):
             i + 1 if v == i else i if v == i + 1 else v for v in range(1, n + 1)
         )
         lhs = word_concat(letter("t", i - 1), s, letter("t", 1 - i))
-        left = _eval(lhs, n, powers)
+        left = _eval(lhs, n)
         right = SemiElement((0,) * n, swap)
         checks.append(IdentityCheck(
             "adjacent_swap_conjugate", f"i={i}", left == right, left, right))
@@ -487,9 +486,9 @@ def mul_fold_oracle(word, n):
 
 def list_fold_oracle(word, n, powers):
     """Oracle for `_eval`: the fold over lists, on a table of powers (k, r)
-    that the caller holds, each 0-padded for 1-based indexing and built by
-    `_power` on `generators_oracle(n)`, k None when it is zero and r None
-    when it fixes every point.
+    that the caller holds, not the kernel's cache, each 0-padded for
+    1-based indexing and built by `_power` on `generators_oracle(n)`, k
+    None when it is zero and r None when it fixes every point.
 
     (z, s) . (k, r) = (z + k o s, r o s), skipping the pass over z when k is
     None and the one over s when r is."""
@@ -541,6 +540,26 @@ class TestWordAlgebra:
         assert word_power(w, 0) == ()
         assert word_power(w, 2) == (("s", 1), ("t", 1), ("s", 1), ("t", 1))
         assert word_power(w, -1) == (("t", -1), ("s", -1))
+
+    @pytest.mark.parametrize("call, message", [
+        (lambda: normalize_word(None), None),
+        (lambda: normalize_word([5]), None),
+        (lambda: word_concat(None), None),
+        (lambda: word_concat((("s", 1),), [5]), None),
+        (lambda: word_inverse(None), None),
+        (lambda: word_power(5, 5), None),
+        (lambda: word_power(None, -2), None),
+        (lambda: render_word(None), None),
+        (lambda: eval_word(None, 5), None),
+        (lambda: eval_word([5], 4), None),
+        (lambda: eval_word([("s", 1), 5], 4), None),
+        (lambda: verify_relations(None),
+         "^preset must be a RelationPreset, got NoneType$"),
+    ])
+    def test_what_is_not_a_word_is_a_value_error(self, call, message):
+        with pytest.raises(ValueError, match=message or (
+                r"^word must be a sequence of \(symbol, exponent\) letters$")):
+            call()
 
 
 class TestParser:
@@ -729,10 +748,14 @@ class TestGenerators:
                 eval_word((bad,), 4)
         # 2.0 is read as 2, by the integer rule, and finds the entry of 2
         assert eval_word((("g", 2.0),), 4) == eval_word((("g", 2),), 4)
-        table = {}
-        _eval((("g", 2),), 4, table)
-        assert _eval((("g", 2.0),), 4, table) == _eval((("g", 2),), 4, {})
-        assert table == {("g", 2): (None, ((4, 2),))}
+        _letter_power.cache_clear()
+        value = _eval((("g", 2.0),), 4)
+        assert value == _eval((("g", 2),), 4) and type(value.z[3]) is int
+        # the entry was built for the int 2 and found again by it
+        info = _letter_power.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (1, 1, 1)
+        entry = _letter_power(4, "g", 2)
+        assert entry == (None, ((4, 2),)) and type(entry[1][0][1]) is int
         # a bool is an int: True is the exponent 1
         assert eval_word((("g", True),), 4) == standard_generators(4)["g"]
         assert eval_word((("a", True), ("t", False)), 5) == eval_word(
@@ -758,27 +781,31 @@ class TestEvalKernel:
         lambda n: st.tuples(st.just(n), st.lists(raw_words(n, 6), max_size=8),
                             st.randoms(use_true_random=False))))
     def test_one_table_for_many_words_equals_fresh_tables(self, case):
+        # the one table is the kernel's cache, warmed by the first pass
         n, batch, rng = case
         expect = [mul_fold_oracle(word, n) for word in batch]
-        table = {}
+        _letter_power.cache_clear()
         for _ in range(2):
             order = list(range(len(batch)))
             rng.shuffle(order)
             for i in order:
-                assert _eval(batch[i], n, table) == expect[i]
-        assert set(table) == {(sym, exp) for word in batch for sym, exp in word}
+                assert _eval(batch[i], n) == expect[i]
+            # the second pass builds nothing
+            assert _letter_power.cache_info().misses == len(
+                {(sym, exp) for word in batch for sym, exp in word})
 
     @settings(max_examples=150, deadline=None)
     @given(st.one_of(st.integers(2, 12), st.just(80)).flatmap(
         lambda n: st.tuples(st.just(n), st.lists(raw_words(n, 8), max_size=6))))
     def test_matches_the_list_fold_with_one_shared_table(self, case):
         n, batch = case
-        table, fold_table = {}, {}
+        fold_table = {}
+        _letter_power.cache_clear()
         for word in batch:
-            value = _eval(word, n, table)
+            value = _eval(word, n)
             assert value == list_fold_oracle(word, n, fold_table)
             assert value == mul_fold_oracle(word, n)
-        assert set(table) == set(fold_table)
+        assert _letter_power.cache_info().currsize == len(fold_table)
 
     def test_matches_the_list_fold_at_the_largest_n_and_exponents(self):
         n = 80
@@ -787,52 +814,87 @@ class TestEvalKernel:
         batch = [tuple((rng.choice("stgab"), rng.choice(exps))
                        for _ in range(rng.randint(1, 12)))
                  for _ in range(40)]
-        table, fold_table = {}, {}
+        fold_table = {}
+        _letter_power.cache_clear()
         for _ in range(2):
             for word in batch:
-                value = _eval(word, n, table)
+                value = _eval(word, n)
                 assert value == list_fold_oracle(word, n, fold_table)
                 assert value == mul_fold_oracle(word, n)
-        assert set(table) == set(fold_table)
+        assert _letter_power.cache_info().currsize == len(fold_table)
         assert any(abs(x) >= 10**9 // n for word in batch
-                   for x in _eval(word, n, table).z)
+                   for x in _eval(word, n).z)
 
     def test_table_entries_are_padded_and_skip_idle_passes(self):
-        table = {}
-        _eval(parse_word("g^3 s^2 t a^-1"), 4, table)
+        _letter_power.cache_clear()
+        _eval(parse_word("g^3 s^2 t a^-1"), 4)
         pad = bytes(251)
-        assert table == {
+        want = {
             ("g", 3): (None, ((4, 3),)),
             ("s", 2): (None, ()),
             ("t", 1): (bytes((0, 4, 1, 2, 3)) + pad, ()),
             ("a", -1): (bytes((0, 2, 3, 4, 1)) + pad, ((3, -1),)),
         }
+        assert {key: _letter_power(4, *key) for key in want} == want
+        # each entry read back was the one the evaluation built
+        info = _letter_power.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (4, 4, 4)
 
     def test_unknown_symbol_after_cached_letters(self):
-        table = {}
+        _letter_power.cache_clear()
         word = parse_word("s t^2 g^-1")
-        _eval(word, 4, table)
+        _eval(word, 4)
         for _ in range(2):
             with pytest.raises(ValueError, match="unknown symbol 'q'"):
-                _eval((*word, ("q", 1)), 4, table)
-        assert set(table) == set(word)
-        assert _eval(word, 4, table) == mul_fold_oracle(word, 4)
+                _eval((*word, ("q", 1)), 4)
+        assert _letter_power.cache_info().currsize == len(set(word))
+        assert _eval(word, 4) == mul_fold_oracle(word, 4)
+
+    def test_unhashable_symbol_on_a_cold_and_a_warm_cache(self):
+        _letter_power.cache_clear()
+        for _ in range(2):
+            for word in ([(["s"], 1)], [("s", 1), (["s"], 1)]):
+                with pytest.raises(ValueError, match=r"^unknown symbol \['s'\]$"):
+                    eval_word(word, 4)
+            # the second round finds ("s", 1) in the cache
+            assert eval_word([("s", 1)], 4) == standard_generators(4)["s"]
+        assert _letter_power.cache_info().currsize == 1
 
     def test_n_is_checked_as_before(self):
         cap = limits.MAX_VERIFY_N
-        for table in ({}, {("s", 1): (None, (0, 2, 1))}):
+        _letter_power.cache_clear()
+        for warm in (False, True):
+            if warm:
+                _letter_power(1, "s", 1)  # an entry under the n that is refused
             with pytest.raises(ValueError, match="^n must be >= 2, got 1$"):
-                _eval((("s", 1),), 1, table)
+                _eval((("s", 1),), 1)
             with pytest.raises(BudgetExceededError):
-                _eval((), cap + 1, table)
+                _eval((), cap + 1)
         with pytest.raises(ValueError, match="^n must be >= 2, got 1$"):
             eval_word((), 1)
         with pytest.raises(BudgetExceededError):
             eval_word((), cap + 1)
+        # no evaluation read the cache
+        info = _letter_power.cache_info()
+        assert (info.hits, info.misses) == (0, 1)
+
+    def test_cache_stays_bounded_past_its_size(self):
+        n = 80
+        letters = [(sym, exp) for sym in "stga" for exp in range(-n, n)]
+        assert len(letters) > _letter_power.cache_info().maxsize
+        expect = [mul_fold_oracle((l,), n) for l in letters]
+        _letter_power.cache_clear()
+        for _ in range(2):
+            # the second pass rebuilds the entries the first one evicted
+            assert [_eval((l,), n) for l in letters] == expect
+            info = _letter_power.cache_info()
+            assert info.currsize <= info.maxsize
+        assert info.misses > len(letters)
 
 
 class TestLetterPower:
     def test_matches_square_and_multiply(self):
+        _letter_power.cache_clear()
         for n in (*range(2, 13), 80):
             gens = generators_oracle(n)
             ident = identity_perm(n)
