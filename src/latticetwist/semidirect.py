@@ -18,6 +18,7 @@ vectors split into one factor per cycle.
 
 from __future__ import annotations
 
+from itertools import accumulate
 from typing import NamedTuple, Sequence
 
 from . import limits
@@ -47,7 +48,11 @@ def perm_compose(p2: Sequence[int], p1: Sequence[int]) -> Permutation:
 
 
 def perm_inverse(p: Sequence[int]) -> Permutation:
-    return _perm_inverse(check_permutation(p))
+    s = check_permutation(p)
+    out = [0] * len(s)
+    for i, v in enumerate(s, start=1):
+        out[v - 1] = i
+    return tuple(out)
 
 
 def semi_identity(n: int) -> SemiElement:
@@ -62,11 +67,11 @@ def semi_multiply(left: SemiElement, right: SemiElement) -> SemiElement:
 
 
 def semi_inverse(g: SemiElement) -> SemiElement:
-    return _inverse(_checked(g, "g"))
+    return _power(_checked(g, "g"), -1)
 
 
 def semi_power(g: SemiElement, k: int) -> SemiElement:
-    """g^k by square-and-multiply; negative k goes through the inverse.  g is
+    """g^k in O(n) operations on ints the size of k, negative k too.  g is
     read as every other element is, for k = 0 too."""
     k = _as_int(k, "k")
     return _power(_checked(g, "g"), k)
@@ -94,30 +99,28 @@ def _mul(left, right) -> SemiElement:
                        tuple([r[v - 1] for v in s]))
 
 
-def _perm_inverse(s: Permutation) -> Permutation:
-    out = [0] * len(s)
-    for i, v in enumerate(s, start=1):
-        out[v - 1] = i
-    return tuple(out)
-
-
-def _inverse(g) -> SemiElement:
-    z, s = g
-    s_inv = _perm_inverse(s)
-    return SemiElement(tuple([-z[v - 1] for v in s_inv]), s_inv)
-
-
 def _power(g, k: int) -> SemiElement:
-    if k < 0:
-        g, k = _inverse(g), -k
-    acc = semi_identity(len(g[1]))
-    while k:
-        if k & 1:
-            acc = _mul(acc, g)
-        k >>= 1
-        if k:
-            g = _mul(g, g)
-    return acc
+    """(z, s)^k = (sum_{j<k} z o s^j, s^k) for k >= 0.  On a cycle of length
+    m, g^m adds the cycle's sum to each point, so with (q, r) = divmod(k, m),
+    r >= 0 for any k, a point's entry is q such turns plus its next r
+    entries of z along s, a window of prefix sums.  Each point starts as a
+    fixed point, with entry k z_v."""
+    z, s = g
+    out_z = [k * x for x in z]
+    out_s = list(s)
+    for cycle in _ordered_cycles(s):
+        m = len(cycle)
+        if m > 1:
+            q, r = divmod(k, m)
+            # `_ordered_cycles` steps by s^-1; reversed, f[p + 1] = s(f[p])
+            f = cycle[::-1]
+            w = [z[v - 1] for v in f]
+            sums = list(accumulate(w + w, initial=0))
+            turn = q * sums[m]
+            for v, lo, hi, image in zip(f, sums, sums[r:], (f + f)[r:]):
+                out_z[v - 1] = turn + hi - lo
+                out_s[v - 1] = image
+    return SemiElement(tuple(out_z), tuple(out_s))
 
 
 def phi_forward(x: Sequence[int]) -> SemiElement:

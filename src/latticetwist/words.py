@@ -22,21 +22,20 @@ group.
 
 Words are evaluated by one kernel, `_eval`, which takes each letter's
 power from `_letter_power`, a bounded cache shared by every call in the
-process: an entry is built once, in O(n) from the closed form of that
-power of a generator whatever the exponent, and is read by every later
-word and report at that n until the cache drops it.  `_entry` builds it,
+process: an entry is built once, in O(n) whatever the exponent, as
+`semidirect._power` of the written-out generator.  `_entry` builds it,
 as it builds the entries that `generated_closure` steps by: a
 permutation is the bytes of its images, composed by one
 `bytes.translate`, and a translation is its nonzero moves; both are
-immutable, so a shared entry cannot be changed by a caller.  The five
-generators are the one-letter words, evaluated by `_eval`.  `_eval`
+immutable, so a shared entry cannot be changed by a caller.  Only the
+word and closure walks read this bytes kernel, so it lives here.  `_eval`
 reads any sequence of letters, normalized or not, so each side of a
-derived identity is written once as a literal tuple of letters, and is
-never built by `letter`/`word_concat`/`word_power` calls.
+derived identity is written once as a literal tuple of letters.
 
 A word that is not a sequence of (symbol, exponent) pairs is a
-ValueError in every function here.  The letter loops do not test each
-letter for it; they catch the TypeError that such a word raises.
+ValueError in every function here, and each reads a letter's symbol and
+exponent as `normalize_word` does.  The letter loops do not test a
+letter's shape; `_word_error` sorts out what they catch.
 
 Word text is checked for bad characters and for its symbol count by
 scans that build no token, then tokenized by one `findall`; a token's
@@ -55,7 +54,7 @@ from itertools import islice
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from . import limits
-from .semidirect import SemiElement, _checked, _inverse, semi_identity
+from .semidirect import SemiElement, _checked, _power, semi_identity
 from .twisted import _as_int, as_vector, check_permutation
 
 Letter = tuple[str, int]
@@ -77,10 +76,8 @@ def normalize_word(letters: Iterable[Letter]) -> Word:
     out: list[Letter] = []
     try:
         for sym, exp in letters:
-            if sym not in SYMBOLS:
-                raise ValueError(f"unknown symbol {sym!r}")
-            if type(exp) is not int:
-                exp = _as_int(exp, f"exponent of {sym!r}")
+            if type(exp) is not int or sym not in SYMBOLS:
+                exp = _exponent(sym, exp)
             if exp == 0:
                 continue
             if out and out[-1][0] == sym:
@@ -90,13 +87,37 @@ def normalize_word(letters: Iterable[Letter]) -> Word:
                     out.append((sym, merged))
             else:
                 out.append((sym, exp))
-    except TypeError:
-        raise _not_a_word() from None
+    except (TypeError, ValueError) as exc:
+        raise _word_error(exc) from None
     return tuple(out)
 
 
-def _not_a_word() -> ValueError:
+def _exponent(sym, exp) -> int:
+    """The exponent of the letter (sym, exp) by the integer rule; a symbol
+    outside the alphabet is a ValueError."""
+    if sym not in SYMBOLS:
+        raise ValueError(f"unknown symbol {sym!r}")
+    return exp if type(exp) is int else _as_int(exp, f"exponent of {sym!r}")
+
+
+def _word_error(exc: Exception) -> Exception:
+    """`exc`, caught in a letter loop's frame, if it is a letter check's
+    ValueError, raised below that frame; else the word error, as for a word
+    that is not iterable or a letter that is not a pair."""
+    if type(exc) is ValueError and exc.__traceback__.tb_next is not None:
+        return exc
     return ValueError("word must be a sequence of (symbol, exponent) letters")
+
+
+def _read(word: Word) -> list[Letter]:
+    """The letters of `word`, each read as `normalize_word` reads it."""
+    out: list[Letter] = []
+    try:
+        for sym, exp in word:
+            out.append((sym, _exponent(sym, exp)))
+    except (TypeError, ValueError) as exc:
+        raise _word_error(exc) from None
+    return out
 
 
 def letter(sym: str, exp: int = 1) -> Word:
@@ -108,10 +129,7 @@ def word_concat(*words: Word) -> Word:
 
 
 def word_inverse(word: Word) -> Word:
-    try:
-        return tuple((sym, -exp) for sym, exp in reversed(word))
-    except TypeError:
-        raise _not_a_word() from None
+    return tuple([(sym, -exp) for sym, exp in reversed(_read(word))])
 
 
 def word_power(word: Word, k: int) -> Word:
@@ -120,8 +138,8 @@ def word_power(word: Word, k: int) -> Word:
         return word_power(word_inverse(word), -k)
     try:
         count = len(word) * k
-    except TypeError:
-        raise _not_a_word() from None
+    except TypeError as exc:
+        raise _word_error(exc) from None
     if not count:
         return ()
     _check_letters(count)
@@ -137,10 +155,7 @@ def _check_letters(count: int) -> None:
 
 def render_word(word: Word) -> str:
     """Inverse of parse_word on normalized words; empty word renders ''. """
-    try:
-        return " ".join(sym if exp == 1 else f"{sym}^{exp}" for sym, exp in word)
-    except TypeError:
-        raise _not_a_word() from None
+    return " ".join(sym if exp == 1 else f"{sym}^{exp}" for sym, exp in _read(word))
 
 
 # Every non-space character that is not bad starts a token: one of
@@ -276,7 +291,12 @@ def standard_generators(n: int) -> dict[str, SemiElement]:
 @lru_cache(maxsize=16, typed=True)
 def _generators(n: int) -> dict[str, SemiElement]:
     # Shared by every caller for this n: read it, never mutate it.
-    return {sym: _eval(((sym, 1),), n) for sym in SYMBOLS}
+    zero = (0,) * n
+    s = SemiElement(zero, (2, 1, *range(3, n + 1)))
+    t = SemiElement(zero, (n, *range(1, n)))
+    g = SemiElement((*zero[1:], 1), tuple(range(1, n + 1)))
+    # a = g . t, with g's permutation the identity
+    return {"s": s, "t": t, "g": g, "a": SemiElement(g.z, t.s), "b": s}
 
 
 def eval_word(word: Word, n: int) -> SemiElement:
@@ -292,58 +312,31 @@ def eval_word(word: Word, n: int) -> SemiElement:
 
 @lru_cache(maxsize=512)
 def _letter_power(n: int, sym: str, exp: int) -> tuple:
-    """The kernel entry (table, moves) of `sym^exp` at this n, built by
-    `_entry` from the closed form of the power (k, r) in O(n).
+    """The kernel entry (table, moves) of `sym^exp` at this n: `_entry` of
+    the written-out generator raised by `semidirect._power`, in O(n).
 
     Cached for the whole process: one verify report at n = 80 reads up
     to about 320 distinct powers, and an entry there holds about 5 KB, so
     512 entries stay under 3 MiB.  An entry is bytes and tuples, which no
-    caller can change.
-
-    Under (z, s) . (k, r) = (z + k o s, r o s) the generators' powers are:
-
-        s, b : the swap of 1 and 2 when exp is odd, else the identity
-        t    : r(v) = 1 + ((v - 1 - exp) mod n)
-        g    : exp at point n, identity permutation
-        a    : r as for t; for exp > 0, k(v) is the number of j in
-               [0, exp) with j = v (mod n), so q + [v mod n < m] with
-               (q, m) = divmod(exp, n); for exp < 0, a^exp inverts
-               a^|exp|, and k(v) = -(q + [(v + |exp|) mod n < m]) with
-               (q, m) = divmod(|exp|, n).
-
-    Raises ValueError for a symbol outside the alphabet.
+    caller can change.  A symbol outside the alphabet is a KeyError.
     """
-    if sym == "s" or sym == "b":
-        return _entry(None, (2, 1, *range(3, n + 1)) if exp & 1 else None)
-    if sym == "g":
-        return _entry((0,) * (n - 1) + (exp,) if exp else None, None)
-    if sym != "t" and sym != "a":
-        raise ValueError(f"unknown symbol {sym!r}")
-    shift = exp % n
-    # r(v) runs n - shift + 1, .., n, then 1, .., n - shift
-    r = (*range(n - shift + 1, n + 1), *range(1, n - shift + 1)) if shift else None
-    if sym == "t" or not exp:
-        return _entry(None, r)
-    q, m = divmod(abs(exp), n)
-    if exp > 0:
-        return _entry([q + (v % n < m) for v in range(1, n + 1)], r)
-    return _entry([-q - ((v + m) % n < m) for v in range(1, n + 1)], r)
+    return _entry(*_power(_generators(n)[sym], exp))
 
 
-def _entry(k: Sequence[int] | None, r: Sequence[int] | None) -> tuple:
+def _entry(k: Sequence[int], r: Sequence[int]) -> tuple:
     """The product kernel's entry (table, moves) of a right factor (k, r).
 
-    k and r are the parts over the points 1..n, k None when it is zero and
-    r None when it fixes every point.  `table` is r as 256 bytes with
-    table[v] = r(v), or None; `moves` are the nonzero (v, k(v)).  A
-    permutation s is held as the bytes of its images s(1) .. s(n), which
-    fit since n <= MAX_VERIFY_N < 256, and (z, s) . (k, r) =
-    (z + k o s, r o s) is then: for each move (v, x), add x to z at the
-    point i with s(i) = v, which is s.index(v); and s.translate(table),
-    which is r o s.
+    `table` is r as 256 bytes with table[v] = r(v), or None when r fixes
+    every point; `moves` are the nonzero (v, k(v)).  A permutation s is
+    held as the bytes of its images s(1) .. s(n), which fit since
+    n <= MAX_VERIFY_N < 256, and (z, s) . (k, r) = (z + k o s, r o s) is
+    then: for each move (v, x), add x to z at the point i with s(i) = v,
+    which is s.index(v); and s.translate(table), which is r o s and leaves
+    s as it is for a None table.
     """
-    table = None if r is None else bytes((0, *r)).ljust(256, b"\0")
-    moves = () if k is None else tuple([(v, x) for v, x in enumerate(k, 1) if x])
+    table = bytes((0, *r))
+    table = None if table == _POINTS[:len(table)] else table.ljust(256, b"\0")
+    moves = tuple([(v, x) for v, x in enumerate(k, 1) if x])
     return table, moves
 
 
@@ -358,35 +351,31 @@ def _eval(word: Word, n: int) -> SemiElement:
     evaluated as they stand, which is how the derived identities' letter
     tuples are read.  n is checked before any letter is read.  An exponent
     is read by the integer rule, so the cache is keyed by int exponents
-    only; each letter's entry is `_letter_power(n, sym, exp)`, built in
-    O(n) for any exponent on its first use in the process.  An unknown
-    symbol or an exponent that is not an integer raises ValueError and
-    caches nothing; an unhashable symbol, which the cache cannot hash, is
-    an unknown symbol too.  The product is folded into the list z and the
-    bytes s by `_entry`'s kernel, so a letter costs one `bytes.translate`
-    and one step per nonzero translation entry, and a letter without a
-    permutation or without a translation skips that part.
+    only, and each letter's entry is `_letter_power(n, sym, exp)`.  An
+    unknown symbol, hashable or not, or an exponent that is not an integer
+    raises ValueError and caches nothing.  The product is folded into the
+    list z and the bytes s by `_entry`'s kernel, so a letter costs one
+    `bytes.translate` and one step per nonzero translation entry, and a
+    letter without a permutation or without a translation skips that part.
     """
     n = _as_int(n, "n", 2, limits.MAX_VERIFY_N)
     z = [0] * n
     s = _POINTS[1:n + 1]
-    sym = None
+    sym = SYMBOLS[0]  # a symbol of the alphabet until a letter is unpacked
     try:
         for sym, exp in word:
             if type(exp) is not int:
-                exp = _as_int(exp, f"exponent of {sym!r}")
+                exp = _exponent(sym, exp)
             table, moves = _letter_power(n, sym, exp)
             for v, x in moves:
                 z[s.index(v)] += x
             if table is not None:
                 s = s.translate(table)
-    except TypeError:
-        # a word of pairs fails only where the cache hashes its `sym`
-        try:
-            hash(sym)
-        except TypeError:
+    except (KeyError, TypeError, ValueError) as exc:
+        # TypeError: the cache hashed an unhashable `sym`; KeyError: no such generator
+        if sym not in SYMBOLS:
             raise ValueError(f"unknown symbol {sym!r}") from None
-        raise _not_a_word() from None
+        raise _word_error(exc) from None
     return SemiElement(tuple(z), tuple(s))
 
 
@@ -684,7 +673,7 @@ def generated_closure(
     gens: list[SemiElement] = []
     for img in images:
         img = SemiElement(*_checked(img, "generator image", n))
-        for candidate in (img, _inverse(img)):
+        for candidate in (img, _power(img, -1)):
             if candidate not in gens:
                 gens.append(candidate)
     lattice = _IntLattice(n)

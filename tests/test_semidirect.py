@@ -1,6 +1,9 @@
 """The semidirect product picture and the isomorphism onto it."""
 
+import math
+import random
 import re
+import time
 from itertools import product
 
 import pytest
@@ -8,6 +11,7 @@ from hypothesis import given, strategies as st
 
 from latticetwist.semidirect import (
     SemiElement,
+    _power,
     assemble_from_factors,
     general_is_unit,
     identity_perm,
@@ -164,9 +168,11 @@ def _old_inverse(g):
     return SemiElement(tuple(-z[s_inv[i] - 1] for i in range(len(z))), s_inv)
 
 
-def _old_power(g, k):
+def square_and_multiply(g, k):
+    """Oracle for `semi_power` and the letter powers: g^k by binary powering
+    on the product of `_old_multiply`, through the inverse for k < 0."""
     if k < 0:
-        return _old_power(_old_inverse(g), -k)
+        return square_and_multiply(_old_inverse(g), -k)
     acc = semi_identity(len(g.z))
     base = g
     while k:
@@ -204,7 +210,7 @@ class TestValidation:
             (semi_multiply, _old_multiply, (good, bad)),
             (semi_multiply, _old_multiply, (bad, bad)),
             (semi_inverse, _old_inverse, (bad,)),
-            (semi_power, _old_power, (bad, k)),
+            (semi_power, square_and_multiply, (bad, k)),
         ]:
             assert _raised(new, *args) is _raised(old, *args) is ValueError
 
@@ -269,6 +275,58 @@ class TestValidation:
         assert _raised(semi_multiply, mixed, mixed) is ValueError
         assert _raised(semi_inverse, mixed) is ValueError
         assert _raised(semi_power, mixed, 3) is ValueError
+
+
+def several_cycles(n, rng):
+    """A random element whose permutation has several cycles, often fixed
+    points among them: cycles of random lengths over a shuffle of 1..n."""
+    points = list(range(1, n + 1))
+    rng.shuffle(points)
+    s = [0] * n
+    i = 0
+    while i < n:
+        cycle = points[i:i + rng.choice((1, 2, 3, rng.randint(1, n)))]
+        for v, image in zip(cycle, cycle[1:] + cycle[:1]):
+            s[v - 1] = image
+        i += len(cycle)
+    return SemiElement(tuple(rng.randint(-9, 9) for _ in range(n)), tuple(s))
+
+
+def power_by_order(g, k):
+    """Oracle for `semi_power` at any k: with L the order of s, g^L = (c, id)
+    is a translation, so g^k = (q c, id) . g^r for (q, r) = divmod(k, L),
+    with g^L and g^r taken by repeated products."""
+    n = len(g.s)
+    order = math.lcm(*map(len, ordered_cycles(g.s)))
+    powers = [semi_identity(n)]
+    for _ in range(order):
+        powers.append(_old_multiply(powers[-1], g))
+    q, r = divmod(k, order)
+    c = powers[order].z
+    return _old_multiply(SemiElement(tuple(q * x for x in c), identity_perm(n)),
+                         powers[r])
+
+
+class TestCyclePower:
+    def test_matches_square_and_multiply(self):
+        rng = random.Random(34)
+        for n in (*range(1, 12), 40, 80):
+            for _ in range(4):
+                g = several_cycles(n, rng)
+                lengths = {len(c) for c in ordered_cycles(g.s)}
+                ks = {0, 1, 10**9, 10**9 + 7, math.lcm(*lengths), *lengths,
+                      *(rng.randint(2, 10**12) for _ in range(3))}
+                for k in (*ks, *(-k for k in ks)):
+                    assert _power(g, k) == square_and_multiply(g, k), (g, k)
+
+    def test_huge_exponent_is_linear_in_its_digits(self):
+        # a 3-cycle, two 2-cycles and a fixed point: the order is 6
+        g = SemiElement((3, -1, 4, 1, -5, 9, 2, -6), (2, 3, 1, 5, 4, 6, 8, 7))
+        for k in (10**30000, -10**30000 - 1):
+            start = time.perf_counter()
+            got = semi_power(g, k)
+            assert time.perf_counter() - start < 0.5
+            assert got == power_by_order(g, k)
 
 
 class TestIsomorphism:

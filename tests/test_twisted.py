@@ -50,9 +50,11 @@ from latticetwist.words import (
     normalize_word,
     parse_word,
     relation_preset,
+    render_word,
     standard_generators,
     verify_derived_identities,
     word_concat,
+    word_inverse,
     word_power,
 )
 from latticetwist.twisted import (
@@ -581,6 +583,8 @@ INTEGER_READERS = {
     "letter": lambda x: letter("t", x),
     "word_concat": lambda x: word_concat((("t", x),), (("g", 1),)),
     "word_power": lambda x: word_power((("t", 1),), x),
+    "word_inverse": lambda x: word_inverse((("t", x),)),
+    "render_word": lambda x: render_word((("t", x),)),
     "eval_word exponent": lambda x: eval_word((("g", x),), 4),
     # size arguments
     "Action.cyclic": lambda x: Action.cyclic(x),
@@ -658,8 +662,6 @@ def test_identity_constructors_bound_n_by_the_box_cap(name, monkeypatch):
 NOT_INTEGER_READERS = {
     "identity_element": "reads an Action, whose constructors read n",
     "parse_word": "reads text",
-    "render_word": "formats a word; it writes each exponent as it finds it",
-    "word_inverse": "negates exponents without reading them",
     "verify_relations": "reads a RelationPreset, which relation_preset builds",
     "export_mesh": "reads tiles, which PrismTile and generate_patch build",
 }

@@ -16,9 +16,7 @@ from latticetwist import limits, semidirect, words
 from latticetwist.limits import BudgetExceededError
 from latticetwist.semidirect import (
     SemiElement,
-    _inverse,
     _mul,
-    _power,
     identity_perm,
     semi_identity,
     semi_inverse,
@@ -49,6 +47,7 @@ from latticetwist.words import (
     _eval,
     _letter_power,
 )
+from test_semidirect import square_and_multiply
 
 
 def closure_oracle(images, budget=limits.MAX_CLOSURE_BUDGET, targets=None,
@@ -467,28 +466,23 @@ def generators_oracle(n):
 
 def mul_fold_oracle(word, n):
     """Oracle for `eval_word`: the per-letter left fold over
-    `generators_oracle(n)`, each letter's power built afresh by `_power`
-    (or `_inverse`) and multiplied in with `_mul`."""
+    `generators_oracle(n)`, each letter's power built afresh by
+    `square_and_multiply` and multiplied in with `_mul`."""
     gens = generators_oracle(n)
     acc = semi_identity(n)
     for sym, exp in word:
         if sym not in gens:
             raise ValueError(f"unknown symbol {sym!r}")
-        g = gens[sym]
-        if exp == 1:
-            acc = _mul(acc, g)
-        elif exp == -1:
-            acc = _mul(acc, _inverse(g))
-        else:
-            acc = _mul(acc, _power(g, exp))
+        acc = _mul(acc, square_and_multiply(gens[sym], exp))
     return acc
 
 
 def list_fold_oracle(word, n, powers):
     """Oracle for `_eval`: the fold over lists, on a table of powers (k, r)
     that the caller holds, not the kernel's cache, each 0-padded for
-    1-based indexing and built by `_power` on `generators_oracle(n)`, k
-    None when it is zero and r None when it fixes every point.
+    1-based indexing and built by `square_and_multiply` on
+    `generators_oracle(n)`, k None when it is zero and r None when it
+    fixes every point.
 
     (z, s) . (k, r) = (z + k o s, r o s), skipping the pass over z when k is
     None and the one over s when r is."""
@@ -499,7 +493,7 @@ def list_fold_oracle(word, n, powers):
     for sym, exp in word:
         entry = powers.get((sym, exp))
         if entry is None:
-            k, r = _power(gens[sym], exp)
+            k, r = square_and_multiply(gens[sym], exp)
             entry = powers[sym, exp] = ((0, *k) if any(k) else None,
                                         None if r == ident else (0, *r))
         k, r = entry
@@ -508,6 +502,42 @@ def list_fold_oracle(word, n, powers):
         if r is not None:
             s = [r[v] for v in s]
     return SemiElement(tuple(z), tuple(s))
+
+
+def closed_form_power(n, sym, exp):
+    """Oracle for `_letter_power`: the power (k, r) of a generator, written
+    out from its closed form.  Under (z, s) . (k, r) = (z + k o s, r o s):
+
+        s, b : the swap of 1 and 2 when exp is odd, else the identity
+        t    : r(v) = 1 + ((v - 1 - exp) mod n)
+        g    : exp at point n, identity permutation
+        a    : r as for t; for exp > 0, k(v) is the number of j in
+               [0, exp) with j = v (mod n), so q + [v mod n < m] with
+               (q, m) = divmod(exp, n); for exp < 0, a^exp inverts
+               a^|exp|, and k(v) = -(q + [(v + |exp|) mod n < m]) with
+               (q, m) = divmod(|exp|, n).
+    """
+    points = range(1, n + 1)
+    zero = (0,) * n
+    if sym in "sb":
+        return zero, (2, 1, *points[2:]) if exp & 1 else tuple(points)
+    if sym == "g":
+        return (*zero[1:], exp), tuple(points)
+    r = tuple(1 + (v - 1 - exp) % n for v in points)
+    if sym == "t":
+        return zero, r
+    q, m = divmod(abs(exp), n)
+    if exp > 0:
+        return tuple(q + (v % n < m) for v in points), r
+    return tuple(-q - ((v + m) % n < m) for v in points), r
+
+
+def entry_oracle(k, r):
+    """The kernel entry (table, moves) of (k, r), written out: no table for
+    the identity r and only the nonzero moves."""
+    n = len(r)
+    table = None if r == identity_perm(n) else bytes((0, *r)) + bytes(255 - n)
+    return table, tuple([(v, x) for v, x in enumerate(k, 1) if x])
 
 
 def words_in(symbols="stgab", max_exp=4, max_size=8):
@@ -553,6 +583,12 @@ class TestWordAlgebra:
         (lambda: eval_word(None, 5), None),
         (lambda: eval_word([5], 4), None),
         (lambda: eval_word([("s", 1), 5], 4), None),
+        (lambda: eval_word({"s": 1}, 4), None),
+        (lambda: eval_word([("s", 1, 2)], 4), None),
+        (lambda: word_power("st", 2), None),
+        (lambda: normalize_word([("s",)]), None),
+        (lambda: word_inverse({"s": 1}), None),
+        (lambda: render_word("st"), None),
         (lambda: verify_relations(None),
          "^preset must be a RelationPreset, got NoneType$"),
     ])
@@ -560,6 +596,20 @@ class TestWordAlgebra:
         with pytest.raises(ValueError, match=message or (
                 r"^word must be a sequence of \(symbol, exponent\) letters$")):
             call()
+
+    @pytest.mark.parametrize("bad", [
+        ("q", 1), ("s", 1.5), ("s", None), ("s", "2"), (["s"], 1), ("q", 1.5)])
+    def test_every_reader_refuses_a_letter_as_normalize_word_does(self, bad):
+        with pytest.raises(ValueError) as want:
+            normalize_word([bad])
+        message = "^" + re.escape(str(want.value)) + "$"
+        for read in (word_inverse, render_word, lambda w: eval_word(w, 4)):
+            with pytest.raises(ValueError, match=message):
+                read([("s", 1), bad])
+
+    def test_inverse_and_render_read_exponents_by_the_integer_rule(self):
+        assert word_inverse([("s", 2.0), ("t", True)]) == (("t", -1), ("s", -2))
+        assert render_word([("s", 2.0), ("t", Fraction(1))]) == "s^2 t"
 
 
 class TestParser:
@@ -865,7 +915,8 @@ class TestEvalKernel:
         _letter_power.cache_clear()
         for warm in (False, True):
             if warm:
-                _letter_power(1, "s", 1)  # an entry under the n that is refused
+                # an entry under the n that is refused; the swap s needs n >= 2
+                _letter_power(1, "g", 1)
             with pytest.raises(ValueError, match="^n must be >= 2, got 1$"):
                 _eval((("s", 1),), 1)
             with pytest.raises(BudgetExceededError):
@@ -893,18 +944,23 @@ class TestEvalKernel:
 
 
 class TestLetterPower:
+    EXPS = (10**9, -10**9, 10**9 + 7, -10**9 - 7)
+
     def test_matches_square_and_multiply(self):
         _letter_power.cache_clear()
         for n in (*range(2, 13), 80):
             gens = generators_oracle(n)
-            ident = identity_perm(n)
-            exps = (*range(-3 * n, 3 * n + 1), 10**9, -10**9, 10**9 + 7,
-                    -10**9 - 7)
             for sym in SYMBOLS:
-                for exp in exps:
-                    k, r = _power(gens[sym], exp)
-                    want = (None if r == ident else bytes((0, *r)) + bytes(255 - n),
-                            tuple([(v, x) for v, x in enumerate(k, 1) if x]))
+                for exp in (*range(-3 * n, 3 * n + 1), *self.EXPS):
+                    want = entry_oracle(*square_and_multiply(gens[sym], exp))
+                    assert _letter_power(n, sym, exp) == want, (n, sym, exp)
+
+    def test_matches_the_closed_forms(self):
+        _letter_power.cache_clear()
+        for n in (*range(2, 13), 40, 80):
+            for sym in SYMBOLS:
+                for exp in (*range(-3 * n, 3 * n + 1), *self.EXPS, 10**40, -10**40):
+                    want = entry_oracle(*closed_form_power(n, sym, exp))
                     assert _letter_power(n, sym, exp) == want, (n, sym, exp)
 
     def test_evaluation_makes_no_product(self, monkeypatch):
@@ -914,12 +970,22 @@ class TestLetterPower:
         def boom(*args):
             raise AssertionError("word evaluation made a product")
 
+        def evaluate():
+            assert eval_word(word, 6) == expect
+            assert verify_derived_identities(7, seed=3).passed
+            assert verify_relations(relation_preset(7, "three_gen")).passed
+
+        # `_eval` never multiplies: on a cold cache each letter power is
+        # built by `_power` alone
+        _letter_power.cache_clear()
+        words._generators.cache_clear()
+        for module in (semidirect, words):
+            monkeypatch.setattr(module, "_mul", boom, raising=False)
+        evaluate()
+        # on a warm cache nothing is built
         for module in (semidirect, words):
             monkeypatch.setattr(module, "_power", boom, raising=False)
-            monkeypatch.setattr(module, "_mul", boom, raising=False)
-        assert eval_word(word, 6) == expect
-        assert verify_derived_identities(7, seed=3).passed
-        assert verify_relations(relation_preset(7, "three_gen")).passed
+        evaluate()
 
 
 class TestWordLengthCap:
