@@ -20,7 +20,11 @@ sum_{i in S} x_i >= |S|(|S|+1)/2.  The 2^n - 2 inequalities are decided
 by one sort: the smallest subset sum of size k is the sum of the k
 smallest entries, so the cross-section lies in the permutohedron exactly
 when every sorted prefix sum meets its bound (Rado 1952); `_prefix_test`
-is that one test, for the classifier and the sampler alike.  A tiling
+is that one test, for the classifier and the sampler alike, and it tells
+only whether some bound is met with equality, not which.  The mesh export
+needs no test to name the facets through a vertex of the base tile: the
+vertex u or u + a, u a permutation, lies on the facet of size m at the
+positions of u's values 1..m (`_base_face_loops`).  A tiling
 sample is tested only against the tiles that its 2n one-coordinate facets
 1 <= x_i <= n allow, about one tile whatever n (`_count_containing`).
 Those windows are the facets of sizes 1 and n-1 themselves (with the
@@ -138,7 +142,7 @@ def decompose_point(p: Sequence[int]) -> Decomposition | NotAVertex:
     return Decomposition(tuple(t), u)
 
 
-def _prefix_test(Q: Sequence[int], dn: int, n: int) -> list[int] | None:
+def _prefix_test(Q: Sequence[int], dn: int, n: int) -> bool | None:
     """The sorted-prefix test (Rado 1952) on cross-section numerators.
 
     Q_i = n*P_i - L is n*den times the cross-section of the point P/den,
@@ -146,10 +150,10 @@ def _prefix_test(Q: Sequence[int], dn: int, n: int) -> list[int] | None:
     lies in the permutohedron exactly when every subset S satisfies
     sum_S(Q) >= dn*|S|(|S|+1)/2, and for each size m the smallest such sum
     is that of the m smallest entries.  Returns None when one size falls
-    short (outside), else the sizes m < n whose bound holds with equality:
-    none strictly inside.
+    short (outside), else whether some size m < n holds with equality:
+    False strictly inside.
     """
-    tight = []
+    tight = False
     slack = m = 0
     for q in sorted(Q)[:-1]:
         m += 1
@@ -158,51 +162,8 @@ def _prefix_test(Q: Sequence[int], dn: int, n: int) -> list[int] | None:
         if slack < 0:
             return None
         if not slack:
-            tight.append(m)
+            tight = True
     return tight
-
-
-def _evaluate_scaled(P: Sequence[int], den: int, n: int):
-    """Classify the point P/den against the base tile; exact, integer-only.
-
-    The a-coordinate numerator is L = sum(P) - den*K with K = n(n+1)/2;
-    the slab is 0 <= L <= den*n, and each subset inequality becomes
-    n*sum_S(P) - |S|*L >= den*n*B_S after clearing denominators, which
-    `_prefix_test` decides on Q = n*P - L.  Returns (status, L, Q, sizes),
-    with the tight sizes of `_prefix_test`, or ("outside", None, None,
-    None); `_tight_labels` names the facets from them.  The sampler's
-    `_count_containing` runs the same test on each tile left in its
-    facet-derived candidate list at n >= 4; below that its windows decide
-    every size.
-    """
-    dn = den * n
-    L = sum(P) - den * (n * (n + 1) // 2)
-    if 0 <= L <= dn:
-        Q = [n * p - L for p in P]
-        sizes = _prefix_test(Q, dn, n)
-        if sizes is not None:
-            status = "boundary" if sizes or L == 0 or L == dn else "interior"
-            return status, L, Q, sizes
-    return "outside", None, None, None
-
-
-def _tight_labels(P: Sequence[int], den: int, n: int) -> tuple[str, tuple[str, ...]]:
-    """(status, the labels of the tight layers and facets) of P/den.
-
-    When the inequality of size m holds with equality, the m smallest
-    entries are the only tight subset of size m: inside the tile the m-th
-    and (m+1)-th smallest values of Q are at most den*n*m and at least
-    den*n*(m+1), so no tie crosses position m.  Labels therefore come out
-    as in a scan of the subsets by size, one facet per tight size.
-    """
-    status, L, Q, sizes = _evaluate_scaled(P, den, n)
-    tight = ["layer_bottom"] if L == 0 else ["layer_top"] if L == den * n else []
-    if sizes:
-        # only a label needs to know which entries are the m smallest
-        order = sorted(range(n), key=Q.__getitem__)
-        tight += ["facet_" + "_".join(str(i + 1) for i in sorted(order[:m]))
-                  for m in sizes]
-    return status, tuple(tight)
 
 
 def _scaled(point: Sequence, n: int) -> tuple[list[int], int]:
@@ -267,10 +228,24 @@ class PrismTile:
                      + [tuple(map(add, top, u)) for u in base])
 
     def classify(self, point: Sequence) -> str:
-        """'interior', 'boundary' (some inequality tight), or 'outside'."""
-        P, den = _scaled(point, self.n)
-        P0 = [p - den * o for p, o in zip(P, self.offset)]
-        return _evaluate_scaled(P0, den, self.n)[0]
+        """'interior', 'boundary' (some inequality tight), or 'outside'.
+
+        Exact and integer-only.  With P/den the point less the offset, the
+        a-coordinate numerator is L = sum(P) - den*K with K = n(n+1)/2; the
+        slab is 0 <= L <= den*n, and each subset inequality becomes
+        n*sum_S(P) - |S|*L >= den*n*B_S after clearing denominators, which
+        `_prefix_test` decides on Q = n*P - L.
+        """
+        n = self.n
+        P, den = _scaled(point, n)
+        P = [p - den * o for p, o in zip(P, self.offset)]
+        dn = den * n
+        L = sum(P) - den * (n * (n + 1) // 2)
+        if 0 <= L <= dn:
+            tight = _prefix_test([n * p - L for p in P], dn, n)
+            if tight is not None:
+                return "boundary" if tight or L == 0 or L == dn else "interior"
+        return "outside"
 
 
 def generate_patch(n: int, radius: int) -> list[PrismTile]:
@@ -428,10 +403,10 @@ def _count_containing(P: Sequence[int], den: int, n: int):
                 if sum(Q) != target:
                     continue
                 if n > 3:
-                    sizes = _prefix_test(Q, dn, n)
-                    if sizes is None:
+                    tight = _prefix_test(Q, dn, n)
+                    if tight is None:
                         continue
-                    if sizes or layer:
+                    if tight or layer:
                         return None
                 # the windows decide sizes 1 and n-1, which n = 1 lacks
                 elif layer or n > 1 and (dn in Q or ndn in Q):
@@ -629,22 +604,30 @@ def check_tiling(
     )
 
 
-def _face_loops(tile: PrismTile) -> list[list[int]]:
-    """Vertex index loops of the tile's 2D faces, outward oriented.
+@lru_cache(maxsize=None)
+def _base_face_loops(n: int) -> tuple[tuple[int, ...], ...]:
+    """Vertex index loops of the base tile's 2D faces, outward oriented;
+    they serve every tile.
 
-    Which vertices lie on which facet comes from `_tight_labels`, and
-    `_order_loop` orders each loop in integers: no floats anywhere.
+    A vertex is a permutation u of (1..n) on the bottom layer, or u + a on
+    the top, and the facet of size m that it lies on is named by u: the
+    m positions that hold its values 1..m, whose sum is the bound
+    m(m+1)/2, which any other m positions exceed.  Each vertex joins its
+    layer, then those facets for m = 1..n-1, and `_order_loop` orders
+    each group of three or more in integers: no floats anywhere.  A tile
+    lists its vertices as the base tile's shifted by its offset, in the
+    same order, and neither the facets nor the cyclic order of a loop
+    change under that shift.
     """
-    n = tile.n
-    verts = tile.vertices
-    off = tile.offset
-    groups: dict[str, list[int]] = {}
-    for idx, v in enumerate(verts):
-        P0 = [x - o for x, o in zip(v, off)]
-        status, tight = _tight_labels(P0, 1, n)
-        assert status == "boundary", "tile vertices lie on the boundary"
-        for label in tight:
-            groups.setdefault(label, []).append(idx)
+    base = permutohedron_vertices(n)
+    verts = PrismTile(n, (0,) * n).vertices
+    groups: dict = {}
+    for idx, u in enumerate(base * 2):
+        # u's positions, ordered by the values they hold
+        order = sorted(range(n), key=u.__getitem__)
+        for key in ["bottom" if idx < len(base) else "top",
+                    *[frozenset(order[:m]) for m in range(1, n)]]:
+            groups.setdefault(key, []).append(idx)
     if n == 2:
         loops = [list(range(len(verts)))]
     else:
@@ -652,18 +635,7 @@ def _face_loops(tile: PrismTile) -> list[list[int]]:
     # times the vertex count, about the tile centre, padded to three entries
     total = [sum(column) for column in zip(*verts)]
     moved = [(*[len(verts) * x - t for x, t in zip(v, total)], 0, 0)[:3] for v in verts]
-    return [_order_loop([moved[i] for i in loop], loop) for loop in loops]
-
-
-@lru_cache(maxsize=None)
-def _base_face_loops(n: int) -> tuple[tuple[int, ...], ...]:
-    """`_face_loops` of the base tile, which serve every tile.
-
-    A tile lists its vertices as the base tile's shifted by its offset, in
-    the same order, and neither the facet labels nor the cyclic order of
-    a loop change under that shift.
-    """
-    return tuple(tuple(loop) for loop in _face_loops(PrismTile(n, (0,) * n)))
+    return tuple(tuple(_order_loop([moved[i] for i in loop], loop)) for loop in loops)
 
 
 def _order_loop(points, indices):

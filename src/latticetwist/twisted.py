@@ -215,20 +215,29 @@ def _as_int(value, what: str, least: int | None = None,
     return value
 
 
+def _points(action: Action) -> int:
+    """The point count n of `action`, read once per call by each function
+    below; anything but an `Action` is a ValueError."""
+    if not isinstance(action, Action):
+        raise ValueError(f"action must be an Action, got {type(action).__name__}")
+    return action.n
+
+
 def identity_element(action: Action) -> Vec:
     """The all-zero vector: two-sided identity for the twisted product."""
-    return (0,) * action.n
+    return (0,) * _points(action)
 
 
 def embed_constant(g: int, action: Action) -> Vec:
     """Constant vector with value g; constants embed Z homomorphically."""
-    return (_as_int(g, "g"),) * action.n
+    return (_as_int(g, "g"),) * _points(action)
 
 
 def star_multiply(a: Sequence[int], b: Sequence[int], action: Action) -> Vec:
     """Twisted product a * b under the given action."""
-    av = as_vector(a, action.n)
-    bv = as_vector(b, action.n)
+    n = _points(action)
+    av = as_vector(a, n)
+    bv = as_vector(b, n)
     return tuple([x + bv[w - 1] for x, w in zip(av, _images(av, action))])
 
 
@@ -240,7 +249,7 @@ def transport_permutation(
     A collision is a normal outcome, not an error: it is exactly the
     certificate that `a` has no twisted inverse.
     """
-    return _transport(as_vector(a, action.n), action)
+    return _transport(as_vector(a, _points(action)), action)
 
 
 def invert(a: Sequence[int], action: Action) -> Vec:
@@ -249,11 +258,12 @@ def invert(a: Sequence[int], action: Action) -> Vec:
     Raises NotInvertibleError (carrying the collision witness) when the
     transport map is not a bijection.
     """
-    av = as_vector(a, action.n)
+    n = _points(action)
+    av = as_vector(a, n)
     pi = _transport(av, action)
     if isinstance(pi, NotBijective):
         raise NotInvertibleError(pi)
-    out = [0] * action.n
+    out = [0] * n
     for image, g in zip(pi, av):
         out[image - 1] = -g
     return tuple(out)

@@ -20,7 +20,7 @@ concrete group; a report saying "holds" certifies only that the named
 words evaluate to the identity, not that any relation set presents the
 group.
 
-Words are evaluated by one kernel, `_eval`, which takes each letter's
+Words are evaluated by one kernel, `eval_word`, which takes each letter's
 power from `_letter_power`, a bounded cache shared by every call in the
 process: an entry is built once, in O(n) whatever the exponent, as
 `semidirect._power` of the written-out generator.  `_entry` builds it,
@@ -28,9 +28,9 @@ as it builds the entries that `generated_closure` steps by: a
 permutation is the bytes of its images, composed by one
 `bytes.translate`, and a translation is its nonzero moves; both are
 immutable, so a shared entry cannot be changed by a caller.  Only the
-word and closure walks read this bytes kernel, so it lives here.  `_eval`
-reads any sequence of letters, normalized or not, so each side of a
-derived identity is written once as a literal tuple of letters.
+word and closure walks read this bytes kernel, so it lives here.
+`eval_word` reads any sequence of letters, normalized or not, so each
+side of a derived identity is written once as a literal tuple of letters.
 
 A word that is not a sequence of (symbol, exponent) pairs is a
 ValueError in every function here, and each reads a letter's symbol and
@@ -154,8 +154,10 @@ def _check_letters(count: int) -> None:
 
 
 def render_word(word: Word) -> str:
-    """Inverse of parse_word on normalized words; empty word renders ''. """
-    return " ".join(sym if exp == 1 else f"{sym}^{exp}" for sym, exp in _read(word))
+    """The text that `parse_word` reads as `normalize_word(word)`: a letter
+    with exponent 0 is left out, and the empty word renders ''."""
+    return " ".join(sym if exp == 1 else f"{sym}^{exp}"
+                    for sym, exp in _read(word) if exp)
 
 
 # Every non-space character that is not bad starts a token: one of
@@ -299,17 +301,6 @@ def _generators(n: int) -> dict[str, SemiElement]:
     return {"s": s, "t": t, "g": g, "a": SemiElement(g.z, t.s), "b": s}
 
 
-def eval_word(word: Word, n: int) -> SemiElement:
-    """Left-to-right product of generator powers in Z^n x| S_n.
-
-    A symbol outside the alphabet raises ValueError, as in normalize_word,
-    and an exponent is read by the integer rule of `twisted._as_int`, as
-    there too: 2.0 is 2 and 1.5 a ValueError.  Each letter power is taken
-    from the process-wide cache of `_letter_power` (see `_eval`).
-    """
-    return _eval(word, n)
-
-
 @lru_cache(maxsize=512)
 def _letter_power(n: int, sym: str, exp: int) -> tuple:
     """The kernel entry (table, moves) of `sym^exp` at this n: `_entry` of
@@ -344,19 +335,22 @@ def _entry(k: Sequence[int], r: Sequence[int]) -> tuple:
 _POINTS = bytes(range(256))
 
 
-def _eval(word: Word, n: int) -> SemiElement:
-    """`eval_word`, the kernel that every report calls.
+def eval_word(word: Word, n: int) -> SemiElement:
+    """Left-to-right product of generator powers in Z^n x| S_n: the kernel
+    that every report calls.
 
     `word` need not be normalized: equal neighbours and zero exponents are
     evaluated as they stand, which is how the derived identities' letter
-    tuples are read.  n is checked before any letter is read.  An exponent
-    is read by the integer rule, so the cache is keyed by int exponents
-    only, and each letter's entry is `_letter_power(n, sym, exp)`.  An
-    unknown symbol, hashable or not, or an exponent that is not an integer
-    raises ValueError and caches nothing.  The product is folded into the
-    list z and the bytes s by `_entry`'s kernel, so a letter costs one
-    `bytes.translate` and one step per nonzero translation entry, and a
-    letter without a permutation or without a translation skips that part.
+    tuples are read.  n is checked before any letter is read.  A symbol
+    outside the alphabet raises ValueError, as in `normalize_word`, and an
+    exponent is read by the integer rule of `twisted._as_int`, as there
+    too: 2.0 is 2 and 1.5 a ValueError.  So the process-wide cache of
+    `_letter_power` is keyed by int exponents only, and an unknown symbol,
+    hashable or not, or an exponent that is not an integer caches nothing.
+    The product is folded into the list z and the bytes s by `_entry`'s
+    kernel, so a letter costs one `bytes.translate` and one step per
+    nonzero translation entry, and a letter without a permutation or
+    without a translation skips that part.
     """
     n = _as_int(n, "n", 2, limits.MAX_VERIFY_N)
     z = [0] * n
@@ -459,7 +453,7 @@ def verify_relations(preset: RelationPreset) -> RelationReport:
     ident = semi_identity(preset.n)
     checks = []
     for rel in preset.relations:
-        value = _eval(rel.word, preset.n)
+        value = eval_word(rel.word, preset.n)
         checks.append(RelationCheck(rel.label, value == ident, value))
     return RelationReport(preset.name, preset.n, _RELATION_NOTE, tuple(checks))
 
@@ -489,7 +483,7 @@ def verify_derived_identities(n: int, seed: int = 0, draws: int = 4) -> Identity
     For n in {2, 3} only the first two families apply; from n = 4 on the
     full list is checked.  Commutation exponents are drawn from [-5, 5]
     deterministically from `seed`.  Each side is a tuple of letters that
-    `_eval` reads as written.
+    `eval_word` reads as written.
     """
     n = _as_int(n, "n", 2, limits.MAX_VERIFY_N)
     seed = _as_int(seed, "seed")
@@ -497,14 +491,14 @@ def verify_derived_identities(n: int, seed: int = 0, draws: int = 4) -> Identity
     checks: list[IdentityCheck] = []
 
     def compare(name: str, instance: str, lhs: Word, rhs: Word) -> None:
-        left, right = _eval(lhs, n), _eval(rhs, n)
+        left, right = eval_word(lhs, n), eval_word(rhs, n)
         checks.append(IdentityCheck(name, instance, left == right, left, right))
 
     for i in range(1, n):
         swap = tuple(
             i + 1 if v == i else i if v == i + 1 else v for v in range(1, n + 1)
         )
-        left = _eval((("t", i - 1), ("s", 1), ("t", 1 - i)), n)
+        left = eval_word((("t", i - 1), ("s", 1), ("t", 1 - i)), n)
         right = SemiElement((0,) * n, swap)
         checks.append(IdentityCheck(
             "adjacent_swap_conjugate", f"i={i}", left == right, left, right))
@@ -702,7 +696,7 @@ def generated_closure(
     radix = 2 * bias + 1
     places, pure = _closure_layout(n, bias)
     # A permutation s is stored as bytes and each generator as its kernel
-    # entry (table, moves), as in `_eval`: r o s is s.translate(table), and
+    # entry (table, moves), as in `eval_word`: r o s is s.translate(table), and
     # digit i of k o s is k_{s(i)}, so move (v, k_v) lands in digit
     # s.index(v).
     tables = [_entry(k, r) for k, r in gens]

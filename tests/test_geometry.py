@@ -22,11 +22,9 @@ from latticetwist.geometry import (
     PrismTile,
     _base_face_loops,
     _box_vertex_match,
-    _face_loops,
     _lattice_offset,
     _scaled,
     _tiling_chunk,
-    _tight_labels,
     check_tiling,
     coordinate_matrices,
     decompose_point,
@@ -42,7 +40,9 @@ from latticetwist.units import _residue_distinct, is_residue_distinct
 
 
 def subset_scan(P, den, n):
-    """Oracle for _tight_labels: every proper subset's inequality in turn."""
+    """Oracle for `PrismTile.classify` on the base tile, and for the facets
+    of `_base_face_loops`: every proper subset's inequality in turn.
+    Returns (status, the labels of the tight layers and facets) of P/den."""
     K = n * (n + 1) // 2
     L = sum(P) - den * K
     if L < 0 or L > den * n:
@@ -160,9 +160,9 @@ def base_tile(n):
     return PrismTile(n, (0,) * n)
 
 
-def tight_labels(point, n):
-    """(status, tight facet labels) of a point against the base tile."""
-    return _tight_labels(*_scaled(point, n), n)
+def classify_scaled(P, den, n):
+    """`PrismTile.classify` of the point P/den against the base tile."""
+    return base_tile(n).classify([Fraction(p, den) for p in P])
 
 
 def inverse_oracle(n):
@@ -370,7 +370,7 @@ def off_mesh_oracle(tiles):
         base = len(vertices)
         vertices.extend(tile.vertices)
         if n >= 2:
-            faces.extend([base + i for i in loop] for loop in _face_loops(tile))
+            faces.extend([base + i for i in loop] for loop in _base_face_loops(n))
     lines = ["OFF", f"{len(vertices)} {len(faces)} 0"]
     lines += [" ".join(str(x) for x in (*v, 0, 0)[:3]) for v in vertices]
     lines += [" ".join(str(x) for x in (len(f), *f)) for f in faces]
@@ -469,9 +469,6 @@ class TestHalfspaces:
         assert tile.classify((2, 2, 2)) == "boundary"   # base layer
         assert tile.classify((Fraction(5, 2),) * 3) == "interior"
         assert tile.classify(("5/2", 2.5, "15/6")) == "interior"
-        assert tight_labels((2, 2, 2), 3) == ("boundary", ("layer_bottom",))
-        assert tight_labels((1, 2, 3), 3) == (
-            "boundary", ("layer_bottom", "facet_1", "facet_1_2"))
 
     def test_cross_section_is_required(self):
         # (1,4) satisfies the subset-sum inequalities read naively on the
@@ -514,7 +511,7 @@ class TestHalfspaces:
     def test_scaled_classification_matches_fraction_path(self, data):
         n = data.draw(st.integers(1, 6))
         point = data.draw(points_near((0,) * n))
-        assert tight_labels(point, n) == classify_oracle(point, (0,) * n), point
+        assert base_tile(n).classify(point) == classify_oracle(point, (0,) * n)[0], point
         coeffs = data.draw(st.tuples(*[st.integers(-3, 3)] * n))
         tile = PrismTile(n, coeffs)
         point = data.draw(points_near(tile.offset))
@@ -536,25 +533,21 @@ class TestHalfspaces:
                     # near a random vertex, so all three statuses occur
                     u = rng.sample(range(1, n + 1), n)
                     P = [den * x + rng.randint(-den // 2, den) for x in u]
-                    assert _tight_labels(P, den, n) == subset_scan(P, den, n), (P, den)
+                    assert classify_scaled(P, den, n) == subset_scan(P, den, n)[0], (P, den)
 
     def test_sorted_prefix_matches_subset_scan_on_lattice_points(self):
         # integer points around the base tile: ties at every sorted position
         for n in range(1, 7):
             reach = range(0, n + 2) if n <= 4 else range(1, 6)
             for P in product(reach, repeat=n):
-                assert _tight_labels(P, 1, n) == subset_scan(P, 1, n), P
+                assert classify_scaled(P, 1, n) == subset_scan(P, 1, n)[0], P
                 Q = [2 * x + 1 for x in P]
-                assert _tight_labels(Q, 2, n) == subset_scan(Q, 2, n), Q
+                assert classify_scaled(Q, 2, n) == subset_scan(Q, 2, n)[0], Q
 
     def test_sorted_prefix_matches_subset_scan_on_tile_vertices(self):
         for n in range(1, 7):
             for v in PrismTile(n, (0,) * n).vertices:
-                status, tight = _tight_labels(v, 1, n)
-                assert (status, tight) == subset_scan(v, 1, n), v
-                assert status == "boundary"
-                # one layer label and one facet per size m = 1..n-1
-                assert len(tight) == n
+                assert classify_scaled(v, 1, n) == subset_scan(v, 1, n)[0], v
 
     @given(st.data())
     def test_sorted_prefix_matches_subset_scan_near_vertices(self, data):
@@ -565,7 +558,7 @@ class TestHalfspaces:
         layer = data.draw(st.integers(0, 1))
         moves = data.draw(st.lists(st.integers(-2, 2), min_size=n, max_size=n))
         P = [den * (x + layer) + d for x, d in zip(u, moves)]
-        assert _tight_labels(P, den, n) == subset_scan(P, den, n), (P, den)
+        assert classify_scaled(P, den, n) == subset_scan(P, den, n)[0], (P, den)
 
 
 class TestTilesAndPatches:
@@ -1299,6 +1292,19 @@ class TestExport:
                 cross = (a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2],
                          a[0] * b[1] - a[1] * b[0])
                 assert sum(x * y for x, y in zip(cross, outward)) > 0, loop
+
+    def test_face_loops_are_the_groups_that_the_subset_scan_finds(self):
+        # each loop holds the vertices on one tight layer or facet of the
+        # subset scan, read from the vertices' permutations without a scan
+        groups = {}
+        for i, v in enumerate(base_tile(3).vertices):
+            for label in subset_scan(v, 1, 3)[1]:
+                groups.setdefault(label, []).append(i)
+        faces = sorted(g for g in groups.values() if len(g) >= 3)
+        assert sorted(sorted(loop) for loop in _base_face_loops(3)) == faces
+        for n in range(1, 7):
+            tile = base_tile(n)
+            assert {tile.classify(v) for v in tile.vertices} == {"boundary"}, n
 
     def test_chunks_come_one_per_tile(self):
         tiles = generate_patch(2, 1)

@@ -53,9 +53,9 @@ def test_size_caps_are_read_only_by_the_one_reader():
 
 
 def test_verify_cap_fits_a_byte():
-    # word evaluation (words._eval) and generated_closure store each
+    # word evaluation (words.eval_word) and generated_closure store each
     # permutation as a byte string of its images 1..n and compose with
     # bytes.translate, so n must stay below 256.
     assert limits.MAX_VERIFY_N <= 255, (
         "MAX_VERIFY_N above 255 breaks the byte-string permutations of "
-        "word evaluation (words._eval) and words.generated_closure")
+        "word evaluation (words.eval_word) and words.generated_closure")

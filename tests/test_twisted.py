@@ -513,6 +513,27 @@ def test_a_value_that_is_not_iterable_is_a_value_error(reader, value):
         SEQUENCE_READERS[reader](value)
 
 
+# Each reader of an action, with the action as its one argument; a
+# permutation is not an Action, though `Action.from_permutation` reads one.
+ACTION_READERS = {
+    "identity_element": lambda action: identity_element(action),
+    "embed_constant": lambda action: embed_constant(5, action),
+    "star_multiply": lambda action: star_multiply((1, 0, 2), (0, 1, 1), action),
+    "transport_permutation": lambda action: transport_permutation((1, 0, 2), action),
+    "invert": lambda action: invert((1, 0, 2), action),
+}
+
+
+@pytest.mark.parametrize("reader", sorted(ACTION_READERS))
+@pytest.mark.parametrize("value, kind", [(None, "NoneType"), (5, "int"),
+                                         ((2, 3, 1), "tuple")])
+def test_an_action_that_is_not_an_action_is_a_value_error(reader, value, kind):
+    with pytest.raises(ValueError, match=f"^action must be an Action, got {kind}$"):
+        ACTION_READERS[reader](value)
+    # the same call with an Action returns
+    ACTION_READERS[reader](cyclic_action(3))
+
+
 def _perm(x):
     """The identity permutation of 1..3 with x in the place of 1 when x
     equals 1, else in the place of 3."""
