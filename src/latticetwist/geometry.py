@@ -7,7 +7,8 @@ permutohedron.  Its translates under the rank-n lattice spanned by
     e_i = (1, .., 1, -(n-1), 1, .., 1)   (i = 1..n-1),   a = (1, .., 1)
 
 tile R^n, and the set of all tile vertices is exactly the set of integer
-vectors with pairwise distinct residues mod n (`units.is_residue_distinct`).
+vectors with pairwise distinct residues mod n (`units.is_residue_distinct`);
+a tiling check's box match proves this on all of Z^n from n! keys a side.
 `coordinate_matrices(n)` gives the change of basis C, whose columns are
 e_1..e_{n-1}, a; a residue-distinct point p splits as p = C t + u with t
 integer and u a permutation of (1..n).  The inverse of C is never built:
@@ -42,10 +43,9 @@ integer arithmetic; no floats are involved anywhere.
 
 Each growing cost is checked once, before the work, against the count it
 bounds: n against `limits.MAX_PERMUTOHEDRON_N` wherever the n!
-permutations are listed, and against `limits.MAX_BOX_POINTS` the
-(vertex, s) pairs n!*(hi-lo+1) that key a tiling check's box match, its
-sample count, the exported vertex rows (2r+1)^n*2*n! of a patch, the
-vertices of a product tile and the n*n entries of C.
+permutations are listed, and against `limits.MAX_BOX_POINTS` a tiling
+check's sample count, the exported vertex rows (2r+1)^n*2*n! of a patch,
+the vertices of a product tile and the n*n entries of C.
 """
 
 from __future__ import annotations
@@ -142,7 +142,7 @@ def decompose_point(p: Sequence[int]) -> Decomposition | NotAVertex:
     return Decomposition(tuple(t), u)
 
 
-def _prefix_test(Q: Sequence[int], dn: int, n: int) -> bool | None:
+def _prefix_test(Q: Sequence[int], dn: int) -> bool | None:
     """The sorted-prefix test (Rado 1952) on cross-section numerators.
 
     Q_i = n*P_i - L is n*den times the cross-section of the point P/den,
@@ -242,7 +242,7 @@ class PrismTile:
         dn = den * n
         L = sum(P) - den * (n * (n + 1) // 2)
         if 0 <= L <= dn:
-            tight = _prefix_test([n * p - L for p in P], dn, n)
+            tight = _prefix_test([n * p - L for p in P], dn)
             if tight is not None:
                 return "boundary" if tight or L == 0 or L == dn else "interior"
         return "outside"
@@ -403,7 +403,7 @@ def _count_containing(P: Sequence[int], den: int, n: int):
                 if sum(Q) != target:
                     continue
                 if n > 3:
-                    tight = _prefix_test(Q, dn, n)
+                    tight = _prefix_test(Q, dn)
                     if tight is None:
                         continue
                     if tight or layer:
@@ -494,26 +494,27 @@ def _box_vertex_match(n: int, lo: int, hi: int):
     tile vertices in the box against the residue-distinct points there.
 
     With C_r the box values congruent to r mod n, both sides are unions of
-    the boxes C_{r_1} x .. x C_{r_{n-1}} x {x}, keyed (r_1, .., r_{n-1}, x).
-    Tile side: every tile vertex is C t + w for a permutation w of (1..n),
-    the base tile's bottom layer (a tile's top layer is the bottom layer
-    of the tile one a-step up, C t + w + a = C (t + e_a) + w), and integer
-    t.  With s = t_a + sum_j t_j, coordinate n is w_n + s and coordinate
-    i < n is w_i + s - n t_i, which runs over C_{(w_i + s) mod n}, so each
-    (w, s) gives the key ((w_i + s) mod n, .., w_n + s).  Residue side:
-    for each x in the box, every order of the residues other than x mod n.
-    Once the box holds n integers no C_r is empty, so distinct keys stand
-    for disjoint, non-empty boxes: the point sets are equal exactly when
-    the key sets are, there are n! * prod |C_r| points, and the mismatches
-    are the first 8 points of the differing keys' boxes.
+    the boxes C_{r_1} x .. x C_{r_{n-1}} x {x}.  Tile side: every tile
+    vertex is C t + w for a permutation w of (1..n), the base tile's
+    bottom layer (a tile's top layer is the bottom layer of the tile one
+    a-step up, C t + w + a = C (t + e_a) + w), and integer t.  With
+    s = t_a + sum_j t_j, coordinate n is x = w_n + s and coordinate i < n
+    is w_i + s - n t_i, which runs over C_{(d_i + x) mod n} for the key
+    d_i = (w_i - w_n) mod n.  Residue side: at each x, the same boxes for
+    every order d of the nonzero residues.  So the vertex set is the
+    residue-distinct set on all of Z^n exactly when the key sets are
+    equal, whatever the box.  The tile side walks all n! permutations, each
+    key coming from the n cyclic shifts of w: the w with w_n = n alone
+    would be the residue side's own construction.
 
-    The n!*(hi-lo+1) (w, s) pairs are checked before any work; they bound
-    the keys of both sides.  `tile_count`, the size of the coefficient
+    Once the box holds n integers no C_r is empty, so distinct pairs of a
+    key and a class c of x stand for disjoint, non-empty boxes: there are
+    n! * prod |C_r| points, and the mismatches are the first 8 points of
+    the differing keys' boxes.  `tile_count`, the size of the coefficient
     window that holds every tile with a vertex in the box, bounds nothing.
     A box of fewer than n integers matches at once, with no vertex: some
     C_r is then empty, and a tile vertex has n distinct residues mod n.
     """
-    _check_count(factorial(n) * (hi - lo + 1), "tile-side (vertex, s) pairs")
     # such a tile's offset C t lies in [lo - n - 1, hi - 1]^n, an interval
     # of span + 1 integers: |t_i| <= span/n for i < n, and t_a, the mean
     # of the offset, lies in the interval itself
@@ -522,14 +523,12 @@ def _box_vertex_match(n: int, lo: int, hi: int):
     if hi - lo + 1 < n:
         return True, 0, (), tile_count
     classes = [range(lo + (r - lo) % n, hi + 1, n) for r in range(n)]
-    from_tiles = {(*[(x + s) % n for x in head], last + s)
-                  for *head, last in permutohedron_vertices(n)
-                  for s in range(lo - last, hi - last + 1)}
-    from_residues = {(*order, x) for x in range(lo, hi + 1)
-                     for order in permutations([r for r in range(n) if r != x % n])}
+    from_tiles = {tuple([(x - last) % n for x in head])
+                  for *head, last in permutohedron_vertices(n)}
     # product copies its inputs; a box's first 8 points need 8 values a class
-    boxes = [product(*[classes[r][:8] for r in key[:-1]], key[-1:])
-             for key in from_tiles ^ from_residues]
+    boxes = [product(*[classes[(d + c) % n][:8] for d in key], classes[c][:8])
+             for key in from_tiles ^ set(permutations(range(1, n)))
+             for c in range(n)]
     return (not boxes, factorial(n) * prod(map(len, classes)),
             tuple(islice(merge(*boxes), 8)), tile_count)
 
@@ -549,7 +548,8 @@ def check_tiling(
     blocks of SAMPLE_BLOCK, each from its own seeded stream, and `workers`
     processes split whole blocks, so the report does not depend on
     `workers`.  Also matches the tile vertices in the box against the
-    residue-distinct points by product-box keys (`_box_vertex_match`).
+    residue-distinct points by product-box keys (`_box_vertex_match`),
+    a match that holds on all of Z^n exactly when it holds in the box.
     `box` is a pair (lo, hi).  n, the box ends, `samples`, `seed` and
     `workers` are read by the integer rule of `twisted.as_vector`: 4.0 or
     Fraction(4) is the int 4, and 4.5 or "4" is a ValueError.

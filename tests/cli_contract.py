@@ -53,6 +53,7 @@ EXIT_CODES = (
     (2, ("verify-relations", "-n", "3", "--preset", "sn")),
     (2, ("verify-relations", "-n", "4", "--preset", "nope")),
     (3, ("verify-relations", "-n", "81", "--preset", "two_gen")),
+    (0, ("check-tiling", "-n", "8", "--box=0,24", "--samples", "0")),
 )
 
 # the verify reports of `check_reports_hold`

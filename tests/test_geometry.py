@@ -837,6 +837,22 @@ class TestCheckTiling:
         assert mismatched == {"shift 1": {2, 3, 4, 5, 6}, "shift 2": {3, 4, 5, 6},
                               "drop": set()}[corrupt]
 
+    def test_dropping_one_orbit_gives_the_oracle_mismatches(self, monkeypatch):
+        # the n cyclic shifts of one w all give its key (w_i - w_n) mod n,
+        # so leaving out the whole orbit leaves out that key: the key match
+        # must then report what listing the points finds, a mismatch
+        for n in range(2, 7):
+            bottom = permutohedron_vertices(n)
+            w = bottom[len(bottom) // 2]
+            orbit = {tuple((x - 1 + c) % n + 1 for x in w) for c in range(n)}
+            bottom = [v for v in bottom if v not in orbit]
+            both = bottom + [tuple(x + 1 for x in v) for v in bottom]
+            monkeypatch.setattr(geometry, "permutohedron_vertices", lambda n: bottom)
+            for lo, hi in [(-4, n - 5), (-4, 2 * n - 4), (0, 3 * n), (-3, 2)]:
+                got = _box_vertex_match(n, lo, hi)
+                assert got == full_box_walk(n, lo, hi, both), (n, lo, hi)
+                assert not got[0] and got[2], (n, lo, hi)
+
     def test_narrow_box_matches_the_full_walk(self):
         for n in range(2, 7):
             for lo in range(-3, 4):
@@ -952,9 +968,9 @@ class TestCheckTiling:
         tested = []
         prefix_test = geometry._prefix_test
 
-        def counting(Q, dn, n):
+        def counting(Q, dn):
             tested.append(Q)
-            return prefix_test(Q, dn, n)
+            return prefix_test(Q, dn)
 
         monkeypatch.setattr(geometry, "_prefix_test", counting)
         rng = random.Random(n)
@@ -971,9 +987,9 @@ class TestCheckTiling:
         tested = []
         prefix_test = geometry._prefix_test
 
-        def counting(Q, dn, n):
+        def counting(Q, dn):
             tested.append(Q)
-            return prefix_test(Q, dn, n)
+            return prefix_test(Q, dn)
 
         monkeypatch.setattr(geometry, "_prefix_test", counting)
         rng = random.Random(6)
@@ -1161,15 +1177,17 @@ class TestCheckTiling:
             check_tiling(2, (0, 4), samples=-1)
         with pytest.raises(ValueError):
             check_tiling(2, (0, 4), workers=0)
-        # [0, 59]^4 holds 24 * 15^4 residue-distinct points, matched by the
-        # keys of 24 * 60 (vertex, s) pairs
+        # [0, 59]^4 holds 24 * 15^4 residue-distinct points, matched by
+        # the keys of the 24 base-tile vertices
         report = check_tiling(4, (0, 59), samples=0)
         assert (report.vertex_count, report.vertex_match) == (1_215_000, True)
-        # n = 1 walks one (vertex, s) pair per integer of the box
-        with pytest.raises(BudgetExceededError, match="1000001 tile-side"):
-            check_tiling(1, (1, 1_000_001), samples=0)
-        report = check_tiling(1, (1, 500_001), samples=0)
-        assert report.passed and report.vertex_count == 500_001
+        # the match walks n! keys whatever the box, so no box is refused
+        for n, (lo, hi) in [(1, (1, 1_000_001)), (8, (0, 24)), (1, (1, 500_001)),
+                            (8, (-10**12, 10**12))]:
+            report = check_tiling(n, (lo, hi), samples=0)
+            sizes = [len(range(lo + (r - lo) % n, hi + 1, n)) for r in range(n)]
+            assert report.passed, (n, lo, hi)
+            assert report.vertex_count == math.factorial(n) * math.prod(sizes)
         # too many samples are refused before the box match starts
         monkeypatch.setattr(geometry, "_box_vertex_match", None)
         cap = limits.MAX_BOX_POINTS
