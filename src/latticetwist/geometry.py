@@ -22,10 +22,7 @@ by one sort: the smallest subset sum of size k is the sum of the k
 smallest entries, so the cross-section lies in the permutohedron exactly
 when every sorted prefix sum meets its bound (Rado 1952); `_prefix_test`
 is that one test, for the classifier and the sampler alike, and it tells
-only whether some bound is met with equality, not which.  The mesh export
-needs no test to name the facets through a vertex of the base tile: the
-vertex u or u + a, u a permutation, lies on the facet of size m at the
-positions of u's values 1..m (`_base_face_loops`).  A tiling
+only whether some bound is met with equality, not which.  A tiling
 sample is tested only against the tiles that its 2n one-coordinate facets
 1 <= x_i <= n allow, about one tile whatever n (`_count_containing`).
 Those windows are the facets of sizes 1 and n-1 themselves (with the
@@ -38,8 +35,10 @@ coefficients (`_interior_coeffs`) only for an overlap witness, a sample
 in two tiles, which the tiling never has.  The json mesh of a tile is
 joined from a table of its n(n+1) distinct entry strings
 (`_json_chunks`), as every row entry is an offset entry plus 1..n+1.
-All predicates and the face order of the exported mesh run in scaled
-integer arithmetic; no floats are involved anywhere.
+The OFF mesh, drawn for n <= 3 only, writes each tile's faces from a
+pinned table of the base tile's face loops (`_FACE_LOOPS`).  All
+predicates run in scaled integer arithmetic; no floats are involved
+anywhere.
 
 Each growing cost is checked once, before the work, against the count it
 bounds: n against `limits.MAX_PERMUTOHEDRON_N` wherever the n!
@@ -53,11 +52,11 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, cmp_to_key, lru_cache
+from functools import cached_property
 from heapq import merge
 from itertools import islice, permutations, product
 from math import factorial, lcm, prod
-from operator import add, itemgetter, mul
+from operator import add, itemgetter
 from typing import Iterator, NamedTuple, Sequence
 
 from . import limits
@@ -169,8 +168,11 @@ def _prefix_test(Q: Sequence[int], dn: int) -> bool | None:
 def _scaled(point: Sequence, n: int) -> tuple[list[int], int]:
     """(P, den): the point of length n as numerators over their lcm; an
     entry is anything `Fraction` reads (an int, a float, "5/2", ...), and
-    any other point is a ValueError that names it.  An entry that is
-    exactly an `int` or a `Fraction` is used as it is."""
+    any other point, a str such as "123" too, is a ValueError that names
+    it.  An entry that is exactly an `int` or a `Fraction` is used as it
+    is."""
+    if isinstance(point, str):
+        raise ValueError(f"point is not rational: {point!r}")
     try:
         pt = [x if type(x) in (int, Fraction) else Fraction(x) for x in point]
     except (TypeError, ValueError, OverflowError, ZeroDivisionError):
@@ -604,70 +606,21 @@ def check_tiling(
     )
 
 
-@lru_cache(maxsize=None)
-def _base_face_loops(n: int) -> tuple[tuple[int, ...], ...]:
-    """Vertex index loops of the base tile's 2D faces, outward oriented;
-    they serve every tile.
-
-    A vertex is a permutation u of (1..n) on the bottom layer, or u + a on
-    the top, and the facet of size m that it lies on is named by u: the
-    m positions that hold its values 1..m, whose sum is the bound
-    m(m+1)/2, which any other m positions exceed.  Each vertex joins its
-    layer, then those facets for m = 1..n-1, and `_order_loop` orders
-    each group of three or more in integers: no floats anywhere.  A tile
-    lists its vertices as the base tile's shifted by its offset, in the
-    same order, and neither the facets nor the cyclic order of a loop
-    change under that shift.
-    """
-    base = permutohedron_vertices(n)
-    verts = PrismTile(n, (0,) * n).vertices
-    groups: dict = {}
-    for idx, u in enumerate(base * 2):
-        # u's positions, ordered by the values they hold
-        order = sorted(range(n), key=u.__getitem__)
-        for key in ["bottom" if idx < len(base) else "top",
-                    *[frozenset(order[:m]) for m in range(1, n)]]:
-            groups.setdefault(key, []).append(idx)
-    if n == 2:
-        loops = [list(range(len(verts)))]
-    else:
-        loops = [idx for idx in groups.values() if len(idx) >= 3]
-    # times the vertex count, about the tile centre, padded to three entries
-    total = [sum(column) for column in zip(*verts)]
-    moved = [(*[len(verts) * x - t for x, t in zip(v, total)], 0, 0)[:3] for v in verts]
-    return tuple(tuple(_order_loop([moved[i] for i in loop], loop)) for loop in loops)
-
-
-def _order_loop(points, indices):
-    """`indices` by angle in (-pi, pi] about the face centre from the first
-    point, counterclockwise seen from the outside (the tile centre is 0);
-    exact ties keep index order.  r = k p - sum(points) is k times p's
-    offset from the face centre, and p's plane coordinates are r.u and
-    r.(normal x u), for u the first r and the normal the first u x r != 0."""
-    k = len(points)
-    face = [sum(column) for column in zip(*points)]
-    rel = [[k * x - s for x, s in zip(p, face)] for p in points]
-    u = rel[0]
-    normal = next(w for w in (_cross3(u, r) for r in rel[1:]) if any(w))
-    if sum(map(mul, normal, face)) < 0:
-        normal = [-x for x in normal]
-    v = _cross3(normal, u)
-    plane = []
-    for r, i in zip(rel, indices):
-        x, y = sum(map(mul, r, u)), sum(map(mul, r, v))
-        # half planes (-pi, 0), [0, pi) and {pi} first: within one, angles
-        # differ by less than pi, so the sign of a cross product orders them
-        plane.append((0 if y < 0 else 1 if y > 0 or x > 0 else 2, x, y, i))
-    order = cmp_to_key(lambda a, b: a[0] - b[0] or b[1] * a[2] - a[1] * b[2])
-    return [i for *_, i in sorted(plane, key=order)]
-
-
-def _cross3(u, v):
-    return [
-        u[1] * v[2] - u[2] * v[1],
-        u[2] * v[0] - u[0] * v[2],
-        u[0] * v[1] - u[1] * v[0],
-    ]
+# The 2D faces of the base tile as loops of positions in
+# `PrismTile.vertices` (bottom layer, then top), each counterclockwise seen
+# from outside the tile; a tile's vertices are the base tile's shifted, in
+# the same order, so the loops serve every tile.  The OFF export draws
+# n <= 3 only.  At n = 1 the tile is a segment, with no 2D face; at n = 2
+# it is the square itself, counterclockwise in the plane.  At n = 3 it is
+# the hexagonal prism: the bottom and top hexagons, and one square side per
+# set S of one or two positions, through the vertices u and u + a
+# (u a permutation) that hold 1..|S| at the positions S.
+_FACE_LOOPS = {
+    1: (),
+    2: ((2, 0, 1, 3),),
+    3: ((4, 2, 0, 1, 3, 5), (1, 0, 6, 7), (6, 0, 2, 8), (3, 1, 7, 9),
+        (8, 2, 4, 10), (5, 3, 9, 11), (10, 4, 5, 11), (9, 7, 6, 8, 10, 11)),
+}
 
 
 def _base_rows(n: int) -> tuple[list[int], int]:
@@ -717,7 +670,7 @@ def _off_chunks(tiles: Sequence[PrismTile], n: int) -> Iterator[str]:
     filled in one call with the base rows plus the tile's offset.
     """
     rows, count = _base_rows(n)
-    loops = _base_face_loops(n)
+    loops = _FACE_LOOPS[n]
     yield f"OFF\n{len(tiles) * count} {len(tiles) * len(loops)} 0\n"
     vertices = (" ".join(["%d"] * n + ["0"] * (3 - n)) + "\n") * count
     for t in tiles:

@@ -20,7 +20,7 @@ from latticetwist.geometry import (
     Decomposition,
     NotAVertex,
     PrismTile,
-    _base_face_loops,
+    _FACE_LOOPS,
     _box_vertex_match,
     _lattice_offset,
     _scaled,
@@ -40,9 +40,10 @@ from latticetwist.units import _residue_distinct, is_residue_distinct
 
 
 def subset_scan(P, den, n):
-    """Oracle for `PrismTile.classify` on the base tile, and for the facets
-    of `_base_face_loops`: every proper subset's inequality in turn.
-    Returns (status, the labels of the tight layers and facets) of P/den."""
+    """Oracle for `PrismTile.classify` on the base tile, and for the vertex
+    sets of the pinned OFF face loops `_FACE_LOOPS` at n <= 3: every proper
+    subset's inequality in turn.  Returns (status, the labels of the tight
+    layers and facets) of P/den."""
     K = n * (n + 1) // 2
     L = sum(P) - den * K
     if L < 0 or L > den * n:
@@ -363,14 +364,13 @@ def json_mesh_oracle(tiles):
 
 def off_mesh_oracle(tiles):
     """Oracle for the OFF text of export_mesh: each tile's own vertices and
-    face loops, written line by line."""
+    the face loops of `_FACE_LOOPS`, written line by line."""
     n = tiles[0].n
     vertices, faces = [], []
     for tile in tiles:
         base = len(vertices)
         vertices.extend(tile.vertices)
-        if n >= 2:
-            faces.extend([base + i for i in loop] for loop in _base_face_loops(n))
+        faces.extend([base + i for i in loop] for loop in _FACE_LOOPS[n])
     lines = ["OFF", f"{len(vertices)} {len(faces)} 0"]
     lines += [" ".join(str(x) for x in (*v, 0, 0)[:3]) for v in vertices]
     lines += [" ".join(str(x) for x in (len(f), *f)) for f in faces]
@@ -580,7 +580,7 @@ class TestTilesAndPatches:
     def test_classify_names_a_point_it_cannot_read(self):
         tile = PrismTile(3, (0, 0, 0))
         for bad in [(None, 1), None, (float("inf"), 1), (2, math.nan, 2),
-                    ("1/0", 2, 2), ("abc", 2, 2)]:
+                    ("1/0", 2, 2), ("abc", 2, 2), "123"]:
             with pytest.raises(ValueError,
                                match="^point is not rational: " + re.escape(repr(bad))):
                 tile.classify(bad)
@@ -1220,22 +1220,23 @@ class TestExport:
             tiles = far_tiles(n)
             assert "".join(export_mesh(tiles, "json")) == json_mesh_oracle(tiles), n
 
-    def test_off_single_prism(self):
-        text = "".join(export_mesh([PrismTile(3, (0, 0, 0))], "off"))
+    @pytest.mark.parametrize("n, nv, corners", [
+        (2, 4, [4]), (3, 12, [4] * 6 + [6] * 2)], ids=["n2", "n3"])
+    def test_off_single_prism(self, n, nv, corners):
+        text = "".join(export_mesh([PrismTile(n, (0,) * n)], "off"))
         lines = text.strip().split("\n")
         assert lines[0] == "OFF"
-        nv, nf, ne = map(int, lines[1].split())
-        assert (nv, nf, ne) == (12, 8, 0)
+        assert lines[1] == f"{nv} {len(corners)} 0"
         verts = [tuple(map(int, l.split())) for l in lines[2:2 + nv]]
         faces = [list(map(int, l.split())) for l in lines[2 + nv:]]
-        assert sorted(f[0] for f in faces) == [4] * 6 + [6] * 2
+        assert sorted(f[0] for f in faces) == corners
         for f in faces:
             assert f[0] == len(f) - 1
             idx = f[1:]
             for i in range(len(idx)):
                 a, b = verts[idx[i]], verts[idx[(i + 1) % len(idx)]]
                 gap = sum((x - y) ** 2 for x, y in zip(a, b))
-                assert gap in (2, 3)  # swap edges and vertical prism edges
+                assert gap in (2, n)  # swap edges and vertical prism edges
 
     def test_off_planar_patch(self):
         text = "".join(export_mesh(generate_patch(2, 1), "off"))
@@ -1285,22 +1286,13 @@ class TestExport:
                 pass
             assert all("offset" not in vars(t) for t in tiles), (n, fmt)
 
-    def test_face_loops_are_pinned(self):
-        # golden: the loops every OFF export has written, start vertex and
-        # direction included
-        assert _base_face_loops(1) == ()
-        assert _base_face_loops(2) == ((2, 0, 1, 3),)
-        assert _base_face_loops(3) == (
-            (4, 2, 0, 1, 3, 5), (1, 0, 6, 7), (6, 0, 2, 8), (3, 1, 7, 9),
-            (8, 2, 4, 10), (5, 3, 9, 11), (10, 4, 5, 11), (9, 7, 6, 8, 10, 11))
-
     def test_face_loops_turn_outward(self):
         # consecutive edges a, b of a loop turn counterclockwise seen from
         # outside: (a x b) . (face centre - tile centre) > 0, here scaled
         # by the face and tile vertex counts to stay in integers
         verts = PrismTile(3, (0, 0, 0)).vertices
         center = [sum(column) for column in zip(*verts)]
-        for loop in _base_face_loops(3):
+        for loop in _FACE_LOOPS[3]:
             face = [sum(verts[i][j] for i in loop) for j in range(3)]
             outward = [len(verts) * f - len(loop) * c for f, c in zip(face, center)]
             for i in range(len(loop)):
@@ -1319,7 +1311,7 @@ class TestExport:
             for label in subset_scan(v, 1, 3)[1]:
                 groups.setdefault(label, []).append(i)
         faces = sorted(g for g in groups.values() if len(g) >= 3)
-        assert sorted(sorted(loop) for loop in _base_face_loops(3)) == faces
+        assert sorted(sorted(loop) for loop in _FACE_LOOPS[3]) == faces
         for n in range(1, 7):
             tile = base_tile(n)
             assert {tile.classify(v) for v in tile.vertices} == {"boundary"}, n

@@ -1,5 +1,5 @@
 """Every source file parses under the grammar of the oldest Python that
-`pyproject.toml` declares.
+`pyproject.toml` declares, and CI's Python matrix starts at that version.
 
 `ast.parse(..., feature_version=...)` refuses syntax newer than that
 version, such as `except*` or a `type` statement, as far as the running
@@ -40,3 +40,12 @@ def test_newer_syntax_is_refused():
     ast.parse(source, feature_version=(3, 11))
     with pytest.raises(SyntaxError):
         ast.parse(source, feature_version=(3, 10))
+
+
+def test_ci_starts_its_matrix_at_the_floor():
+    # plain text: CI installs no YAML parser
+    text = (ROOT / ".github" / "workflows" / "tests.yml").read_text()
+    versions = re.search(r'^\s*python-version: \[(.*)\]$', text,
+                         re.MULTILINE).group(1)
+    first = versions.split(",")[0].strip().strip('"')
+    assert first == "%d.%d" % floor()
