@@ -168,10 +168,10 @@ def _prefix_test(Q: Sequence[int], dn: int) -> bool | None:
 def _scaled(point: Sequence, n: int) -> tuple[list[int], int]:
     """(P, den): the point of length n as numerators over their lcm; an
     entry is anything `Fraction` reads (an int, a float, "5/2", ...), and
-    any other point, a str such as "123" too, is a ValueError that names
-    it.  An entry that is exactly an `int` or a `Fraction` is used as it
-    is."""
-    if isinstance(point, str):
+    any other point, a str such as "123" or a bytes-like value too, is a
+    ValueError that names it.  An entry that is exactly an `int` or a
+    `Fraction` is used as it is."""
+    if isinstance(point, (str, bytes, bytearray, memoryview)):
         raise ValueError(f"point is not rational: {point!r}")
     try:
         pt = [x if type(x) in (int, Fraction) else Fraction(x) for x in point]

@@ -36,6 +36,8 @@ Vec = tuple[int, ...]
 _IDENTITY_BYTES = bytes(range(1, 256))
 # The entry types of a tuple that `as_vector` returns as it is.
 _INT_TYPE = {int}
+# Its entries are ints, but a bytes-like value is no vector or permutation.
+_BYTES_LIKE = (bytes, bytearray, memoryview)
 
 
 @dataclass(frozen=True)
@@ -79,11 +81,13 @@ def check_permutation(images: Sequence[int], n: int | None = None) -> tuple[int,
                 if n is not None and len(tau) != n:
                     raise ValueError(f"expected length {n}, got {len(tau)}")
                 return tau
-    try:
-        raw = tuple(images)
-        tau = tuple(map(int, raw))
-    except (TypeError, ValueError, OverflowError):
-        tau = None
+    tau = None
+    if not isinstance(images, _BYTES_LIKE):
+        try:
+            raw = tuple(images)
+            tau = tuple(map(int, raw))
+        except (TypeError, ValueError, OverflowError):
+            pass
     if tau is None or tau != raw or sorted(tau) != list(range(1, len(tau) + 1)):
         raise ValueError(f"not a permutation: {images!r}")
     if n is not None and len(tau) != n:
@@ -174,19 +178,21 @@ def as_vector(values: Sequence[int], n: int | None = None) -> Vec:
 
     Every integer input is read by this rule: an entry equal to an int
     (3, 3.0, Fraction(3), True) is that int, and any other (1.5, "3", nan,
-    inf, None) is a ValueError.  `_as_int` reads one value by it.  A tuple
-    whose entries are all exactly `int` is already that tuple, so it is
-    returned as it is, after one test in C; any other input is converted
-    entry by entry."""
+    inf, None) is a ValueError, as is a bytes-like value.  `_as_int` reads
+    one value by it.  A tuple whose entries are all exactly `int` is
+    already that tuple, so it is returned as it is, after one test in C;
+    any other input is converted entry by entry."""
     if type(values) is tuple and set(map(type, values)) == _INT_TYPE:
         if n is not None and len(values) != n:
             raise ValueError(f"expected length {n}, got {len(values)}")
         return values
-    try:
-        raw = tuple(values)
-        vec = tuple(map(int, raw))
-    except (TypeError, ValueError, OverflowError):
-        vec = None
+    vec = None
+    if not isinstance(values, _BYTES_LIKE):
+        try:
+            raw = tuple(values)
+            vec = tuple(map(int, raw))
+        except (TypeError, ValueError, OverflowError):
+            pass
     if vec is None or vec != raw:
         raise ValueError(f"vector is not integral: {values!r}")
     if not vec:

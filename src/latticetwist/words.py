@@ -547,48 +547,33 @@ def verify_derived_identities(n: int, seed: int = 0, draws: int = 4) -> Identity
     return IdentityReport(n, tuple(checks))
 
 
-def _ext_gcd(x: int, y: int) -> tuple[int, int, int]:
-    """(g, p, q) with p*x + q*y = g > 0."""
-    old_r, r = x, y
-    old_p, p = 1, 0
-    old_q, q = 0, 1
-    while r:
-        quot = old_r // r
-        old_r, r = r, old_r - quot * r
-        old_p, p = p, old_p - quot * p
-        old_q, q = q, old_q - quot * q
-    if old_r < 0:
-        old_r, old_p, old_q = -old_r, -old_p, -old_q
-    return old_r, old_p, old_q
-
-
 class _IntLattice:
-    """Row-echelon accumulator for an integer lattice in Z^n."""
+    """Row-echelon accumulator for an integer lattice in Z^n.
+
+    The rows are a basis of the lattice, each keyed by its pivot column and
+    zero before it, so at rank n the product of the pivots is, up to sign,
+    the index of the lattice in Z^n: `spans_all` reads that."""
 
     def __init__(self, n: int):
         self.n = n
         self._rows: dict[int, list[int]] = {}
 
-    def add(self, vec: Sequence[int]) -> None:
+    def add(self, vec: Sequence[int]) -> bool:
+        """Add vec to the lattice; return whether the rank grew."""
         v = list(vec)
         for col in range(self.n):
             if v[col] == 0:
                 continue
             row = self._rows.get(col)
             if row is None:
-                if v[col] < 0:
-                    v = [-x for x in v]
                 self._rows[col] = v
-                return
-            a, c = row[col], v[col]
-            if c % a == 0:
-                quot = c // a
-                v = [y - quot * x for x, y in zip(row, v)]
-            else:
-                gcd, p, q = _ext_gcd(a, c)
-                new_row = [p * x + q * y for x, y in zip(row, v)]
-                v = [(a // gcd) * y - (c // gcd) * x for x, y in zip(row, v)]
-                self._rows[col] = new_row
+                return True
+            # Euclid on the pivot column; (row, v) spans the same lattice.
+            while v[col]:
+                q = row[col] // v[col]
+                row, v = v, [x - q * y for x, y in zip(row, v)]
+            self._rows[col] = row
+        return False
 
     @property
     def rank(self) -> int:
@@ -619,14 +604,6 @@ class ClosureReport:
     translation_rank: int
     translations_span_lattice: bool
     targets_reached: dict[str, bool]
-
-
-def _closure_layout(n: int, bias: int) -> tuple[tuple[int, ...], int]:
-    """The place values R**0..R**(n-1) of the translation digits of a
-    `generated_closure` key, and R**n, the place of its permutation id, for
-    the odd radix R = 2 * bias + 1."""
-    radix = 2 * bias + 1
-    return tuple(radix**i for i in range(n)), radix**n
 
 
 def generated_closure(
@@ -694,7 +671,8 @@ def generated_closure(
     # bits of the key's hash, from which a set takes its first probe slot.
     bias = budget * max((abs(x) for k, _ in gens for x in k), default=0)
     radix = 2 * bias + 1
-    places, pure = _closure_layout(n, bias)
+    places = tuple(radix**i for i in range(n))
+    pure = radix**n
     # A permutation s is stored as bytes and each generator as its kernel
     # entry (table, moves), as in `eval_word`: r o s is s.translate(table), and
     # digit i of k o s is k_{s(i)}, so move (v, k_v) lands in digit
@@ -790,9 +768,7 @@ def generated_closure(
                 translation_count += 1
                 # once the translations span Z^n, an add changes nothing
                 if not spanned:
-                    rank = lattice.rank
-                    lattice.add([h // place % radix - bias for place in places])
-                    event = lattice.rank > rank
+                    event = lattice.add([h // place % radix - bias for place in places])
                     spanned = lattice.spans_all()
             if target_keys and h in target_keys:
                 for name in target_keys.pop(h):

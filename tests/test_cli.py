@@ -218,6 +218,37 @@ class TestReports:
         assert a == b
         assert a["box"] == [-2, 5]
 
+    def test_check_tiling_lists_overlaps_and_mismatches(self, capsys, monkeypatch):
+        # a failing report, as no real box gives one: an overlap at a
+        # non-integral point and a vertex of one side only
+        report = geometry.TilingReport(
+            n=2, box=(0, 4), samples=10, seed=0, denominator=101,
+            covered_count=10, interior_one_count=9, resample_count=0,
+            overlap_witnesses=(((Fraction(1, 2), Fraction(3)), ((0, 0), (1, -1))),),
+            vertex_match=False, vertex_count=20, vertex_mismatches=((3, 3),),
+            tile_count_scanned=5)
+        monkeypatch.setattr(geometry, "check_tiling", lambda *args, **kwargs: report)
+        argv = ("check-tiling", "-n", "2", "--box", "0,4", "--samples", "10")
+        code, out, err = invoke(capsys, *argv)
+        assert (code, err) == (1, "")
+        assert mask_elapsed(out).splitlines() == [
+            "covered: 10/10",
+            "interior multiplicity 1: 9/10",
+            "overlaps: 1",
+            "  OVERLAP at (1/2, 3) in tiles [(0, 0), (1, -1)]",
+            "resamples: 0",
+            "vertex sets match: False (20 vertices in box)",
+            "  MISMATCH vertex 3,3",
+            "result: FAIL (0.000s)",
+        ]
+        payloads = record_payloads(monkeypatch)
+        code, out, err = invoke(capsys, *argv, "--json")
+        assert (code, err) == (1, "")
+        assert out == json.dumps(_jsonable(payloads[0]), indent=2) + "\n"
+        doc = json.loads(out)
+        assert doc["overlap_witnesses"] == [[["1/2", 3], [[0, 0], [1, -1]]]]
+        assert doc["vertex_mismatches"] == [[3, 3]] and doc["passed"] is False
+
     def test_product_tile(self, capsys):
         code, out, _ = invoke(capsys, "product-tile", "2,1,4,3", "--json")
         doc = json.loads(out)

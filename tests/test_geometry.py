@@ -580,7 +580,7 @@ class TestTilesAndPatches:
     def test_classify_names_a_point_it_cannot_read(self):
         tile = PrismTile(3, (0, 0, 0))
         for bad in [(None, 1), None, (float("inf"), 1), (2, math.nan, 2),
-                    ("1/0", 2, 2), ("abc", 2, 2), "123"]:
+                    ("1/0", 2, 2), ("abc", 2, 2), "123", b"\x01\x02\x03"]:
             with pytest.raises(ValueError,
                                match="^point is not rational: " + re.escape(repr(bad))):
                 tile.classify(bad)

@@ -2,6 +2,7 @@
 
 import inspect
 import math
+import re
 from fractions import Fraction
 from itertools import product
 
@@ -178,6 +179,9 @@ class TestAction:
             Action.from_permutation((0, 1, 2))
         with pytest.raises(ValueError):
             Action.cyclic(0)
+        for images in ((), []):
+            with pytest.raises(ValueError, match="^action needs at least one point$"):
+                Action.from_permutation(images)
 
 
 class TestOrderedCycles:
@@ -343,8 +347,11 @@ class TestAsVector:
 
 
 def as_vector_oracle(values, n=None):
-    """`as_vector` converting every entry, as it did before its tuple path."""
+    """`as_vector` converting every entry, as it did before its tuple path;
+    a bytes-like value is no vector, though its entries are ints."""
     try:
+        if isinstance(values, (bytes, bytearray, memoryview)):
+            raise TypeError(values)
         raw = tuple(values)
         vec = tuple(map(int, raw))
     except (TypeError, ValueError, OverflowError):
@@ -360,8 +367,10 @@ def as_vector_oracle(values, n=None):
 
 def check_permutation_oracle(images, n=None):
     """`check_permutation` converting every image and sorting, as it did
-    before its bytes path."""
+    before its bytes path; a bytes-like value is no permutation."""
     try:
+        if isinstance(images, (bytes, bytearray, memoryview)):
+            raise TypeError(images)
         raw = tuple(images)
         tau = tuple(map(int, raw))
     except (TypeError, ValueError, OverflowError):
@@ -413,6 +422,12 @@ class _OnePass:
         return f"_OnePass({self.entries!r})"
 
 
+def _bytes_like(kind):
+    """A holder that makes entries that are all bytes into a `kind`, and
+    leaves any other entries as they are."""
+    return lambda e: kind(e) if all(type(x) is int and 0 <= x < 256 for x in e) else e
+
+
 # Every kind of entry a reader may meet, and every way to hold the entries.
 _ENTRIES = st.one_of(
     st.integers(-3, 12), st.integers(250, 300), st.integers(-2**70, 2**70),
@@ -423,7 +438,8 @@ _HOLDERS = {
     "tuple": tuple, "list": list, "one pass": _OnePass,
     # a tuple subclass: its entries pass, its type does not
     "SemiElement": lambda e: SemiElement(*e) if len(e) == 2 else tuple(e),
-    "bytes": lambda e: bytes(e) if all(type(x) is int and 0 <= x < 256 for x in e) else e,
+    # a bytes-like holder of byte entries, which both readers refuse
+    "bytes": _bytes_like(bytes), "bytearray": _bytes_like(bytearray),
     "str": lambda e: "".join(map(str, e)),
 }
 
@@ -511,6 +527,25 @@ SEQUENCE_READERS = {"as_vector": as_vector, "check_permutation": check_permutati
 def test_a_value_that_is_not_iterable_is_a_value_error(reader, value):
     with pytest.raises(ValueError):
         SEQUENCE_READERS[reader](value)
+
+
+_BYTES_LIKE_VALUES = {
+    "bytes": b"\x02\x01", "bytearray": bytearray(b"\x02\x01"),
+    "memoryview": memoryview(b"\x02\x01"),
+    # iterating a 2D view raises NotImplementedError, not a ValueError
+    "memoryview 2D": memoryview(b"\x02\x01").cast("B", (1, 2)),
+}
+
+
+@pytest.mark.parametrize("holder", sorted(_BYTES_LIKE_VALUES))
+def test_a_bytes_like_value_is_no_vector_or_permutation(holder):
+    # Its entries are the ints 2 and 1, but it is refused as the str "21" is.
+    value = _BYTES_LIKE_VALUES[holder]
+    message = re.escape(repr(value))
+    with pytest.raises(ValueError, match=f"^vector is not integral: {message}$"):
+        as_vector(value)
+    with pytest.raises(ValueError, match=f"^not a permutation: {message}$"):
+        check_permutation(value, 2)
 
 
 # Each reader of an action, with the action as its one argument; a

@@ -49,6 +49,64 @@ from latticetwist.words import (
 from test_semidirect import square_and_multiply
 
 
+def ext_gcd(x, y):
+    """(g, p, q) with p*x + q*y = g > 0."""
+    old_r, r = x, y
+    old_p, p = 1, 0
+    old_q, q = 0, 1
+    while r:
+        quot = old_r // r
+        old_r, r = r, old_r - quot * r
+        old_p, p = p, old_p - quot * p
+        old_q, q = q, old_q - quot * q
+    if old_r < 0:
+        old_r, old_p, old_q = -old_r, -old_p, -old_q
+    return old_r, old_p, old_q
+
+
+class LatticeOracle:
+    """`_IntLattice` as it was before its Euclid loop: an exact quotient
+    clears a column, and any other pivot pair is replaced by its gcd row
+    from `ext_gcd` and a cleared row."""
+
+    def __init__(self, n):
+        self.n = n
+        self._rows = {}
+
+    def add(self, vec):
+        v = list(vec)
+        for col in range(self.n):
+            if v[col] == 0:
+                continue
+            row = self._rows.get(col)
+            if row is None:
+                if v[col] < 0:
+                    v = [-x for x in v]
+                self._rows[col] = v
+                return
+            a, c = row[col], v[col]
+            if c % a == 0:
+                quot = c // a
+                v = [y - quot * x for x, y in zip(row, v)]
+            else:
+                gcd, p, q = ext_gcd(a, c)
+                new_row = [p * x + q * y for x, y in zip(row, v)]
+                v = [(a // gcd) * y - (c // gcd) * x for x, y in zip(row, v)]
+                self._rows[col] = new_row
+
+    @property
+    def rank(self):
+        return len(self._rows)
+
+    def spans_all(self):
+        if self.rank != self.n:
+            return False
+        index = 1
+        for col, row in self._rows.items():
+            index *= row[col]
+        return abs(index) == 1
+
+
 def closure_oracle(images, budget=limits.MAX_CLOSURE_BUDGET, targets=None,
                    stop_early=False):
     """Reference breadth-first closure on whole elements, one product each.
@@ -82,7 +140,7 @@ def _oracle_walk(images, budget=limits.MAX_CLOSURE_BUDGET, targets=None,
         except TypeError:
             target_items[name] = None
     reached = {name: el == ident for name, el in target_items.items()}
-    lattice = _IntLattice(n)
+    lattice = LatticeOracle(n)
     translations = set()
     visited = {ident}
     order = [ident]
@@ -1407,7 +1465,7 @@ class TestClosure:
             gens = standard_generators(n)
             images = [gens["s"], gens["t"], gens["g"]]
             _, elements, _ = _oracle_walk(images, 2000)
-            lattice, perms = _IntLattice(n), set()
+            lattice, perms = LatticeOracle(n), set()
             for count, (z, s) in enumerate(elements, start=1):
                 if s not in perms and lattice.rank == n:
                     break
@@ -1427,7 +1485,10 @@ class TestClosure:
         n, budget = 4, 20_000
         gens = standard_generators(n)
         _, elements, _ = _oracle_walk([gens["s"], gens["t"], gens["g"]], budget)
-        places, pure = words._closure_layout(n, budget)  # bias = budget * 1
+        # bias = budget * 1, so the odd radix is R = 2 * budget + 1; digit i
+        # has place R**i, and the permutation id place R**n
+        radix = 2 * budget + 1
+        places, pure = [radix**i for i in range(n)], radix**n
         ids = {s: pid for pid, s in enumerate(sorted({s for _, s in elements}))}
         keys = [sum((x + budget) * place for x, place in zip(z, places))
                 + ids[s] * pure for z, s in elements]
@@ -1581,8 +1642,29 @@ class TestIntLattice:
 
     def test_dependent_rows_do_not_raise_rank(self):
         lat = _IntLattice(3)
-        lat.add((1, 2, 3))
-        lat.add((2, 4, 6))
+        assert lat.add((1, 2, 3))
+        assert not lat.add((2, 4, 6))
         assert lat.rank == 1
-        lat.add((0, 1, 1))
+        assert lat.add((0, 1, 1))
         assert lat.rank == 2
+
+    def test_matches_the_ext_gcd_oracle(self):
+        # Random sets of up to 8 vectors in Z^n, n = 1..6, at three scales;
+        # a zero entry is common, so columns are skipped and rows collide.
+        rng = random.Random(1)
+        spanned = index_above_one = 0
+        for case in range(3000):
+            n = rng.randint(1, 6)
+            scale = rng.choice([1, 6, 10**12])
+            lat, oracle = _IntLattice(n), LatticeOracle(n)
+            for _ in range(rng.randint(1, 8)):
+                vec = [rng.choice([0, rng.randint(-scale, scale)]) for _ in range(n)]
+                rank = oracle.rank
+                oracle.add(vec)
+                assert lat.add(vec) == (oracle.rank > rank), (case, vec)
+                assert (lat.rank, lat.spans_all()) == (oracle.rank, oracle.spans_all()), (
+                    case, vec)
+            spanned += oracle.spans_all()
+            index_above_one += oracle.rank == n and not oracle.spans_all()
+        # at full rank both answers are common, so the pivots decide
+        assert spanned >= 300 and index_above_one >= 300
